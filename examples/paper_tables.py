@@ -53,7 +53,7 @@ def main() -> None:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the experiment fan-out (default 1; "
+        help="worker processes for the job graph's stage jobs (default 1; "
         "try the machine's core count)",
     )
     args = parser.parse_args()

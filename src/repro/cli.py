@@ -12,8 +12,9 @@ Commands mirror the paper's workflow:
 * ``summary``  — profile/TRG summary statistics.
 * ``tables``   — regenerate one of the paper's tables/figures or one of
   the extension studies (quality, overhead, hierarchy, sampling);
-  ``--jobs N`` fans the per-program experiments out over N processes
-  under a fault-tolerant dispatcher (``--max-retries``,
+  the requested tables' experiments run as one deduplicated job graph,
+  and ``--jobs N`` spreads its stage jobs over N processes under a
+  fault-tolerant dispatcher (``--max-retries``,
   ``--task-timeout``, ``--fail-fast``/``--best-effort`` — see
   ``docs/RELIABILITY.md``).
 * ``sweep``    — run the geometry x associativity x workload grid as
@@ -252,8 +253,8 @@ def cmd_summary(args) -> int:
     return 0
 
 
-#: Tables whose experiments can share one prefetch fan-out (and one job
-#: graph): the keyword batch each contributes to
+#: Tables whose experiments can share one job graph: the keyword batch
+#: each contributes to
 #: :func:`repro.experiments.common.prefetch_experiment_batches`.
 _BATCHABLE_TABLES = {
     "table2": {"same_input": True},
@@ -265,7 +266,11 @@ def cmd_tables(args) -> int:
     import inspect
 
     from . import experiments
-    from .experiments.common import all_programs, set_parallel_jobs
+    from .experiments.common import (
+        all_programs,
+        prefetch_experiment_batches,
+        set_parallel_jobs,
+    )
     from .runtime import parallel
     from .runtime.faults import FaultToleranceError, RetryPolicy
 
@@ -322,13 +327,9 @@ def cmd_tables(args) -> int:
         if table in _BATCHABLE_TABLES
     ]
     try:
-        if len(batches) > 1 and args.jobs > 1:
-            # Requested tables that share experiments run as one
-            # combined fan-out — on the scheduler path, one job graph
-            # whose common training stages execute exactly once.
-            from .experiments.common import prefetch_experiment_batches
-
-            prefetch_experiment_batches(batches, jobs=args.jobs)
+        # Requested tables that share experiments run as one job graph
+        # whose common training stages execute exactly once.
+        prefetch_experiment_batches(batches, jobs=args.jobs)
         for table in args.table:
             result = runners[table](**table_kwargs[table])
             print(result.render())
@@ -920,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tables.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for the per-program experiments (default 1)",
+        help="worker processes for stage-job dispatch (default 1)",
     )
     p_tables.add_argument(
         "--programs", default=None,
@@ -1034,8 +1035,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--dag", action="store_true",
-        help="benchmark job-graph scheduling against the coarse fan-out "
-             "(cold + warm) and write BENCH_dag.json",
+        help="benchmark the job-graph executor cold and warm "
+             "and write BENCH_dag.json",
     )
     p_bench.add_argument(
         "--trace-scale", action="store_true",

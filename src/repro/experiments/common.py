@@ -23,12 +23,13 @@ result from store entries recorded by an earlier process — skipping the
 workload run entirely on a warm hit — and every freshly computed stage
 is persisted for the next run.
 
-:func:`prefetch_experiments` fills the result cache for many programs at
-once across worker processes (:mod:`repro.runtime.parallel`); the
-per-program getters then hit the cache.  :func:`set_parallel_jobs` and
-:func:`set_engine` configure the default fan-out width and simulation
-engine for the whole harness (the ``repro tables --jobs`` /
-``repro bench`` plumbing).
+Experiments run only through the job graph
+(:func:`repro.sched.executor.run_experiments_dag`):
+:func:`prefetch_experiments` plans one graph for many programs, and a
+:func:`cached_experiment` miss plans a one-spec graph, so a Table 2 and
+Table 4 requested together share their training stages.
+:func:`set_parallel_jobs` sets the graph's default worker count for the
+whole harness (the ``repro tables --jobs`` plumbing).
 """
 
 from __future__ import annotations
@@ -36,19 +37,15 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from ..cache.config import CacheConfig
-from ..core.placement_map import PlacementMap
-from ..profiling.profile_data import Profile
 from ..runtime.driver import (
     ExperimentResult,
     MeasureResult,
-    build_placement,
     collect_stats,
     measure,
-    run_experiment,
 )
 from ..runtime import parallel
 from ..runtime.faults import ShardFailedError, TaskFailure
-from ..runtime.parallel import ExperimentSpec, run_experiments
+from ..runtime.parallel import ExperimentSpec
 from ..runtime.resolvers import NaturalResolver, RandomResolver
 from ..store import current_store
 from ..store import stages as store_stages
@@ -56,7 +53,6 @@ from ..store import traces as store_traces
 from ..trace.buffer import TraceRecorder, record_trace
 from ..trace.stats import WorkloadStats
 from ..workloads import make_workload, workload_names
-from ..workloads.base import Workload
 
 #: Programs the paper applies heap placement to (Section 5).
 HEAP_PROGRAMS = ("deltablue", "espresso", "groff", "gcc")
@@ -73,7 +69,6 @@ _trace_cache_bytes = 0
 _trace_persisted: set[tuple[str, str, str]] = set()
 
 _parallel_jobs = 1
-_engine = "auto"
 
 
 def paper_cache() -> CacheConfig:
@@ -87,33 +82,14 @@ def all_programs() -> list[str]:
 
 
 def set_parallel_jobs(jobs: int) -> None:
-    """Set the default worker count for :func:`prefetch_experiments`."""
+    """Set the default job-graph worker count for the harnesses."""
     global _parallel_jobs
     _parallel_jobs = max(1, jobs)
 
 
 def parallel_jobs() -> int:
-    """The configured default experiment fan-out width."""
+    """The configured default job-graph worker count."""
     return _parallel_jobs
-
-
-def set_engine(engine: str) -> None:
-    """Select the harness-wide simulation engine (``auto`` or ``scalar``).
-
-    ``auto`` (the default) records traces once per (workload, input) and
-    derives everything from them with the batched kernels; ``scalar``
-    restores the seed's per-event pipeline — used by ``repro bench`` as
-    the baseline arm and available for debugging.
-    """
-    if engine not in ("auto", "scalar"):
-        raise ValueError(f"unknown engine: {engine!r}")
-    global _engine
-    _engine = engine
-
-
-def current_engine() -> str:
-    """The configured harness-wide engine."""
-    return _engine
 
 
 def _config_key(config: CacheConfig) -> tuple[int, int, int]:
@@ -173,52 +149,6 @@ def _persist_trace(store, name: str, input_name: str, trace) -> None:
     _trace_persisted.add(marker)
 
 
-def _trace_provider(workload: Workload, input_name: str) -> TraceRecorder:
-    return cached_trace(workload.name, input_name)
-
-
-def cached_placement(
-    name: str,
-    train_input: str | None = None,
-    cache_config: CacheConfig | None = None,
-    place_heap: bool | None = None,
-) -> tuple[Profile, PlacementMap]:
-    """Profile and place one program's training input (memoized).
-
-    Tables 2 and 4 (and the paging and figure studies) all train on the
-    same input; under the batched engine the profile is a deterministic
-    function of the recorded training trace, so it and the placement are
-    computed once and shared.
-    """
-    workload = make_workload(name)
-    train = train_input or workload.train_input
-    config = cache_config or paper_cache()
-    key = ("placement", name, train, _config_key(config), place_heap)
-    result = _experiment_cache.get(key)
-    if result is None:
-        store = current_store()
-        if store is not None and _engine != "scalar":
-            # Warm path: serve both artifacts from the store without
-            # recording (= running) the training input at all.
-            result = store_stages.try_load_placement_pair(
-                store,
-                name,
-                train,
-                config,
-                workload.place_heap if place_heap is None else place_heap,
-                "array",
-            )
-            if result is not None:
-                _experiment_cache[key] = result
-                return result
-        trace = cached_trace(name, train) if _engine != "scalar" else None
-        result = build_placement(
-            workload, train, config, place_heap=place_heap, trace=trace
-        )
-        _experiment_cache[key] = result
-    return result
-
-
 def _experiment_key(
     name: str,
     same_input: bool,
@@ -250,37 +180,20 @@ def cached_experiment(
 
     ``same_input=True`` profiles and measures on the training input
     (Table 2's "ideal" configuration); otherwise the testing input is
-    measured (Table 4's realistic configuration).
+    measured (Table 4's realistic configuration).  A miss plans a
+    one-spec job graph.
     """
     config = cache_config or paper_cache()
     key = _experiment_key(
         name, same_input, include_random, classify, track_pages, config
     )
-    result = _experiment_cache.get(key)
-    if result is None:
-        failure = _failed_shards.get(key)
-        if failure is not None:
-            raise ShardFailedError(name, failure)
-        workload = make_workload(name)
-        test = workload.train_input if same_input else workload.test_input
-        batched = _engine != "scalar"
-
-        def placement_provider(wl: Workload, train: str, _trace):
-            return cached_placement(wl.name, train, config)
-
-        result = run_experiment(
-            workload,
-            test_input=test,
-            cache_config=config,
-            include_random=include_random,
-            classify=classify,
-            track_pages=track_pages,
-            engine=_engine,
-            trace_provider=_trace_provider if batched else None,
-            placement_provider=placement_provider if batched else None,
+    if key not in _experiment_cache and key not in _failed_shards:
+        prefetch_experiments(
+            [name], same_input, include_random, classify, track_pages, config
         )
-        _experiment_cache[key] = result
-    return result
+    if key not in _experiment_cache:
+        raise ShardFailedError(name, _failed_shards[key])
+    return _experiment_cache[key]
 
 
 def prefetch_experiments(
@@ -292,19 +205,18 @@ def prefetch_experiments(
     cache_config: CacheConfig | None = None,
     jobs: int | None = None,
 ) -> None:
-    """Fill the experiment cache for many programs across processes.
+    """Fill the experiment cache for many programs with one job graph.
 
     Runs every program whose :func:`cached_experiment` entry is missing
-    through :func:`repro.runtime.parallel.run_experiments` with ``jobs``
-    workers (default: :func:`parallel_jobs`) and merges the results into
-    the memo cache.  With one job or at most one missing program this is
-    a no-op — the per-program getters compute inline as before.
+    through :func:`repro.sched.executor.run_experiments_dag` with
+    ``jobs`` workers (default: :func:`parallel_jobs`) and merges the
+    results into the memo cache.
 
-    Under a best-effort retry policy a shard that exhausts its retries
-    comes back as a ``None`` hole; the shard is recorded as *failed* so
-    :func:`cached_experiment` raises
+    Under a best-effort retry policy a shard whose jobs exhaust their
+    retries comes back as a ``None`` hole; the shard is recorded as
+    *failed* so :func:`cached_experiment` raises
     :class:`~repro.runtime.faults.ShardFailedError` instead of silently
-    recomputing it inline (outside the retry machinery).  The degrading
+    recomputing it outside the retry machinery.  The degrading
     harnesses catch that error and drop the shard from their output.
     """
     prefetch_experiment_batches(
@@ -322,82 +234,43 @@ def prefetch_experiments(
     )
 
 
-def _use_dag_scheduler(jobs: int) -> bool:
-    """Whether the fan-out should run through the job-graph scheduler.
-
-    The DAG path needs the artifact store (stage jobs hand artifacts
-    across the process boundary through it) and the batched engine
-    (stage jobs are trace-derived); anything else stays on the coarse
-    per-spec fan-out.
-    """
-    if jobs <= 1 or _engine == "scalar" or current_store() is None:
-        return False
-    from ..sched.executor import scheduler_enabled
-
-    return scheduler_enabled()
-
-
 def prefetch_experiment_batches(batches: list[dict], jobs: int | None = None) -> None:
     """Fill the experiment cache for several spec batches at once.
 
     Each batch is the keyword form of :func:`prefetch_experiments`'s
-    signature (``programs`` plus flags).  Batches share one fan-out —
-    and, on the scheduler path, one job graph — so e.g. Table 2 and
-    Table 4 requested together collapse their common training stages
-    before anything runs.
+    signature (``programs`` plus flags).  Batches share one job graph,
+    so e.g. Table 2 and Table 4 requested together collapse their common
+    training stages before anything runs.  Entries already cached or
+    recorded as failed are not planned again.
     """
-    jobs = _parallel_jobs if jobs is None else jobs
-    entries: list[tuple[tuple, ExperimentSpec]] = []
-    seen: set[tuple] = set()
+    from ..sched.executor import run_experiments_dag
+
+    entries: dict[tuple, ExperimentSpec] = {}
     for batch in batches:
         config = batch.get("cache_config") or paper_cache()
-        same_input = bool(batch.get("same_input"))
-        include_random = bool(batch.get("include_random"))
-        classify = bool(batch.get("classify"))
-        track_pages = bool(batch.get("track_pages"))
+        flags = {
+            flag: bool(batch.get(flag))
+            for flag in ("same_input", "include_random", "classify", "track_pages")
+        }
         for name in batch["programs"]:
-            key = _experiment_key(
-                name, same_input, include_random, classify, track_pages, config
-            )
-            if key in _experiment_cache or key in seen:
-                continue
-            seen.add(key)
-            entries.append(
-                (
-                    key,
-                    ExperimentSpec(
-                        workload=name,
-                        same_input=same_input,
-                        include_random=include_random,
-                        classify=classify,
-                        track_pages=track_pages,
-                        cache_config=config,
-                        engine=_engine,
-                    ),
+            key = _experiment_key(name, config=config, **flags)
+            if key not in _experiment_cache and key not in _failed_shards:
+                entries.setdefault(
+                    key, ExperimentSpec(workload=name, cache_config=config, **flags)
                 )
-            )
-    if jobs <= 1 or len(entries) <= 1:
+    if not entries:
         return
-    specs = [spec for _key, spec in entries]
-    if _use_dag_scheduler(jobs):
-        from ..sched.executor import run_experiments_dag
-
-        results, _graph, _summary = run_experiments_dag(specs, jobs=jobs)
-    else:
-        results = run_experiments(specs, jobs=jobs)
-    report = parallel.last_fanout_report()
-    failures = (
-        {failure.label: failure for failure in report.failures}
-        if report is not None
-        else {}
+    results, _graph, _summary = run_experiments_dag(
+        list(entries.values()), jobs=_parallel_jobs if jobs is None else jobs
     )
-    for (key, spec), result in zip(entries, results):
+    failures = {
+        failure.index: failure for failure in parallel.last_fanout_report().failures
+    }
+    for index, (key, result) in enumerate(zip(entries, results)):
         if result is None:
-            failure = failures.get(spec.workload)
-            if failure is not None:
-                _failed_shards[key] = failure
-            continue
-        _experiment_cache[key] = result
+            _failed_shards[key] = failures[index]
+        else:
+            _experiment_cache[key] = result
 
 
 def cached_stats(name: str, input_name: str | None = None) -> WorkloadStats:
@@ -408,16 +281,14 @@ def cached_stats(name: str, input_name: str | None = None) -> WorkloadStats:
     result = _experiment_cache.get(key)
     if result is None:
         store = current_store()
-        if store is not None and _engine != "scalar":
+        if store is not None:
             result = store_stages.try_load_workload_stats(
                 store, name, input_name
             )
             if result is not None:
                 _experiment_cache[key] = result
                 return result
-        trace = (
-            cached_trace(name, input_name) if _engine != "scalar" else None
-        )
+        trace = cached_trace(name, input_name)
         result = collect_stats(workload, input_name, trace=trace)
         _experiment_cache[key] = result
     return result
@@ -436,7 +307,7 @@ def cached_natural_run(
     result = _experiment_cache.get(key)
     if result is None:
         store = current_store()
-        if store is not None and _engine != "scalar":
+        if store is not None:
             result = store_stages.try_load_measure(
                 store, name, input_name, config, {"kind": "natural"},
                 classify=False, track_pages=False,
@@ -444,17 +315,13 @@ def cached_natural_run(
             if result is not None:
                 _experiment_cache[key] = result
                 return result
-        trace = (
-            cached_trace(name, input_name) if _engine != "scalar" else None
-        )
         result = measure(
             workload,
             input_name,
             NaturalResolver(),
             config,
             classify=False,
-            engine=_engine,
-            trace=trace,
+            trace=cached_trace(name, input_name),
         )
         _experiment_cache[key] = result
     return result
@@ -474,7 +341,7 @@ def cached_random_run(
     result = _experiment_cache.get(key)
     if result is None:
         store = current_store()
-        if store is not None and _engine != "scalar":
+        if store is not None:
             result = store_stages.try_load_measure(
                 store, name, input_name, config,
                 store_stages.resolver_policy(RandomResolver(seed=seed)),
@@ -483,17 +350,13 @@ def cached_random_run(
             if result is not None:
                 _experiment_cache[key] = result
                 return result
-        trace = (
-            cached_trace(name, input_name) if _engine != "scalar" else None
-        )
         result = measure(
             workload,
             input_name,
             RandomResolver(seed=seed),
             config,
             classify=False,
-            engine=_engine,
-            trace=trace,
+            trace=cached_trace(name, input_name),
         )
         _experiment_cache[key] = result
     return result

@@ -224,25 +224,18 @@ def run_report(
 ) -> RunReport:
     """Run one workload's full pipeline under telemetry and report it.
 
-    The run records each distinct (workload, input) trace once; the test
-    trace additionally yields the workload statistics section, whose
-    reference totals reconcile with the simulators' access counters
-    (each reference touches at least one cache block).
+    After the run, the test input is recorded once more for the workload
+    statistics section, whose reference totals reconcile with the
+    simulators' access counters (each reference touches at least one
+    cache block); a fully-warm store reassembles the experiment without
+    recording anything, and the section survives that too.
     """
     from ..runtime.driver import run_experiment
-    from ..trace.buffer import TraceRecorder, record_trace
+    from ..trace.buffer import record_trace
     from ..workloads import make_workload
     from .telemetry import use
 
     workload = make_workload(workload_name)
-    traces: dict[str, TraceRecorder] = {}
-
-    def provider(wl, input_name: str) -> TraceRecorder:
-        if input_name not in traces:
-            with telemetry.span("trace.record", input=input_name):
-                traces[input_name] = record_trace(wl, input_name)
-        return traces[input_name]
-
     telemetry = Telemetry()
     with use(telemetry):
         with telemetry.span("run", workload=workload_name):
@@ -252,12 +245,8 @@ def run_report(
                 cache_config=cache_config,
                 include_random=include_random,
                 classify=classify,
-                trace_provider=provider,
             )
-            # A full-warm store reassembles the experiment without ever
-            # asking for a trace; record the test trace now so the
-            # workload-statistics section survives warm reruns.
-            if result.test_input not in traces:
-                provider(workload, result.test_input)
-        test_stats = traces[result.test_input].stats()
+            with telemetry.span("trace.record", input=result.test_input):
+                test_trace = record_trace(workload, result.test_input)
+        test_stats = test_trace.stats()
     return RunReport.from_experiment(result, telemetry, test_stats=test_stats)

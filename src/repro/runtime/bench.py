@@ -4,11 +4,13 @@
 the Table 2/4 miss-rate tables) twice over the same programs:
 
 * **scalar** — the seed's per-event pipeline: every table re-runs each
-  workload through per-event sinks and the scalar cache simulator.
-* **batched** — the batched engine: each (workload, input) is recorded
-  once as structure-of-arrays columns, and statistics, profiles, and all
-  placement measurements are derived from the columns by the vectorized
-  kernels, optionally fanning experiments out across worker processes.
+  workload through per-event sinks and the scalar cache simulator
+  (:func:`~repro.runtime.driver.collect_stats` without a trace and
+  ``run_experiment(..., engine="scalar")``).
+* **batched** — the experiment harnesses: each (workload, input) is
+  recorded once as structure-of-arrays columns, and statistics,
+  profiles, and all placement measurements are derived from the columns
+  by the vectorized kernels, through the job graph.
 
 Both arms produce identical tables (the parity suite asserts equality of
 every statistic), so the wall-clock ratio is a pure engine speedup.  A
@@ -43,20 +45,53 @@ CACHE_OUTPUT = "BENCH_cache.json"
 DAG_OUTPUT = "BENCH_dag.json"
 
 
-def _time_tables(programs: list[str]) -> dict[str, float]:
-    """Run the table pipeline once, timing each table."""
-    from ..experiments import run_table1, run_table2, run_table4
-
+def _time_tables(tables: dict[str, Callable[[], object]]) -> dict[str, float]:
+    """Run each table once, timing it."""
     timings: dict[str, float] = {}
-    for label, runner in (
-        ("table1", run_table1),
-        ("table2", run_table2),
-        ("table4", run_table4),
-    ):
+    for label, runner in tables.items():
         start = time.perf_counter()
-        runner(programs)
+        runner()
         timings[label] = time.perf_counter() - start
     return timings
+
+
+def _harness_tables(programs: list[str]) -> dict[str, Callable[[], object]]:
+    """The table pipeline through the experiment harnesses (batched arm)."""
+    from ..experiments import run_table1, run_table2, run_table4
+
+    return {
+        "table1": lambda: run_table1(programs),
+        "table2": lambda: run_table2(programs),
+        "table4": lambda: run_table4(programs),
+    }
+
+
+def _scalar_tables(programs: list[str]) -> dict[str, Callable[[], object]]:
+    """The same tables' work on the per-event pipeline (scalar arm)."""
+    from ..experiments.common import paper_cache
+    from .driver import collect_stats, run_experiment
+
+    def table1() -> None:
+        for name in programs:
+            workload = make_workload(name)
+            for input_name in (workload.train_input, workload.test_input):
+                collect_stats(workload, input_name)
+
+    def experiments(same_input: bool) -> None:
+        for name in programs:
+            workload = make_workload(name)
+            run_experiment(
+                workload,
+                test_input=workload.train_input if same_input else None,
+                cache_config=paper_cache(),
+                engine="scalar",
+            )
+
+    return {
+        "table1": table1,
+        "table2": lambda: experiments(True),
+        "table4": lambda: experiments(False),
+    }
 
 
 def _pipeline_events(programs: list[str]) -> int:
@@ -81,20 +116,8 @@ def _pipeline_events(programs: list[str]) -> int:
     return total
 
 
-def _run_arm(engine: str, programs: list[str], jobs: int) -> dict[str, object]:
-    from ..experiments.common import (
-        clear_cache,
-        set_engine,
-        set_parallel_jobs,
-    )
-
-    clear_cache()
-    set_engine(engine)
-    set_parallel_jobs(jobs)
-    start = time.perf_counter()
-    tables = _time_tables(programs)
-    total = time.perf_counter() - start
-    events = _pipeline_events(programs)
+def _arm(tables: dict[str, float], events: int) -> dict[str, object]:
+    total = sum(tables.values())
     return {
         "tables_s": tables,
         "total_s": total,
@@ -163,7 +186,6 @@ def run_bench(
     from ..experiments.common import (
         all_programs,
         clear_cache,
-        set_engine,
         set_parallel_jobs,
     )
 
@@ -174,12 +196,18 @@ def run_bench(
     say(f"kernel microbench ({programs[0]})...")
     kernel = _kernel_microbench(programs[0])
     say("scalar pipeline arm...")
-    scalar_arm = _run_arm("scalar", programs, jobs=1)
+    scalar_tables = _time_tables(_scalar_tables(programs))
     say("batched pipeline arm...")
-    batched_arm = _run_arm("auto", programs, jobs=jobs)
     clear_cache()
-    set_engine("auto")
-    set_parallel_jobs(1)
+    set_parallel_jobs(jobs)
+    try:
+        batched_tables = _time_tables(_harness_tables(programs))
+        events = _pipeline_events(programs)
+    finally:
+        clear_cache()
+        set_parallel_jobs(1)
+    scalar_arm = _arm(scalar_tables, events)
+    batched_arm = _arm(batched_tables, events)
 
     result: dict[str, object] = {
         "quick": quick,
@@ -315,7 +343,7 @@ def run_cache_bench(
     import tempfile
 
     from ..experiments import run_table2, run_table4
-    from ..experiments.common import all_programs, cached_placement, clear_cache
+    from ..experiments.common import all_programs, cached_experiment, clear_cache
     from ..profiling.serialize import placement_to_dict
     from ..store import ArtifactStore, use_store
 
@@ -335,7 +363,9 @@ def run_cache_bench(
             table4 = run_table4(programs)
             elapsed = time.perf_counter() - start
             placements = {
-                name: placement_to_dict(cached_placement(name)[1])
+                name: placement_to_dict(
+                    cached_experiment(name, same_input=True).placement
+                )
                 for name in programs
             }
         tallies = store.counters
@@ -391,23 +421,19 @@ def run_dag_bench(
     programs: list[str] | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, object]:
-    """Benchmark job-graph scheduling against the coarse per-spec fan-out.
+    """Benchmark the job-graph executor cold and warm.
 
-    Three arms over the Table 2 + Table 4 pipeline at the same worker
+    Two arms over the Table 2 + Table 4 pipeline at the same worker
     count, each from a cleared in-process memo:
 
-    * **legacy-cold** — scheduler disabled, fresh store: the pre-DAG
-      path (each table prefetches its own coarse per-spec fan-out, the
-      second table re-probing what the first persisted).
-    * **dag-cold** — scheduler enabled, fresh store: both tables
-      planned as one job graph, shared training stages deduplicated
-      before execution, stage jobs dispatched longest-estimated-first.
-    * **dag-warm** — the dag arm rerun over its own store: the probe
-      pass must prune every stage job (``executed == 0``).
+    * **dag-cold** — fresh store: both tables planned as one job graph,
+      shared training stages deduplicated before execution, stage jobs
+      dispatched longest-estimated-first.
+    * **dag-warm** — the same graph rerun over the cold arm's store: the
+      warm loader must prune every stage job (``executed == 0``).
 
-    All three arms must render byte-identical tables.  The headline
-    ``speedup`` is legacy-cold over dag-cold wall-clock; the dag arms'
-    scheduler summaries and the per-kind mean job seconds (the cost
+    Both arms must render byte-identical tables.  Their scheduler
+    summaries and the cold arm's per-kind mean job seconds (the cost
     priors' feedback history) are included in the JSON.
     """
     import shutil
@@ -420,7 +446,7 @@ def run_dag_bench(
         prefetch_experiment_batches,
         set_parallel_jobs,
     )
-    from ..sched.executor import _effective_cpus, last_summary, set_scheduler
+    from ..sched.executor import _effective_cpus, last_summary
     from ..store import ArtifactStore, use_store
 
     say = progress or (lambda _message: None)
@@ -430,80 +456,54 @@ def run_dag_bench(
         {"programs": programs, "same_input": True},
         {"programs": programs, "same_input": False},
     ]
-    roots = [
-        tempfile.mkdtemp(prefix="repro-dag-bench-") for _arm in ("legacy", "dag")
-    ]
+    root = tempfile.mkdtemp(prefix="repro-dag-bench-")
 
-    def run_arm(label: str, root: str, dag: bool) -> dict[str, object]:
+    def run_arm(label: str) -> dict[str, object]:
         say(f"{label} arm...")
         clear_cache()
-        set_scheduler(dag)
-        store = ArtifactStore(root)
-        with use_store(store):
+        with use_store(ArtifactStore(root)):
             set_parallel_jobs(jobs)
             start = time.perf_counter()
-            if dag:
-                prefetch_experiment_batches(batches, jobs=jobs)
+            prefetch_experiment_batches(batches, jobs=jobs)
             table2 = run_table2(programs)
             table4 = run_table4(programs)
             elapsed = time.perf_counter() - start
-        arm: dict[str, object] = {
+        summary = last_summary()
+        return {
             "total_s": elapsed,
             "tables": {"table2": table2.render(), "table4": table4.render()},
-        }
-        summary = last_summary()
-        if dag and summary is not None:
-            arm["sched"] = {
+            "sched": {
                 "total": summary.total,
                 "executed": summary.executed,
                 "deduped": summary.deduped,
                 "pruned": summary.pruned,
                 "critical_path_s": summary.critical_path_seconds,
-            }
-            arm["job_seconds_by_kind"] = dict(summary.job_seconds_by_kind)
-        return arm
+            },
+            "job_seconds_by_kind": dict(summary.job_seconds_by_kind),
+        }
 
     try:
-        legacy = run_arm("legacy-cold", roots[0], dag=False)
-        dag_cold = run_arm("dag-cold", roots[1], dag=True)
-        dag_warm = run_arm("dag-warm", roots[1], dag=True)
+        cold = run_arm("dag-cold")
+        warm = run_arm("dag-warm")
     finally:
-        set_scheduler(True)
         set_parallel_jobs(1)
         clear_cache()
-        for root in roots:
-            shutil.rmtree(root, ignore_errors=True)
+        shutil.rmtree(root, ignore_errors=True)
 
-    identical = (
-        legacy["tables"] == dag_cold["tables"]
-        and dag_cold["tables"] == dag_warm["tables"]
-    )
     result: dict[str, object] = {
         "quick": quick,
         "programs": programs,
         "jobs": jobs,
-        # The cold speedup is dominated by dedup on a single effective
+        # Cold wall-clock is dominated by dedup on a single effective
         # CPU; critical-path overlap only shows with real cores.
         "effective_cpus": _effective_cpus(),
         "arms": {
-            "legacy_cold": {
-                key: legacy[key] for key in legacy if key != "tables"
-            },
-            "dag_cold": {
-                key: dag_cold[key] for key in dag_cold if key != "tables"
-            },
-            "dag_warm": {
-                key: dag_warm[key] for key in dag_warm if key != "tables"
-            },
+            "dag_cold": {key: cold[key] for key in cold if key != "tables"},
+            "dag_warm": {key: warm[key] for key in warm if key != "tables"},
         },
-        "identical": identical,
-        "speedup": (
-            legacy["total_s"] / dag_cold["total_s"]
-            if dag_cold["total_s"]
-            else 0.0
-        ),
-        "warm_executed": (dag_warm.get("sched") or {}).get("executed"),
-        "job_seconds_by_kind": dag_cold.get("job_seconds_by_kind", {}),
+        "identical": cold["tables"] == warm["tables"],
+        "warm_executed": warm["sched"]["executed"],
+        "job_seconds_by_kind": cold["job_seconds_by_kind"],
     }
     if output:
         with open(output, "w") as handle:
@@ -515,23 +515,20 @@ def run_dag_bench(
 def render_dag_bench(result: dict[str, object]) -> str:
     """Human-readable summary of a :func:`run_dag_bench` result."""
     arms = result["arms"]
-    sched = arms["dag_cold"].get("sched", {})
-    warm_sched = arms["dag_warm"].get("sched", {})
+    sched = arms["dag_cold"]["sched"]
+    warm_sched = arms["dag_warm"]["sched"]
     lines = [
         f"job-graph scheduler ({', '.join(result['programs'])}, "
         f"--jobs {result['jobs']}, "
         f"{result.get('effective_cpus', '?')} effective cpu(s)):",
-        f"  legacy cold  {arms['legacy_cold']['total_s']:6.2f}s   "
-        "(coarse per-spec fan-out)",
         f"  dag cold     {arms['dag_cold']['total_s']:6.2f}s   "
-        f"(jobs={sched.get('total', '?')}, executed={sched.get('executed', '?')}, "
-        f"deduped={sched.get('deduped', '?')}, "
-        f"critical path {sched.get('critical_path_s', 0.0):.2f}s)",
+        f"(jobs={sched['total']}, executed={sched['executed']}, "
+        f"deduped={sched['deduped']}, "
+        f"critical path {sched['critical_path_s']:.2f}s)",
         f"  dag warm     {arms['dag_warm']['total_s']:6.2f}s   "
-        f"(executed={warm_sched.get('executed', '?')}, "
-        f"pruned={warm_sched.get('pruned', '?')})",
-        f"  -> {result['speedup']:.2f}x cold speedup, tables "
-        + ("bit-identical" if result["identical"] else "MISMATCH"),
+        f"(executed={warm_sched['executed']}, "
+        f"pruned={warm_sched['pruned']})",
+        "  -> tables " + ("bit-identical" if result["identical"] else "MISMATCH"),
     ]
     if "output" in result:
         lines.append(f"wrote {result['output']}")

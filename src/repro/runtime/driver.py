@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import Callable
-
 from ..analysis.paging import PageTracker, PagingSummary
 from ..cache.batch import BatchCacheSimulator
 from ..obs import invariants
@@ -26,6 +24,7 @@ from ..profiling.profiler import ProfilerSink
 from ..profiling.profile_data import Profile
 from ..store import current_store
 from ..store import stages as store_stages
+from ..store import traces as store_traces
 from ..trace.buffer import DEFAULT_CHUNK_EVENTS, TraceRecorder, record_trace
 from ..trace.stats import StatsSink, WorkloadStats
 from ..workloads.base import Workload
@@ -36,9 +35,6 @@ from .resolvers import (
     NaturalResolver,
     RandomResolver,
 )
-
-#: Provider signature for memoized recorded traces.
-TraceProvider = Callable[[Workload, str], TraceRecorder]
 
 
 @dataclass
@@ -324,11 +320,6 @@ def run_experiment(
     track_pages: bool = False,
     place_heap: bool | None = None,
     engine: str = "auto",
-    trace_provider: TraceProvider | None = None,
-    placement_provider: Callable[
-        [Workload, str, TraceRecorder], tuple[Profile, PlacementMap]
-    ]
-    | None = None,
 ) -> ExperimentResult:
     """Full pipeline: profile on train, place, measure on test.
 
@@ -339,12 +330,10 @@ def run_experiment(
     With the default batched ``engine``, each distinct (workload, input)
     is run *once* to record its trace; profiling and every placement
     measurement are then derived from the recorded columns by the
-    vectorized kernels.  ``trace_provider`` lets callers share recorded
-    traces across experiments (see
-    :func:`repro.experiments.common.cached_trace`), and
-    ``placement_provider`` likewise lets them reuse the (profile,
-    placement) pair derived from a shared training trace;
-    ``engine="scalar"`` restores the per-event pipeline.
+    vectorized kernels.  ``engine="scalar"`` restores the per-event
+    pipeline.  Batches of registered workloads run through the job
+    graph instead (:func:`repro.sched.executor.run_experiments_dag`),
+    which shares stages across experiments.
     """
     train = train_input or workload.train_input
     test = test_input or workload.test_input
@@ -377,54 +366,39 @@ def run_experiment(
         )
         train_trace = test_trace = None
     else:
-        provider = trace_provider
-        if provider is None:
-            local: dict[str, TraceRecorder] = {}
+        traces: dict[str, TraceRecorder] = {}
 
-            def provider(wl: Workload, input_name: str) -> TraceRecorder:
-                if input_name not in local:
-                    trace = None
-                    if artifact_store is not None:
-                        # Attach the store's memmap artifact when one
-                        # exists: zero-copy, no workload run.
-                        from ..store import traces as store_traces
+        def trace_of(input_name: str) -> TraceRecorder:
+            if input_name not in traces:
+                trace = None
+                if artifact_store is not None:
+                    # Attach the store's memmap artifact when one
+                    # exists: zero-copy, no workload run.
+                    trace = store_traces.load_trace(
+                        artifact_store, workload.name, input_name
+                    )
+                if trace is None:
+                    trace = record_trace(workload, input_name)
+                if artifact_store is not None:
+                    # Persist the fingerprint meta entry plus the memmap
+                    # column artifact so the next run (this process or
+                    # any other) attaches instead of re-recording.
+                    # Idempotent when the artifact already exists.
+                    store_traces.remember_and_save(
+                        artifact_store, workload.name, input_name, trace
+                    )
+                traces[input_name] = trace
+            return traces[input_name]
 
-                        trace = store_traces.load_trace(
-                            artifact_store, wl.name, input_name
-                        )
-                    if trace is None:
-                        trace = record_trace(wl, input_name)
-                    local[input_name] = trace
-                return local[input_name]
-
-        if artifact_store is not None:
-            # Persist every trace the provider serves — the fingerprint
-            # meta entry plus the memmap column artifact — so the next
-            # run (this process or any other) attaches instead of
-            # re-recording.  Idempotent when the artifact already exists.
-            from ..store import traces as store_traces
-
-            inner_provider = provider
-
-            def provider(wl: Workload, input_name: str) -> TraceRecorder:
-                trace = inner_provider(wl, input_name)
-                store_traces.remember_and_save(
-                    artifact_store, wl.name, input_name, trace
-                )
-                return trace
-
-        train_trace = provider(workload, train)
-        if placement_provider is not None:
-            profile, placement = placement_provider(workload, train, train_trace)
-        else:
-            profile, placement = build_placement(
-                workload,
-                train,
-                cache_config,
-                place_heap=place_heap,
-                trace=train_trace,
-            )
-        test_trace = train_trace if test == train else provider(workload, test)
+        train_trace = trace_of(train)
+        profile, placement = build_placement(
+            workload,
+            train,
+            cache_config,
+            place_heap=place_heap,
+            trace=train_trace,
+        )
+        test_trace = trace_of(test)
     with obs.span("measure.original"):
         original = measure(
             workload,

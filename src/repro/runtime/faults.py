@@ -21,8 +21,9 @@ Injected faults are keyed by *(task index, attempt)*: ``crash@1`` fires
 on task 1's first attempt only (so the retry succeeds and the run's
 output is byte-identical to a fault-free run), while ``oom@1#*`` fires
 on every attempt (so retry exhaustion and best-effort degradation are
-testable).  Task indices refer to positions in the dispatched (cold)
-task list, after warm shards have been served from the artifact store.
+testable).  Task indices refer to positions in the dispatched task
+list: the job graph's stage jobs in dispatch order, after warm stages
+have been pruned.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class CorruptResultError(RuntimeError):
 class ShardFailedError(RuntimeError):
     """A memoized experiment shard was degraded in a best-effort run.
 
-    Raised by the experiment getters when the shard's fan-out task
+    Raised by the experiment getters when a stage job the shard needs
     exhausted its retries; harnesses that can degrade gracefully catch
     it and drop the shard from their output.
     """

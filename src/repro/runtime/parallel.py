@@ -1,19 +1,14 @@
-"""Parallel experiment fan-out across worker processes, fault-tolerant.
+"""Fault-tolerant task dispatch across worker processes.
 
-The experiments are embarrassingly parallel at the (workload, config,
-placement-set) granularity: each full pipeline run touches no shared
-state beyond its own resolver/simulator instances, and every result
-object (profiles, placements, cache stats, paging summaries) is a plain
-picklable dataclass.  :func:`run_experiments` fans a list of
-:class:`ExperimentSpec` out over a :class:`~concurrent.futures.\
-ProcessPoolExecutor` and returns results in spec order; the experiment
-harnesses merge them into their memo cache
-(:func:`repro.experiments.common.prefetch_experiments`), so every
-downstream table sees pre-computed entries.
-
-Worker processes rebuild workloads from their registry names — specs
-carry only strings and a :class:`~repro.cache.config.CacheConfig` — so
-nothing non-picklable ever crosses the process boundary.
+:func:`_resilient_map` runs a list of picklable tasks inline or over a
+:class:`~concurrent.futures.ProcessPoolExecutor`, returning results in
+task order; it is the dispatcher under the job-graph executor
+(:func:`repro.sched.executor.run_experiments_dag`), which feeds it one
+stage job per task.  :class:`ExperimentSpec` is the picklable
+(workload, configuration) request the executor plans from: specs carry
+only strings and a :class:`~repro.cache.config.CacheConfig`, so workers
+rebuild workloads from their registry names and nothing non-picklable
+ever crosses the process boundary.
 
 Dispatch is *resilient* (:mod:`repro.runtime.faults`): every task runs
 under the current :class:`~repro.runtime.faults.RetryPolicy` with
@@ -23,12 +18,12 @@ re-dispatched; a hung worker is detected by deadline, the pool is
 killed, and the surviving tasks re-dispatched without losing an attempt.
 In best-effort mode a task that exhausts its retries is recorded in a
 :class:`~repro.runtime.faults.FanoutReport` (see
-:func:`last_fanout_report`) while the remaining shards complete; in
+:func:`last_fanout_report`) while the remaining tasks complete; in
 fail-fast mode the fan-out raises
 :class:`~repro.runtime.faults.FaultToleranceError`.  Because completed
 stages land in the content-addressed artifact store as they finish, a
 rerun after any failure resumes from those checkpoints and re-executes
-only the failed shards.
+only the failed work.
 """
 
 from __future__ import annotations
@@ -43,10 +38,8 @@ from typing import Callable
 
 from ..cache.config import CacheConfig
 from ..obs import telemetry as obs
-from ..store import ArtifactStore, current_store, use_store
-from ..store import stages as store_stages
+from ..store import ArtifactStore, use_store
 from . import faults
-from .driver import ExperimentResult
 from .faults import FanoutReport, FaultPlan, RetryPolicy, TaskFailure
 
 
@@ -60,24 +53,7 @@ class ExperimentSpec:
     classify: bool = False
     track_pages: bool = False
     cache_config: CacheConfig | None = None
-    engine: str = "auto"
     cost_model: str = "direct"
-
-
-@dataclass(frozen=True)
-class PlacementSpec:
-    """One per-program placement job (profile + place), picklable.
-
-    ``placement_engine`` selects the Phase 6 conflict-scan engine —
-    ``"array"`` (vectorized, the default) or ``"scalar"`` (the reference
-    baseline kept for parity testing).
-    """
-
-    workload: str
-    train_input: str | None = None
-    cache_config: CacheConfig | None = None
-    place_heap: bool | None = None
-    placement_engine: str = "array"
 
 
 def default_jobs() -> int:
@@ -179,10 +155,9 @@ def combined_fanout_report() -> FanoutReport | None:
 def record_report(report: FanoutReport) -> None:
     """Append an externally-built fan-out report to the accumulator.
 
-    The DAG executor (:mod:`repro.sched.executor`) synthesizes a
-    spec-level report from its job-level dispatch so downstream
-    consumers — the partial-results rendering, ``repro report`` — see
-    the same shape a coarse fan-out would produce.
+    The DAG executor (:mod:`repro.sched.executor`) records an empty
+    report for a run that dispatched nothing, so every run leaves
+    exactly one report behind.
     """
     _reports.append(report)
 
@@ -190,98 +165,11 @@ def record_report(report: FanoutReport) -> None:
 # -- worker entry points ------------------------------------------------------
 
 
-def run_spec(spec: ExperimentSpec) -> ExperimentResult:
-    """Run one spec's full pipeline (also the worker entry point)."""
-    from ..workloads import make_workload
-    from .driver import run_experiment
-
-    workload = make_workload(spec.workload)
-    test = workload.train_input if spec.same_input else workload.test_input
-    return run_experiment(
-        workload,
-        test_input=test,
-        cache_config=spec.cache_config,
-        include_random=spec.include_random,
-        classify=spec.classify,
-        track_pages=spec.track_pages,
-        engine=spec.engine,
-    )
-
-
 def _install_worker_store(store_root: str | None):
     """Context installing a fresh store handle inside a worker process."""
     if store_root is None:
         return use_store(None)
     return use_store(ArtifactStore(store_root))
-
-
-def _experiment_entry(args: tuple) -> tuple[ExperimentResult, dict | None]:
-    """Worker entry point: one experiment with the parent's store root.
-
-    Returns ``(result, telemetry_payload)``; the payload is ``None``
-    unless the parent asked for a private worker registry to merge.
-    """
-    spec, store_root, with_telemetry = args
-    if not with_telemetry:
-        with _install_worker_store(store_root):
-            return run_spec(spec), None
-    registry = obs.Telemetry()
-    with obs.use(registry), _install_worker_store(store_root):
-        result = run_spec(spec)
-        obs.sample_peak_rss()
-    return result, registry.to_dict()
-
-
-def run_placement_spec(spec: PlacementSpec):
-    """Profile and place one program (also the worker entry point).
-
-    Returns the :class:`~repro.core.placement_map.PlacementMap` only —
-    the profile stays in the worker, keeping the pickled result small.
-
-    With an artifact store installed, the training trace is *attached*
-    from the store's memmap artifact when one exists — no workload run,
-    no copy — and otherwise recorded once and persisted, so every later
-    arm of the sweep (and every later sweep) attaches instead of
-    re-recording.  Both stage outputs land in the store keyed by the
-    trace fingerprint, making the next sweep's shard warm.
-    """
-    from ..workloads import make_workload
-    from .driver import build_placement
-
-    workload = make_workload(spec.workload)
-    trace = None
-    store = current_store()
-    if store is not None:
-        from ..store import traces as store_traces
-        from ..trace.buffer import record_trace
-
-        train = spec.train_input or workload.train_input
-        trace = store_traces.load_trace(store, workload.name, train)
-        if trace is None:
-            trace = record_trace(workload, train)
-            store_traces.remember_and_save(store, workload.name, train, trace)
-    _profile, placement = build_placement(
-        workload,
-        spec.train_input,
-        spec.cache_config,
-        place_heap=spec.place_heap,
-        trace=trace,
-        placement_engine=spec.placement_engine,
-    )
-    return placement
-
-
-def _placement_entry(args: tuple) -> tuple[object, dict | None]:
-    """Worker entry point: one placement job with the parent's store root."""
-    spec, store_root, with_telemetry = args
-    if not with_telemetry:
-        with _install_worker_store(store_root):
-            return run_placement_spec(spec), None
-    registry = obs.Telemetry()
-    with obs.use(registry), _install_worker_store(store_root):
-        placement = run_placement_spec(spec)
-        obs.sample_peak_rss()
-    return placement, registry.to_dict()
 
 
 def _pool_entry(packed: tuple):
@@ -697,248 +585,3 @@ def _resilient_map(
     finally:
         _reports.append(report)
     return results, report
-
-
-# -- experiment fan-out -------------------------------------------------------
-
-
-def _longest_first(specs: list, cold: list[int]) -> list[int]:
-    """Cold spec indices reordered longest-estimated-first (stable).
-
-    Cost priors come from :mod:`repro.sched.costs` (benchmark history
-    when present, static weights otherwise); dispatching the heavy
-    shard first keeps it from serializing the tail of the fan-out.
-    """
-    from ..sched.costs import spec_cost
-
-    return sorted(cold, key=lambda index: -spec_cost(specs[index]))
-
-
-def _warm_experiment(spec: ExperimentSpec) -> ExperimentResult | None:
-    """Reassemble one spec's result from the active store, or None.
-
-    Runs under :meth:`~repro.store.store.ArtifactStore.probing`: a
-    full reassembly commits its hits once; a cold spec's partial probe
-    leaves the counters untouched (the dispatched worker will recount
-    the stages it actually consults).  This keeps the scheduler's
-    prune pass and the dispatcher's warm path on one counter source.
-    """
-    store = current_store()
-    if store is None or spec.engine == "scalar":
-        return None
-    from ..workloads import make_workload
-
-    workload = make_workload(spec.workload)
-    train = workload.train_input
-    test = train if spec.same_input else workload.test_input
-    with store.probing() as probe:
-        result = store_stages.try_load_experiment(
-            store,
-            workload,
-            train,
-            test,
-            spec.cache_config,
-            spec.include_random,
-            12345,
-            spec.classify,
-            spec.track_pages,
-        )
-    if result is not None:
-        probe.commit()
-    return result
-
-
-def _experiment_checkpoints(store: ArtifactStore, spec: ExperimentSpec) -> dict:
-    """Store-checkpoint coverage for one failed experiment shard."""
-    from ..workloads import make_workload
-
-    workload = make_workload(spec.workload)
-    train = workload.train_input
-    test = train if spec.same_input else workload.test_input
-    return store_stages.checkpoint_coverage(
-        store,
-        workload,
-        train,
-        test_input=test,
-        config=spec.cache_config,
-        classify=spec.classify,
-        track_pages=spec.track_pages,
-    )
-
-
-def _attach_checkpoints(
-    report: FanoutReport, coverage_of: Callable[[TaskFailure], dict]
-) -> None:
-    """Annotate each failure with the stages a rerun will resume from."""
-    store = current_store()
-    if store is None:
-        return
-    for failure in report.failures:
-        try:
-            report.checkpoints[failure.label] = coverage_of(failure)
-        except Exception:
-            continue
-
-
-def run_experiments(
-    specs: list[ExperimentSpec],
-    jobs: int | None = None,
-    policy: RetryPolicy | None = None,
-) -> list[ExperimentResult | None]:
-    """Run all specs, fanning out over processes when ``jobs > 1``.
-
-    Results are returned in spec order.  With one job (or one spec) the
-    work runs inline — no pool, no pickling, identical results.
-
-    With an artifact store installed, the fan-out is *incremental*:
-    every spec whose stage entries all hit is served inline from the
-    store (no worker, no workload run), only the cold remainder is
-    dispatched to the pool, and each worker installs its own handle on
-    the same store root so freshly computed shards are persisted for
-    the next sweep.
-
-    When a telemetry registry is installed in the parent, each worker
-    records into its own registry and the parent merges them back
-    (counters sum; every worker's span tree lands under one
-    ``worker[i]:<workload>`` span), so a parallel sweep reports the same
-    totals an inline run would.
-
-    Dispatch follows ``policy`` (default: the installed
-    :func:`current_retry_policy`): failing shards are retried with
-    backoff, hung or crashed workers are replaced, and — under a
-    best-effort policy — shards that exhaust their retries come back as
-    ``None`` holes with the details in :func:`last_fanout_report`.
-    """
-    specs = list(specs)
-    if not specs:
-        return []
-    store = current_store()
-    results: list[ExperimentResult | None] = [_warm_experiment(spec) for spec in specs]
-    cold = [index for index, result in enumerate(results) if result is None]
-    if not cold:
-        return results
-    cold = _longest_first(specs, cold)
-    jobs = default_jobs() if jobs is None else jobs
-    jobs = max(1, min(jobs, len(cold)))
-    store_root = str(store.root) if store is not None else None
-    with_telemetry = obs.current() is not None
-    items = [(specs[index], store_root, with_telemetry) for index in cold]
-    labels = [specs[index].workload for index in cold]
-    sub_results, report = _resilient_map(
-        items,
-        labels,
-        _experiment_entry,
-        lambda args: run_spec(args[0]),
-        jobs,
-        policy,
-    )
-    if report.failures and store is not None:
-        _attach_checkpoints(
-            report,
-            lambda failure: _experiment_checkpoints(
-                store, specs[cold[failure.index]]
-            ),
-        )
-    for position, result in zip(cold, sub_results):
-        results[position] = result
-    return results
-
-
-# -- placement fan-out --------------------------------------------------------
-
-
-def _warm_placement(spec: PlacementSpec):
-    """Load one spec's placement map from the active store, or None.
-
-    Probed like :func:`_warm_experiment`: hits commit only when the
-    shard is actually served warm.
-    """
-    store = current_store()
-    if store is None:
-        return None
-    from ..workloads import make_workload
-
-    workload = make_workload(spec.workload)
-    train = spec.train_input or workload.train_input
-    place_heap = workload.place_heap if spec.place_heap is None else spec.place_heap
-    with store.probing() as probe:
-        pair = store_stages.try_load_placement_pair(
-            store,
-            workload.name,
-            train,
-            spec.cache_config,
-            place_heap,
-            spec.placement_engine,
-        )
-    if pair is None:
-        return None
-    probe.commit()
-    _profile, placement = pair
-    return placement
-
-
-def _placement_checkpoints(store: ArtifactStore, spec: PlacementSpec) -> dict:
-    """Store-checkpoint coverage for one failed placement shard."""
-    from ..workloads import make_workload
-
-    workload = make_workload(spec.workload)
-    train = spec.train_input or workload.train_input
-    return store_stages.checkpoint_coverage(
-        store,
-        workload,
-        train,
-        config=spec.cache_config,
-        place_heap=spec.place_heap,
-        engine=spec.placement_engine,
-    )
-
-
-def run_placements(
-    specs: list[PlacementSpec],
-    jobs: int | None = None,
-    policy: RetryPolicy | None = None,
-):
-    """Run per-program placement jobs, fanning out when ``jobs > 1``.
-
-    Placements are embarrassingly parallel across programs — each job
-    profiles its own training trace and runs the placement pipeline.
-    Results are returned in spec order.  With an artifact store
-    installed, shards whose profile + placement entries hit are served
-    inline and only the cold remainder reaches the pool (workers share
-    the parent's store root).  Worker telemetry merges into the parent
-    registry exactly like :func:`run_experiments`, and dispatch runs
-    under the same retry policy.
-    """
-    specs = list(specs)
-    if not specs:
-        return []
-    store = current_store()
-    results: list[object | None] = [_warm_placement(spec) for spec in specs]
-    cold = [index for index, result in enumerate(results) if result is None]
-    if not cold:
-        return results
-    cold = _longest_first(specs, cold)
-    jobs = default_jobs() if jobs is None else jobs
-    jobs = max(1, min(jobs, len(cold)))
-    store_root = str(store.root) if store is not None else None
-    with_telemetry = obs.current() is not None
-    items = [(specs[index], store_root, with_telemetry) for index in cold]
-    labels = [specs[index].workload for index in cold]
-    sub_results, report = _resilient_map(
-        items,
-        labels,
-        _placement_entry,
-        lambda args: run_placement_spec(args[0]),
-        jobs,
-        policy,
-    )
-    if report.failures and store is not None:
-        _attach_checkpoints(
-            report,
-            lambda failure: _placement_checkpoints(
-                store, specs[cold[failure.index]]
-            ),
-        )
-    for position, result in zip(cold, sub_results):
-        results[position] = result
-    return results

@@ -1,10 +1,10 @@
-"""Cost priors for longest-estimated-first dispatch.
+"""Cost priors for longest-estimated-first job dispatch.
 
-With coarse shards, one heavy task dispatched last serializes the whole
-fan-out behind it (``compress`` places in ~220 ms while its siblings
-take ~1 ms per ``BENCH_placement.json``).  Dispatching
-longest-estimated-first bounds that tail: the expensive work starts
-immediately and the cheap shards fill the remaining slots.
+One heavy job dispatched last serializes the tail of a run behind it
+(``compress`` traces and profiles about three times as long as
+``espresso``).  Dispatching the ready frontier longest-estimated-first
+bounds that tail: the expensive work starts immediately and the cheap
+jobs fill the remaining slots.
 
 Priors come from two sources, best first:
 
@@ -29,10 +29,7 @@ STAGE_BASE = {
     "profile": 0.25,
     "place": 0.01,
     "measure": 0.06,
-    "stats": 0.02,
     "aggregate": 0.01,
-    "experiment": 0.9,
-    "placement": 0.15,
 }
 
 #: Relative weight of each benchmark program (trace length dominates).
@@ -110,23 +107,3 @@ def job_cost(kind: str, workload: str | None = None) -> float:
     if base is None:
         base = STAGE_BASE.get(kind, 0.05)
     return base * program_weight(workload)
-
-
-def spec_cost(spec) -> float:
-    """Estimated seconds for one fan-out spec (experiment or placement).
-
-    Duck-typed on the spec's fields so :mod:`repro.runtime.parallel`
-    can order any of its shard types without importing this module's
-    callers.
-    """
-    workload = getattr(spec, "workload", None)
-    if hasattr(spec, "placement_engine") and not hasattr(spec, "same_input"):
-        return job_cost("placement", workload)
-    return job_cost("experiment", workload)
-
-
-def dispatch_order(specs) -> list[int]:
-    """Indices of ``specs`` sorted longest-estimated-first (stable)."""
-    return sorted(
-        range(len(specs)), key=lambda index: -spec_cost(specs[index])
-    )

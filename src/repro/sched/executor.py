@@ -1,26 +1,28 @@
-"""Graph executors: prune, dispatch along the critical path, assemble.
+"""Graph executor: plan, warm-load, dispatch along the critical path, assemble.
 
-:func:`run_experiments_dag` is the scheduler's front door — the
-graph-shaped replacement for the coarse per-spec fan-out in
-:func:`repro.runtime.parallel.run_experiments`:
+:func:`run_experiments_dag` is the one way experiment specs run, at
+every ``--jobs`` value and with or without an artifact store:
 
 1. **Plan** — :func:`~repro.sched.jobs.plan_experiments` expands the
    specs into a deduplicated stage-job graph.
-2. **Prune** — :func:`~repro.sched.jobs.probe_graph` marks every job
-   whose artifact is already in the store ``warm-pruned``; a fully-warm
-   graph schedules zero executions.
+2. **Warm-load** — :func:`~repro.sched.jobs.probe_graph` decodes every
+   artifact already in the store once, into the run's in-memory bag,
+   and marks its job ``warm-pruned``; a fully-warm graph schedules zero
+   executions.
 3. **Dispatch** — the surviving frontier runs through
-   :func:`~repro.runtime.parallel._resilient_map` (the same retry /
-   respawn / fault-injection machinery as the coarse path), fed
-   dynamically: each settled job unlocks its ready dependents, and the
-   pending set is drained longest-estimated-first so the critical path
-   starts immediately.
+   :func:`~repro.runtime.parallel._resilient_map` (retry / respawn /
+   fault injection), inline at one job and over a process pool above
+   that, fed dynamically: each settled job files its artifact in the
+   bag and unlocks its ready dependents, and the pending set is drained
+   longest-estimated-first so the critical path starts immediately.
 4. **Assemble** — aggregate nodes run in the parent, rebuilding each
-   spec's :class:`~repro.runtime.driver.ExperimentResult` from the
-   store (or the in-memory bag on store-less inline runs).
+   spec's :class:`~repro.runtime.driver.ExperimentResult` from the bag.
 
-A failed job cancels its transitive dependents; the affected specs come
-back as ``None`` holes with a synthesized spec-level
+Pool workers hand artifacts to each other through the store, so a
+store-less parallel run works in a scratch store in a temporary
+directory (never probed, never reported as resumable) and deletes it on
+return.  A failed job cancels its transitive dependents; the affected
+specs come back as ``None`` holes with a spec-level
 :class:`~repro.runtime.faults.FanoutReport` recorded for the usual
 partial-results rendering.
 """
@@ -28,6 +30,8 @@ partial-results rendering.
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -39,7 +43,8 @@ from ..runtime.faults import (
     RetryPolicy,
     TaskFailure,
 )
-from ..store import current_store
+from ..store import ArtifactStore, current_store, use_store
+from ..store import stages as store_stages
 from . import jobs as sched_jobs
 from .graph import (
     CANCELLED,
@@ -48,22 +53,14 @@ from .graph import (
     PENDING,
     PRUNED,
     RUNNING,
+    SATISFIED,
     Job,
     JobGraph,
 )
 
-_scheduler_enabled = True
-
-
-def set_scheduler(enabled: bool) -> None:
-    """Globally enable/disable DAG scheduling (benchmark baseline arm)."""
-    global _scheduler_enabled
-    _scheduler_enabled = bool(enabled)
-
-
-def scheduler_enabled() -> bool:
-    """Whether graph-shaped dispatch is active (default True)."""
-    return _scheduler_enabled
+#: Directory-name prefix of the scratch store a store-less parallel run
+#: works in (under the system temporary directory).
+SCRATCH_STORE_PREFIX = "repro-scratch-store-"
 
 
 @dataclass
@@ -118,67 +115,48 @@ def _mean_seconds_by_kind(graph: JobGraph) -> dict[str, float]:
 
 
 def _dispatch(
-    graph: JobGraph,
-    jobs: int,
-    policy: RetryPolicy | None,
-    bag: dict | None,
-    harvest: dict | None = None,
-) -> tuple[FanoutReport, list[Job]]:
+    graph: JobGraph, jobs: int, policy: RetryPolicy | None, bag: dict
+) -> FanoutReport:
     """Run every pending stage job through the resilient executor.
 
     The fan-out starts from the ready frontier and grows via ``feed``:
-    settling a job marks it done and returns its newly-ready dependents
-    as fresh tasks.  Aggregate nodes never dispatch — they are assembled
-    in the parent afterwards.  Returns the job-level report and the
-    dispatch list (task index → job).
+    settling a job marks it done, files its artifact in ``bag`` and
+    returns its newly-ready dependents as fresh tasks.  Aggregate nodes
+    never dispatch — they are assembled in the parent afterwards.
+    Returns the run's report, which is also the last one in the fan-out
+    report accumulator.
     """
-    store = current_store()
-    use_pool = jobs > 1 and store is not None and bag is None
-    store_root = str(store.root) if store is not None else None
+    pooled = jobs > 1
+    store_root = str(current_store().root) if pooled else None
     with_telemetry = obs.current() is not None
     dispatch: list[Job] = []
-
-    def task_args(job: Job):
-        if use_pool:
-            return (job.spec, store_root, with_telemetry)
-        return job.spec
 
     def admit(job: Job) -> tuple:
         graph.mark_running(job)
         obs.count("sched.ready")
         dispatch.append(job)
-        return (task_args(job), job.label, job.cost)
+        args = (job.spec, store_root, with_telemetry) if pooled else job.spec
+        return args, job.label, job.cost
 
-    def feed(index: int, result) -> list[tuple]:
+    def feed(index: int, result: dict) -> list[tuple]:
         job = dispatch[index]
-        seconds = (
-            float(result.get("seconds", 0.0))
-            if isinstance(result, dict)
-            else 0.0
-        )
-        graph.mark_done(job, seconds)
-        if harvest is not None and isinstance(result, dict):
-            artifact = result.get("artifact")
-            if artifact is not None:
-                harvest[sched_jobs.bag_key(job.spec)] = artifact
-        fed = [
+        graph.mark_done(job, result["seconds"])
+        if result["artifact"] is not None:
+            bag[sched_jobs.bag_key(job.spec)] = result["artifact"]
+        ready = [
             dependent
             for dependent in job.dependents
             if dependent.kind != "aggregate" and dependent.ready()
         ]
-        fed.sort(key=lambda ready_job: -ready_job.cost)
-        return [admit(ready_job) for ready_job in fed]
+        ready.sort(key=lambda ready_job: -ready_job.cost)
+        return [admit(ready_job) for ready_job in ready]
 
-    frontier = [
-        job
-        for job in graph.ready_jobs()
-        if job.kind != "aggregate" and job.state == PENDING
-    ]
+    frontier = [job for job in graph.ready_jobs() if job.kind != "aggregate"]
     frontier.sort(key=lambda job: -job.cost)
     if not frontier:
         report = FanoutReport()
-        parallel._reports.append(report)
-        return report, dispatch
+        parallel.record_report(report)
+        return report
     items: list = []
     labels: list[str] = []
     priorities: list[float] = []
@@ -192,13 +170,15 @@ def _dispatch(
         labels,
         sched_jobs.job_entry,
         lambda spec: sched_jobs.run_job(spec, bag),
-        jobs if use_pool else 1,
+        jobs,
         policy,
         priorities=priorities,
         feed=feed,
     )
     for failure in report.failures:
-        graph.mark_failed(dispatch[failure.index], failure.error)
+        job = dispatch[failure.index]
+        graph.mark_failed(job, failure.error)
+        job.meta["failure"] = failure
     for job in graph:
         # A pending job here was never fed — its dependency chain broke
         # before it became ready (e.g. a mid-chain failure already
@@ -206,26 +186,58 @@ def _dispatch(
         if job.kind != "aggregate" and job.state in (PENDING, RUNNING):
             job.state = CANCELLED
             job.error = job.error or "never became ready"
-    return report, dispatch
+    return report
 
 
 def _spec_failure(spec_index: int, spec, aggregate: Job) -> TaskFailure:
-    """Synthesized spec-level failure from the aggregate's broken deps."""
-    kind = "error"
-    error = aggregate.error or "dependency failed"
-    for dep in aggregate.deps:
-        if dep.state == FAILED:
-            error = f"{dep.label}: {dep.error}"
-            break
-        if dep.state == CANCELLED:
-            error = f"{dep.label}: {dep.error}"
+    """Spec-level failure naming the stage job that sank the spec."""
+    upstream, seen = list(aggregate.deps), set()
+    while upstream:
+        job = upstream.pop(0)
+        if job.key in seen:
+            continue
+        seen.add(job.key)
+        failure = job.meta.get("failure")
+        if failure is not None:
+            return TaskFailure(
+                index=spec_index,
+                label=spec.workload,
+                kind=failure.kind,
+                attempts=failure.attempts,
+                error=f"{job.label}: {failure.error}",
+            )
+        upstream.extend(job.deps)
     return TaskFailure(
         index=spec_index,
         label=spec.workload,
-        kind=kind,
+        kind="error",
         attempts=1,
-        error=error,
+        error=aggregate.error or "result assembly failed",
     )
+
+
+def _attach_checkpoints(
+    report: FanoutReport, specs: list, store: ArtifactStore
+) -> None:
+    """Annotate each failed spec with the stages a rerun resumes from."""
+    from ..workloads import make_workload
+
+    for failure in report.failures:
+        spec = specs[failure.index]
+        try:
+            workload = make_workload(spec.workload)
+            train = workload.train_input
+            report.checkpoints[failure.label] = store_stages.checkpoint_coverage(
+                store,
+                workload,
+                train,
+                test_input=train if spec.same_input else workload.test_input,
+                config=spec.cache_config,
+                classify=spec.classify,
+                track_pages=spec.track_pages,
+            )
+        except Exception:
+            continue
 
 
 def run_experiments_dag(
@@ -236,77 +248,70 @@ def run_experiments_dag(
     """Run experiment specs as one deduplicated job graph.
 
     Returns ``(results, graph, summary)`` with results in spec order
-    (``None`` holes for specs whose jobs failed, mirroring the coarse
-    fan-out's best-effort contract).  A spec-level
-    :class:`FanoutReport` is recorded via
-    :func:`repro.runtime.parallel.record_report` so partial-results
-    rendering and ``repro report`` see the familiar shape.
+    (``None`` holes for specs whose jobs failed under a best-effort
+    policy).  The run's :class:`FanoutReport` in the accumulator
+    (:func:`repro.runtime.parallel.last_fanout_report`) counts specs, so
+    partial-results rendering counts experiments, not stage jobs.
     """
-    global _last_summary
     specs = list(specs)
-    policy = parallel.current_retry_policy() if policy is None else policy
-    start = time.perf_counter()
-    graph, aggregates = sched_jobs.plan_experiments(specs)
-    store = current_store()
-    if store is not None:
-        sched_jobs.probe_graph(store, graph)
-    critical_path = graph.critical_path_seconds()
-    obs.gauge("sched.critical_path_seconds", critical_path)
     jobs = parallel.default_jobs() if jobs is None else jobs
     # Executor selection is resource-aware: a worker pool only pays off
     # when the host can actually run workers concurrently.  On a single
     # effective CPU the pool is pure fork/IPC/store round-trip overhead
     # interleaved on one core, so the graph runs inline instead — same
     # jobs, same artifacts, same results.
-    jobs = min(jobs, _effective_cpus())
-    # Store-less runs stay inline with an in-memory artifact bag (pool
-    # workers could only hand artifacts back through a store); inline
-    # runs keep the bag too so assembly never pays a JSON decode.
-    bag: dict | None = {} if (store is None or jobs == 1) else None
-    # Pooled workers ship their artifacts back in the job payload; the
-    # harvest plays the bag's role at assembly so the parent never
-    # re-decodes what a worker just computed this run.
-    harvest: dict = {} if bag is None else bag
-    job_report, _dispatched = _dispatch(
-        graph, jobs, policy, bag, harvest=None if bag is not None else harvest
-    )
+    jobs = max(1, min(jobs, _effective_cpus()))
+    if jobs == 1 or current_store() is not None:
+        return _run_graph(specs, jobs, policy)
+    root = tempfile.mkdtemp(prefix=SCRATCH_STORE_PREFIX)
+    try:
+        with use_store(ArtifactStore(root)):
+            return _run_graph(specs, jobs, policy, scratch=True)
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def _run_graph(
+    specs: list, jobs: int, policy: RetryPolicy | None, scratch: bool = False
+) -> tuple[list, JobGraph, PlanSummary]:
+    """Plan, warm-load, dispatch and assemble one batch of specs."""
+    global _last_summary
+    policy = parallel.current_retry_policy() if policy is None else policy
+    start = time.perf_counter()
+    graph, aggregates = sched_jobs.plan_experiments(specs)
+    store = None if scratch else current_store()
+    bag: dict = {}
+    if store is not None:
+        sched_jobs.probe_graph(store, graph, bag)
+    critical_path = graph.critical_path_seconds()
+    obs.gauge("sched.critical_path_seconds", critical_path)
+    report = _dispatch(graph, jobs, policy, bag)
+    # The recorded report keeps the stage jobs' retry and fault tallies
+    # but counts specs, so partial-results summaries count table rows.
+    report.total = len(specs)
+    report.completed = 0
+    report.failures = []
 
     results: list = []
-    spec_report = FanoutReport(total=len(specs))
     for spec_index, (spec, aggregate) in enumerate(zip(specs, aggregates)):
         result = None
-        if all(dep.state in (DONE, PRUNED) for dep in aggregate.deps):
-            result = sched_jobs.assemble_experiment(
-                spec, aggregate, store, harvest
-            )
+        if all(dep.state in SATISFIED for dep in aggregate.deps):
+            result = sched_jobs.assemble_experiment(aggregate, bag)
         if result is not None:
             graph.mark_done(aggregate)
-            spec_report.completed += 1
+            report.completed += 1
         else:
             if aggregate.state not in (FAILED, CANCELLED):
                 aggregate.state = CANCELLED
                 aggregate.error = "result assembly failed"
-            spec_report.failures.append(
-                _spec_failure(spec_index, spec, aggregate)
-            )
+            report.failures.append(_spec_failure(spec_index, spec, aggregate))
         results.append(result)
-    spec_report.retries = job_report.retries
-    spec_report.timeouts = job_report.timeouts
-    spec_report.crashes = job_report.crashes
-    spec_report.corrupt = job_report.corrupt
-    spec_report.injected = job_report.injected
-    if spec_report.failures and store is not None:
-        parallel._attach_checkpoints(
-            spec_report,
-            lambda failure: parallel._experiment_checkpoints(
-                store, specs[failure.index]
-            ),
-        )
-    parallel.record_report(spec_report)
-    if spec_report.failures and not policy.best_effort:
+    if report.failures and store is not None:
+        _attach_checkpoints(report, specs, store)
+    if report.failures and not policy.best_effort:
         # Fail-fast surfaced inside _resilient_map already; this guard
         # only matters for assembly-stage surprises.
-        raise FaultToleranceError(spec_report)
+        raise FaultToleranceError(report)
 
     counts = graph.counts()
     summary = PlanSummary(

@@ -16,9 +16,13 @@
 Job identity is a digest over the recipe built with
 :func:`repro.store.keys.store_key` — the same canonical-JSON + salt
 machinery as the artifact store — so a job's key changes exactly when
-its store entries would.  Stage jobs return only a tiny timing payload;
-artifacts flow through the content-addressed store (or, for store-less
-inline runs, an in-memory bag), never through the process boundary.
+its store entries would.
+
+Every stage artifact of a run ends up in one in-memory *bag* keyed by
+:func:`bag_key`: :func:`probe_graph` decodes the warm ones from the
+store, and the executor files each executed job's artifact as it
+settles (pooled workers ship theirs back in the job payload).
+:func:`assemble_experiment` reads only the bag.
 """
 
 from __future__ import annotations
@@ -28,9 +32,11 @@ from dataclasses import dataclass
 
 from ..cache.config import CacheConfig
 from ..obs import telemetry as obs
+from ..profiling.serialize import placement_from_dict, profile_from_dict
 from ..store import keys as store_keys
 from ..store import stages as store_stages
 from ..store import traces as store_traces
+from ..store.artifacts import measure_result_from_dict
 from ..store.store import ArtifactStore
 from .costs import job_cost
 from .graph import SATISFIED, Job, JobGraph
@@ -43,7 +49,7 @@ RANDOM_SEED = 12345
 class JobSpec:
     """One stage execution, picklable (strings and scalars only)."""
 
-    kind: str  # trace | profile | place | measure | stats
+    kind: str  # trace | profile | place | measure
     workload: str
     input_name: str
     cache: tuple | None = None  # (size, line_size, associativity)
@@ -105,8 +111,7 @@ def plan_experiments(specs) -> tuple[JobGraph, list[Job]]:
     """Expand experiment specs into one deduplicated job graph.
 
     Returns the sealed graph and the per-spec aggregate jobs (in spec
-    order).  Scalar-engine specs cannot be expressed as trace-derived
-    stage jobs and are rejected; callers keep those on the legacy path.
+    order).
     """
     from ..core.cost_model import COST_MODEL_NAMES
     from ..workloads import make_workload
@@ -115,8 +120,6 @@ def plan_experiments(specs) -> tuple[JobGraph, list[Job]]:
     aggregates: list[Job] = []
     params = store_stages.profile_params(None)
     for spec in specs:
-        if spec.engine == "scalar":
-            raise ValueError("scalar-engine specs cannot be scheduled as a DAG")
         if spec.cost_model not in COST_MODEL_NAMES:
             raise ValueError(
                 f"unknown cost model {spec.cost_model!r}; "
@@ -260,7 +263,7 @@ def plan_experiments(specs) -> tuple[JobGraph, list[Job]]:
     return graph, aggregates
 
 
-# -- warm-prune probe pass ----------------------------------------------------
+# -- warm-prune probe pass: the graph's warm loader ---------------------------
 
 
 def _trace_data_present(store: ArtifactStore, fingerprint: str) -> bool:
@@ -277,70 +280,43 @@ def _trace_data_present(store: ArtifactStore, fingerprint: str) -> bool:
         return False
 
 
-def _probe_job(store: ArtifactStore, job: Job) -> tuple[bool, dict]:
-    """Is this job's artifact already in the store?  (warm, meta)."""
+def _load_artifact(store: ArtifactStore, job: Job, fingerprint: str):
+    """Decode one profile/place/measure job's store entry, or None."""
     spec: JobSpec = job.spec
     config = _config(spec)
     params = store_stages.profile_params(None)
-    if spec.kind == "trace":
-        fingerprint = store_stages.known_fingerprint(
-            store, spec.workload, spec.input_name
-        )
-        if fingerprint is None or not _trace_data_present(store, fingerprint):
-            return False, {}
-        return True, {"fingerprint": fingerprint}
-    fingerprint = store_stages.known_fingerprint(
-        store, spec.workload, spec.input_name
-    )
-    if fingerprint is None:
-        return False, {}
-
-    def present(kind: str, fields: dict) -> bool:
-        return store.get(kind, store.key(kind, fields)) is not None
-
     if spec.kind == "profile":
-        return (
-            present(
-                store_stages.KIND_PROFILE,
-                store_stages._profile_fields(fingerprint, config, params),
-            ),
-            {},
+        return store_stages._load(
+            store,
+            store_stages.KIND_PROFILE,
+            store_stages._profile_fields(fingerprint, config, params),
+            profile_from_dict,
         )
     if spec.kind == "place":
-        placement = store_stages.try_load_placement(
+        return store_stages._load(
             store,
-            spec.workload,
-            spec.input_name,
-            config,
-            spec.place_heap,
-            spec.placement_engine,
-            cost_model=spec.cost_model,
-        )
-        if placement is None:
-            return False, {}
-        return True, {
-            "placement_digest": store_stages.placement_digest(placement)
-        }
-    if spec.kind == "stats":
-        return present(store_stages.KIND_STATS, {"trace": fingerprint}), {}
-    if spec.kind == "measure":
-        policy = _measure_policy(spec, job)
-        if policy is None:
-            return False, {}
-        return (
-            present(
-                store_stages.KIND_MEASURE,
-                store_stages._measure_fields(
-                    fingerprint,
-                    config,
-                    policy,
-                    spec.classify,
-                    spec.track_pages,
-                ),
+            store_stages.KIND_PLACEMENT,
+            store_stages._placement_fields(
+                fingerprint,
+                config,
+                spec.place_heap,
+                spec.placement_engine,
+                params,
+                spec.cost_model,
             ),
-            {},
+            placement_from_dict,
         )
-    return False, {}
+    policy = _measure_policy(spec, job)
+    if policy is None:
+        return None
+    return store_stages._load(
+        store,
+        store_stages.KIND_MEASURE,
+        store_stages._measure_fields(
+            fingerprint, config, policy, spec.classify, spec.track_pages
+        ),
+        measure_result_from_dict,
+    )
 
 
 def _measure_policy(spec: JobSpec, job: Job) -> dict | None:
@@ -351,7 +327,7 @@ def _measure_policy(spec: JobSpec, job: Job) -> dict | None:
         from ..runtime.resolvers import RandomResolver
 
         return store_stages.resolver_policy(RandomResolver(seed=spec.seed))
-    # ccdp: the placement digest comes from the warm-probed place job.
+    # ccdp: the placement digest comes from the warm-loaded place job.
     for dep in job.deps:
         if dep.kind == "place":
             digest = dep.meta.get("placement_digest")
@@ -365,35 +341,58 @@ def _measure_policy(spec: JobSpec, job: Job) -> dict | None:
     return None
 
 
-def probe_graph(store: ArtifactStore, graph: JobGraph) -> int:
-    """Mark every warm job pruned (partial-graph resume); returns count.
+def probe_graph(store: ArtifactStore, graph: JobGraph, bag: dict | None = None) -> int:
+    """Prune every warm job, decoding its artifact into ``bag``; returns count.
 
-    Lookups run under :meth:`ArtifactStore.probing`: a found artifact
-    commits its hits once, a cold probe's misses never count — the same
-    single-source accounting the dispatcher's warm path uses.  A cold
-    trace job whose dependents all pruned is pruned too: nothing left in
-    the graph needs its columns.
+    Each (workload, input) fingerprint is read once per pass, and each
+    warm profile, placement and measurement entry is read and decoded
+    once, into the bag that assembly reads.  Trace jobs are probed after
+    their dependents: a trace whose dependents are all warm is pruned
+    without reading its ``trace`` entry (which lists every lifetime op);
+    one with cold dependents is pruned only when its columns are on disk.
+
+    Lookups run under :meth:`ArtifactStore.probing` and only their hits
+    are committed: a miss here is counted again by the job that
+    computes the artifact.
     """
+    bag = {} if bag is None else bag
+    fingerprints: dict[tuple[str, str], str | None] = {}
+
+    def fingerprint_of(spec: JobSpec) -> str | None:
+        where = (spec.workload, spec.input_name)
+        if where not in fingerprints:
+            fingerprints[where] = store_stages.known_fingerprint(store, *where)
+        return fingerprints[where]
+
     pruned = 0
-    for job in graph.topo_order():
-        if job.kind == "aggregate":
-            continue
-        with store.probing() as probe:
-            warm, meta = _probe_job(store, job)
-        if warm:
-            probe.commit()
-            job.meta.update(meta)
+    with store.probing() as probe:
+        order = graph.topo_order()
+        for job in order:
+            if job.kind in ("trace", "aggregate"):
+                continue
+            fingerprint = fingerprint_of(job.spec)
+            if fingerprint is None:
+                continue
+            artifact = _load_artifact(store, job, fingerprint)
+            if artifact is None:
+                continue
+            if job.kind == "place":
+                job.meta["placement_digest"] = store_stages.placement_digest(artifact)
+            bag[bag_key(job.spec)] = artifact
             graph.mark_pruned(job)
             pruned += 1
-    for job in graph.topo_order():
-        if (
-            job.kind == "trace"
-            and job.state not in SATISFIED
-            and job.dependents
-            and all(dep.state in SATISFIED for dep in job.dependents)
-        ):
-            graph.mark_pruned(job)
-            pruned += 1
+        for job in order:
+            if job.kind != "trace":
+                continue
+            if all(dep.state in SATISFIED for dep in job.dependents):
+                graph.mark_pruned(job)
+                pruned += 1
+                continue
+            fingerprint = fingerprint_of(job.spec)
+            if fingerprint is not None and _trace_data_present(store, fingerprint):
+                graph.mark_pruned(job)
+                pruned += 1
+    probe.commit()
     return pruned
 
 
@@ -401,15 +400,14 @@ def probe_graph(store: ArtifactStore, graph: JobGraph) -> int:
 
 
 def run_job(spec: JobSpec, bag: dict | None = None) -> dict:
-    """Execute one stage job; artifacts go to the store (or ``bag``).
+    """Execute one stage job; artifacts persist to the active store.
 
-    The returned payload carries the job's wall seconds plus its
-    artifact (profile / placement / measurement — ``None`` for traces,
-    whose columns stay in the store).  Shipping the artifact back lets
-    the parent assemble results without re-decoding what a pooled
-    worker just computed; each deduplicated stage crosses the process
-    boundary once, where the coarse fan-out pickles it inside every
-    dependent experiment's result.
+    ``bag`` (inline runs) supplies dependency artifacts already in
+    memory.  The returned payload carries the job's wall seconds plus
+    its artifact (profile / placement / measurement — ``None`` for
+    traces, whose columns stay in the trace memo and the store), which
+    the executor files in the run's bag: each deduplicated stage crosses
+    the process boundary once and assembly never re-decodes it.
     """
     start = time.perf_counter()
     artifact = None
@@ -417,13 +415,11 @@ def run_job(spec: JobSpec, bag: dict | None = None) -> dict:
         if spec.kind == "trace":
             _run_trace(spec)
         elif spec.kind == "profile":
-            artifact = _run_profile(spec, bag)
+            artifact = _run_profile(spec)
         elif spec.kind == "place":
             artifact = _run_place(spec, bag)
         elif spec.kind == "measure":
             artifact = _run_measure(spec, bag)
-        elif spec.kind == "stats":
-            artifact = _run_stats(spec, bag)
         else:
             raise ValueError(f"unknown job kind: {spec.kind!r}")
     return {"seconds": time.perf_counter() - start, "artifact": artifact}
@@ -435,19 +431,17 @@ def _run_trace(spec: JobSpec) -> None:
     cached_trace(spec.workload, spec.input_name)
 
 
-def _run_profile(spec: JobSpec, bag: dict | None):
+def _run_profile(spec: JobSpec):
     from ..experiments.common import cached_trace
     from ..runtime.driver import profile_workload
     from ..workloads import make_workload
 
-    workload = make_workload(spec.workload)
-    trace = cached_trace(spec.workload, spec.input_name)
-    profile = profile_workload(
-        workload, spec.input_name, _config(spec), trace=trace
+    return profile_workload(
+        make_workload(spec.workload),
+        spec.input_name,
+        _config(spec),
+        trace=cached_trace(spec.workload, spec.input_name),
     )
-    if bag is not None:
-        bag[bag_key(spec)] = profile
-    return profile
 
 
 def _run_place(spec: JobSpec, bag: dict | None):
@@ -459,6 +453,7 @@ def _run_place(spec: JobSpec, bag: dict | None):
     from ..workloads import make_workload
 
     config = _config(spec)
+    trace = cached_trace(spec.workload, spec.input_name)
     profile = None
     if bag is not None:
         profile = bag.get(
@@ -471,38 +466,9 @@ def _run_place(spec: JobSpec, bag: dict | None):
                 )
             )
         )
-    store = current_store()
-    if profile is not None:
-        # The profile dependency just ran in this process: place from
-        # the in-memory object instead of re-decoding the store entry.
-        def compute():
-            trace = cached_trace(spec.workload, spec.input_name)
-            return CCDPPlacer(
-                profile,
-                cache_config=config,
-                place_heap=spec.place_heap,
-                engine=spec.placement_engine,
-                cost_model=resolve_cost_model(spec.cost_model, config, trace),
-            ).place()
-
-        if store is None:
-            placement = compute()
-        else:
-            placement = store_stages.cached_placement(
-                store,
-                cached_trace(spec.workload, spec.input_name),
-                config,
-                spec.place_heap,
-                spec.placement_engine,
-                store_stages.profile_params({}),
-                compute,
-                cost_model=spec.cost_model,
-            )
-    else:
-        workload = make_workload(spec.workload)
-        trace = cached_trace(spec.workload, spec.input_name)
+    if profile is None:
         _profile, placement = build_placement(
-            workload,
+            make_workload(spec.workload),
             spec.input_name,
             config,
             place_heap=spec.place_heap,
@@ -510,9 +476,32 @@ def _run_place(spec: JobSpec, bag: dict | None):
             placement_engine=spec.placement_engine,
             cost_model=spec.cost_model,
         )
-    if bag is not None:
-        bag[bag_key(spec)] = placement
-    return placement
+        return placement
+
+    # The profile is already in memory: place from it instead of
+    # re-decoding the store entry.
+    def compute():
+        return CCDPPlacer(
+            profile,
+            cache_config=config,
+            place_heap=spec.place_heap,
+            engine=spec.placement_engine,
+            cost_model=resolve_cost_model(spec.cost_model, config, trace),
+        ).place()
+
+    store = current_store()
+    if store is None:
+        return compute()
+    return store_stages.cached_placement(
+        store,
+        trace,
+        config,
+        spec.place_heap,
+        spec.placement_engine,
+        store_stages.profile_params({}),
+        compute,
+        cost_model=spec.cost_model,
+    )
 
 
 def _load_placement_for(spec: JobSpec, bag: dict | None):
@@ -565,7 +554,7 @@ def _load_placement_for(spec: JobSpec, bag: dict | None):
     return placement
 
 
-def _run_measure(spec: JobSpec, bag: dict | None) -> None:
+def _run_measure(spec: JobSpec, bag: dict | None):
     from ..experiments.common import cached_trace
     from ..runtime.driver import measure_trace
     from ..runtime.resolvers import (
@@ -581,29 +570,13 @@ def _run_measure(spec: JobSpec, bag: dict | None) -> None:
         resolver = RandomResolver(seed=spec.seed)
     else:
         resolver = CCDPResolver(_load_placement_for(spec, bag))
-    result = measure_trace(
+    return measure_trace(
         trace,
         resolver,
         _config(spec),
         classify=spec.classify,
         track_pages=spec.track_pages,
     )
-    if bag is not None:
-        bag[bag_key(spec)] = result
-    return result
-
-
-def _run_stats(spec: JobSpec, bag: dict | None) -> None:
-    from ..experiments.common import cached_trace
-    from ..runtime.driver import collect_stats
-    from ..workloads import make_workload
-
-    workload = make_workload(spec.workload)
-    trace = cached_trace(spec.workload, spec.input_name)
-    stats = collect_stats(workload, spec.input_name, trace=trace)
-    if bag is not None:
-        bag[bag_key(spec)] = stats
-    return stats
 
 
 def job_entry(args: tuple) -> tuple[dict, dict | None]:
@@ -624,71 +597,30 @@ def job_entry(args: tuple) -> tuple[dict, dict | None]:
 # -- aggregate assembly -------------------------------------------------------
 
 
-def assemble_experiment(
-    spec, aggregate: Job, store: ArtifactStore | None, bag: dict | None
-):
-    """Reassemble one spec's ExperimentResult from artifacts, or None.
+def assemble_experiment(aggregate: Job, bag: dict):
+    """Build one spec's ExperimentResult from the bag, or None.
 
-    Prefers the in-memory bag — filled directly on inline runs, and by
-    the artifact payloads pooled workers ship back on parallel runs —
-    so assembly pays no JSON decode when every role executed this run.
-    Falls back to a probing store load (warm-pruned roles have no
-    payload) — the same
-    :func:`~repro.store.stages.try_load_experiment` the warm path uses,
-    committing its hits only on success.
+    Every role's artifact is in the bag once its job executed this run
+    or was warm-loaded by :func:`probe_graph`; a missing one means the
+    role never settled and the spec is reported failed.
     """
     from ..runtime.driver import ExperimentResult
-    from ..workloads import make_workload
 
-    workload = make_workload(spec.workload)
-    train = workload.train_input
-    test = train if spec.same_input else workload.test_input
-    roles = aggregate.meta.get("roles", {})
-    if bag is not None and roles:
-        profile = bag.get(bag_key(roles["profile"].spec))
-        placement = bag.get(bag_key(roles["place"].spec))
-        original = bag.get(bag_key(roles["original"].spec))
-        ccdp = bag.get(bag_key(roles["ccdp"].spec))
-        random_job = roles.get("random")
-        random_result = (
-            bag.get(bag_key(random_job.spec))
-            if random_job is not None
-            else None
-        )
-        random_ok = not spec.include_random or random_result is not None
-        complete = (
-            profile is not None
-            and placement is not None
-            and original is not None
-            and ccdp is not None
-            and random_ok
-        )
-        if complete:
-            return ExperimentResult(
-                workload=workload.name,
-                train_input=train,
-                test_input=test,
-                profile=profile,
-                placement=placement,
-                original=original,
-                ccdp=ccdp,
-                random=random_result,
-            )
-    if store is None:
+    roles = aggregate.meta["roles"]
+    artifacts = {
+        role: bag.get(bag_key(job.spec))
+        for role, job in roles.items()
+        if job is not None
+    }
+    if any(artifact is None for artifact in artifacts.values()):
         return None
-    with store.probing() as probe:
-        result = store_stages.try_load_experiment(
-            store,
-            workload,
-            train,
-            test,
-            spec.cache_config,
-            spec.include_random,
-            RANDOM_SEED,
-            spec.classify,
-            spec.track_pages,
-            cost_model=spec.cost_model,
-        )
-    if result is not None:
-        probe.commit()
-    return result
+    return ExperimentResult(
+        workload=roles["profile"].spec.workload,
+        train_input=roles["profile"].spec.input_name,
+        test_input=roles["original"].spec.input_name,
+        profile=artifacts["profile"],
+        placement=artifacts["place"],
+        original=artifacts["original"],
+        ccdp=artifacts["ccdp"],
+        random=artifacts.get("random"),
+    )

@@ -332,9 +332,9 @@ def _experiment_json(result, params: dict) -> dict:
 
 def _run_experiment_group(records: list[JobRecord], workers: int) -> None:
     """Execute the batch's distinct experiment recipes as one job graph."""
-    from ..runtime.parallel import ExperimentSpec, run_spec
+    from ..runtime.faults import RetryPolicy
+    from ..runtime.parallel import ExperimentSpec
     from ..sched.executor import run_experiments_dag
-    from ..store import current_store
 
     by_identity: dict[str, list[JobRecord]] = {}
     for record in records:
@@ -349,32 +349,20 @@ def _run_experiment_group(records: list[JobRecord], workers: int) -> None:
         )
         for group in groups
     ]
-    from ..runtime.faults import RetryPolicy
-
     # Best-effort: one client's failing (or fault-injected) spec becomes
     # that job's failed state while the rest of the batch completes.
-    policy = RetryPolicy(best_effort=True)
-    summary_meta: dict = {}
-    if current_store() is not None:
-        results, _graph, summary = run_experiments_dag(
-            specs, jobs=workers, policy=policy
-        )
-        summary_meta = {
-            "stages_total": summary.total,
-            "stages_executed": summary.executed,
-            "stages_deduped": summary.deduped,
-            "stages_pruned": summary.pruned,
-        }
-        obs.count("serve.stages.executed", summary.executed)
-        obs.count("serve.stages.deduped", summary.deduped)
-        obs.count("serve.stages.pruned", summary.pruned)
-    else:
-        results = []
-        for spec in specs:
-            try:
-                results.append(run_spec(spec))
-            except Exception:
-                results.append(None)
+    results, _graph, summary = run_experiments_dag(
+        specs, jobs=workers, policy=RetryPolicy(best_effort=True)
+    )
+    summary_meta = {
+        "stages_total": summary.total,
+        "stages_executed": summary.executed,
+        "stages_deduped": summary.deduped,
+        "stages_pruned": summary.pruned,
+    }
+    obs.count("serve.stages.executed", summary.executed)
+    obs.count("serve.stages.deduped", summary.deduped)
+    obs.count("serve.stages.pruned", summary.pruned)
     for group, spec, result in zip(groups, specs, results):
         for record in group:
             if result is None:

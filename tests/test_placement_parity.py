@@ -21,7 +21,6 @@ from repro.cache.config import CacheConfig
 from repro.core.algorithm import CCDPPlacer
 from repro.experiments.common import cached_trace
 from repro.profiling.batch import profile_trace
-from repro.runtime.parallel import PlacementSpec, run_placements
 from repro.workloads import make_workload, workload_names
 
 GEOMETRIES = (
@@ -79,19 +78,3 @@ class TestEngineSelection:
         other = _place("deltablue", GEOMETRIES[0], "scalar")
         # Wall-clock necessarily differs between runs, yet maps are equal.
         assert placement == other
-
-
-class TestPlacementFanOut:
-    def test_run_placements_matches_inline(self):
-        specs = [
-            PlacementSpec(workload="deltablue", cache_config=GEOMETRIES[0]),
-            PlacementSpec(
-                workload="espresso",
-                cache_config=GEOMETRIES[0],
-                placement_engine="scalar",
-            ),
-        ]
-        inline = run_placements(specs, jobs=1)
-        fanned = run_placements(specs, jobs=2)
-        assert inline == fanned
-        assert inline[0].global_offsets

@@ -2,9 +2,9 @@
 
 The resilient executor is exercised two ways: directly through
 ``_resilient_map`` with tiny picklable workers (fast, covers every
-retry/degradation path in isolation) and end-to-end through
-``run_experiments``/``run_table2`` with injected faults (proves a
-faulted sweep produces the same results as a clean one).
+retry/degradation path in isolation) and end-to-end through the job
+graph (``run_experiments_dag``/``run_table2``) with injected faults
+(proves a faulted sweep produces the same results as a clean one).
 
 Pooled fault injection works because Linux forks workers: the
 ``REPRO_FAULTS`` value set via monkeypatch is inherited by the pool's
@@ -26,7 +26,8 @@ from repro.runtime.faults import (
     RetryPolicy,
     ShardFailedError,
 )
-from repro.runtime.parallel import ExperimentSpec, run_experiments
+from repro.runtime.parallel import ExperimentSpec
+from repro.sched.executor import run_experiments_dag
 
 
 @pytest.fixture(autouse=True)
@@ -261,10 +262,11 @@ class TestExperimentFanout:
             ExperimentSpec(workload="compress", same_input=True),
             ExperimentSpec(workload="espresso", same_input=True),
         ]
-        clean = run_experiments(specs, jobs=2)
+        clean, _graph, _summary = run_experiments_dag(specs, jobs=2)
+        clear_cache()
         monkeypatch.setenv(faults.ENV_FAULTS, "crash@0")
         parallel.set_retry_policy(RetryPolicy(backoff=0.0))
-        faulted = run_experiments(specs, jobs=2)
+        faulted, _graph, _summary = run_experiments_dag(specs, jobs=2)
         report = parallel.last_fanout_report()
         assert report.crashes >= 1
         for clean_result, faulted_result in zip(clean, faulted):
@@ -291,6 +293,26 @@ class TestExperimentFanout:
             from repro.experiments.common import cached_experiment
 
             cached_experiment("espresso", same_input=True)
+
+    def test_partial_results_summary_counts_specs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        monkeypatch.setenv(faults.ENV_FAULTS, "oom@1#*")
+        argv = [
+            "tables", "table2", "--programs", "compress,espresso,deltablue",
+            "--jobs", "2", "--cache-dir", str(tmp_path / "store"),
+            "--best-effort", "--max-retries", "1",
+        ]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert (
+            "partial results: 2/3 shards completed (1 failed, 1 retries,"
+            in captured.err
+        )
+        assert "failed shard espresso" in captured.err
+        assert "skipped after retry exhaustion: espresso" in captured.out
 
 
 class TestPayloadGuard:

@@ -1,10 +1,9 @@
-"""Longest-estimated-first dispatch: cost priors and fan-out order.
+"""Longest-estimated-first dispatch: cost priors and frontier order.
 
-One heavy shard dispatched last serializes a whole fan-out behind it.
-These tests pin the ordering contract at both layers: the cost priors
-rank programs/stages sensibly, and both coarse fan-out entry points
-(:func:`run_experiments`, :func:`run_placements`) hand their cold
-remainder to the dispatcher longest-estimated-first.
+One heavy job dispatched last serializes a whole run behind it.  These
+tests pin the ordering contract at both layers: the cost priors rank
+programs/stages sensibly, and the job-graph executor hands its ready
+frontier to the dispatcher longest-estimated-first.
 """
 
 from __future__ import annotations
@@ -13,9 +12,10 @@ import pytest
 
 from repro.experiments.common import clear_cache
 from repro.runtime import parallel
-from repro.runtime.faults import FanoutReport
-from repro.runtime.parallel import ExperimentSpec, PlacementSpec
+from repro.runtime.faults import FanoutReport, RetryPolicy
+from repro.runtime.parallel import ExperimentSpec
 from repro.sched import costs
+from repro.sched.executor import run_experiments_dag
 
 
 @pytest.fixture(autouse=True)
@@ -45,19 +45,6 @@ class TestCostPriors:
         assert costs.job_cost("profile", "espresso") > costs.job_cost(
             "place", "espresso"
         )
-
-    def test_dispatch_order_puts_heaviest_first(self):
-        specs = [
-            ExperimentSpec(workload="deltablue"),
-            ExperimentSpec(workload="compress"),
-            ExperimentSpec(workload="espresso"),
-        ]
-        order = costs.dispatch_order(specs)
-        assert [specs[i].workload for i in order] == [
-            "compress",
-            "espresso",
-            "deltablue",
-        ]
 
     def test_history_overrides_static_weights(self, tmp_path):
         import json
@@ -95,21 +82,17 @@ class TestFanoutOrder:
         monkeypatch.setattr(parallel, "_resilient_map", fake_map)
         return captured
 
-    def test_run_experiments_dispatches_longest_first(self, monkeypatch):
+    def test_graph_frontier_dispatches_longest_first(self, monkeypatch):
         captured = self._capture_map(monkeypatch)
         specs = [
-            ExperimentSpec(workload="deltablue"),
-            ExperimentSpec(workload="compress"),
-            ExperimentSpec(workload="espresso"),
+            ExperimentSpec(workload="deltablue", same_input=True),
+            ExperimentSpec(workload="compress", same_input=True),
+            ExperimentSpec(workload="espresso", same_input=True),
         ]
-        parallel.run_experiments(specs, jobs=2)
-        assert captured["labels"] == ["compress", "espresso", "deltablue"]
-
-    def test_run_placements_dispatches_longest_first(self, monkeypatch):
-        captured = self._capture_map(monkeypatch)
-        specs = [
-            PlacementSpec(workload="espresso"),
-            PlacementSpec(workload="compress"),
+        # The stand-in map runs nothing, so every spec comes back a hole.
+        run_experiments_dag(specs, jobs=1, policy=RetryPolicy(best_effort=True))
+        assert [label.split("/")[0] for label in captured["labels"]] == [
+            "trace:compress",
+            "trace:espresso",
+            "trace:deltablue",
         ]
-        parallel.run_placements(specs, jobs=2)
-        assert captured["labels"] == ["compress", "espresso"]

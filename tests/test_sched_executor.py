@@ -1,10 +1,11 @@
 """DAG executor end-to-end: equality, warm resume, fault handling.
 
 The graph-shaped dispatcher must be invisible in the results: whatever
-:func:`repro.runtime.parallel.run_experiments` computes, the DAG path
-must reproduce bit-for-bit — store-less, cold-with-store, and warm
-(where it additionally schedules *zero* stage executions).  Failures
-ride the same retry/best-effort machinery as the coarse fan-out.
+:func:`repro.runtime.driver.run_experiment` computes for each spec, the
+DAG path must reproduce bit-for-bit — store-less, cold-with-store, and
+warm (where it additionally schedules *zero* stage executions and reads
+each store entry once).  Failures ride the retry/best-effort machinery,
+and a store-less parallel run works in a scratch store it removes.
 """
 
 from __future__ import annotations
@@ -13,10 +14,14 @@ import pytest
 
 from repro.experiments.common import clear_cache
 from repro.runtime import faults, parallel
+from repro.runtime.driver import run_experiment
 from repro.runtime.faults import FaultToleranceError, RetryPolicy
-from repro.runtime.parallel import ExperimentSpec, run_experiments
+from repro.runtime.parallel import ExperimentSpec
+from repro.sched import executor
+from repro.sched import jobs as sched_jobs
 from repro.sched.executor import last_summary, run_experiments_dag
 from repro.store import ArtifactStore, use_store
+from repro.workloads import make_workload
 from tests.test_store_pipeline import assert_same_experiment
 
 
@@ -34,9 +39,24 @@ def _specs():
     ]
 
 
+def _per_spec(specs):
+    """The oracle: one standalone pipeline run per spec."""
+    results = []
+    for spec in specs:
+        workload = make_workload(spec.workload)
+        results.append(
+            run_experiment(
+                workload,
+                test_input=workload.train_input if spec.same_input else None,
+                cache_config=spec.cache_config,
+            )
+        )
+    return results
+
+
 class TestEquality:
     def test_storeless_inline_matches_coarse_path(self):
-        direct = run_experiments(_specs(), jobs=1)
+        direct = _per_spec(_specs())
         clear_cache()
         via_dag, graph, summary = run_experiments_dag(_specs(), jobs=1)
         for first, second in zip(direct, via_dag):
@@ -48,7 +68,7 @@ class TestEquality:
 
     def test_cold_store_run_matches_coarse_path(self, tmp_path):
         with use_store(ArtifactStore(tmp_path / "a")):
-            direct = run_experiments(_specs(), jobs=1)
+            direct = _per_spec(_specs())
         clear_cache()
         with use_store(ArtifactStore(tmp_path / "b")):
             via_dag, _, summary = run_experiments_dag(_specs(), jobs=1)
@@ -77,6 +97,47 @@ class TestWarmResume:
         # One counter source of truth: a fully-warm resume is all hits.
         assert warm_store.counters.misses == 0
         assert warm_store.counters.hits > 0
+        for first, second in zip(cold, warm):
+            assert_same_experiment(first, second)
+
+    def test_warm_graph_reads_each_entry_once(self, tmp_path, monkeypatch):
+        specs = [
+            ExperimentSpec(workload=name, same_input=same_input)
+            for same_input in (True, False)
+            for name in ("compress", "deltablue")
+        ]
+        root = tmp_path / "store"
+        with use_store(ArtifactStore(root)):
+            cold, _, _ = run_experiments_dag(specs, jobs=1)
+        clear_cache()
+        reads: list[tuple[str, str]] = []
+        assembling = []
+        original_get = ArtifactStore.get
+        original_assemble = sched_jobs.assemble_experiment
+
+        def counting_get(self, kind, digest):
+            reads.append((kind, digest))
+            if assembling:
+                raise AssertionError("assembly read the store")
+            return original_get(self, kind, digest)
+
+        def watched_assemble(*args, **kwargs):
+            assembling.append(True)
+            try:
+                return original_assemble(*args, **kwargs)
+            finally:
+                assembling.pop()
+
+        monkeypatch.setattr(ArtifactStore, "get", counting_get)
+        monkeypatch.setattr(sched_jobs, "assemble_experiment", watched_assemble)
+        with use_store(ArtifactStore(root)):
+            warm, _, summary = run_experiments_dag(specs, jobs=1)
+        assert summary.executed == 0
+        assert len(reads) == len(set(reads))
+        # Per program: two trace-meta entries, one profile, one placement
+        # and four measurements (two arms on each input); no trace entry.
+        assert len(reads) == 2 * 8
+        assert all(kind != "trace" for kind, _digest in reads)
         for first, second in zip(cold, warm):
             assert_same_experiment(first, second)
 
@@ -123,3 +184,62 @@ class TestFaults:
         policy = RetryPolicy(max_retries=0, backoff=0.0, best_effort=False)
         with pytest.raises(FaultToleranceError):
             run_experiments_dag(_specs()[:1], jobs=1, policy=policy)
+
+
+class TestScratchStore:
+    """Store-less parallel runs pool their jobs through a scratch store."""
+
+    @pytest.fixture
+    def scratch_parent(self, tmp_path, monkeypatch):
+        import tempfile
+
+        parent = tmp_path / "tmp"
+        parent.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(parent))
+        monkeypatch.setattr(executor, "_effective_cpus", lambda: 2)
+        return parent
+
+    def _pooled_calls(self, monkeypatch) -> list:
+        calls = []
+        pooled_map = parallel._pooled_map
+
+        def spy(*args, **kwargs):
+            calls.append(args[3])  # jobs
+            return pooled_map(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "_pooled_map", spy)
+        return calls
+
+    def test_storeless_parallel_run_uses_a_pool(self, scratch_parent, monkeypatch):
+        calls = self._pooled_calls(monkeypatch)
+        direct = _per_spec(_specs())
+        clear_cache()
+        results, _, summary = run_experiments_dag(_specs(), jobs=2)
+        assert calls == [2]
+        assert summary.executed > 0
+        for first, second in zip(direct, results):
+            assert_same_experiment(first, second)
+        assert list(scratch_parent.iterdir()) == []
+
+    def test_scratch_store_is_removed_after_a_crash(
+        self, scratch_parent, monkeypatch
+    ):
+        calls = self._pooled_calls(monkeypatch)
+        monkeypatch.setenv(faults.ENV_FAULTS, "crash@0")
+        results, _, summary = run_experiments_dag(
+            _specs()[:1], jobs=2, policy=RetryPolicy(backoff=0.0)
+        )
+        assert calls == [2]
+        assert results[0] is not None
+        assert summary.failed == 0
+        assert parallel.last_fanout_report().crashes >= 1
+        assert list(scratch_parent.iterdir()) == []
+
+    def test_scratch_store_is_removed_when_the_run_aborts(
+        self, scratch_parent, monkeypatch
+    ):
+        monkeypatch.setenv(faults.ENV_FAULTS, "oom@0#*")
+        policy = RetryPolicy(max_retries=0, backoff=0.0, best_effort=False)
+        with pytest.raises(FaultToleranceError):
+            run_experiments_dag(_specs()[:1], jobs=2, policy=policy)
+        assert list(scratch_parent.iterdir()) == []
