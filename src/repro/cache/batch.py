@@ -14,12 +14,17 @@ Write-backs use the same segmented view: every miss starts a new
 store (or when it continues a dirty line carried in from the previous
 chunk); evicting a dirty run costs one write-back.
 
-:class:`BatchCacheSimulator` exposes the kernel behind a chunk-consumer
-API and transparently falls back to the scalar
-:class:`~repro.cache.simulator.CacheSimulator` for set-associative
-geometries and three-Cs classification, so callers never need to branch.
-A *parity* mode drives the scalar simulator alongside the kernel and
-asserts identical :class:`~repro.cache.simulator.CacheStats`.
+Set-associative LRU and the fully associative three-Cs shadow run on the
+capped stack-distance routine of :mod:`repro.cache.stack`: per set with
+``cap = ways``, and over the whole stream of block touches with
+``cap = num_lines``.  Each structure's residents carry into the next
+chunk as pseudo-touches prepended oldest first.
+
+:class:`BatchCacheSimulator` vectorizes every geometry, with or without
+classification.  A *parity* mode drives the scalar
+:class:`~repro.cache.simulator.CacheSimulator` alongside the kernels and
+asserts identical :class:`~repro.cache.simulator.CacheStats`; it is the
+only per-access path.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from ..obs import telemetry as obs
 from ..trace.events import Category
 from .config import CacheConfig
 from .simulator import CacheSimulator, CacheStats
+from .stack import lru_pass
 
 _CATEGORIES = tuple(Category)
 _NUM_CATEGORIES = len(_CATEGORIES)
@@ -46,14 +52,19 @@ def expand_blocks(
 
     A reference spanning a line boundary touches every covered block, and
     the scalar simulator counts each touched block as one access; this is
-    the vectorized equivalent.  Returns ``(blocks, *expanded_columns)``
-    where ``blocks`` are block *indices* (``block_addr // line_size``).
+    the vectorized equivalent.  A zero-size reference at a line-aligned
+    address covers no block and is dropped.  Returns
+    ``(blocks, *expanded_columns)`` where ``blocks`` are block *indices*
+    (``block_addr // line_size``).
     """
     first = addr // line_size
     last = (addr + size - 1) // line_size
     counts = last - first + 1
-    if not len(addr) or int(counts.max()) == 1:
+    if (counts == 1).all():
         return (first, *columns)
+    # A reference ending before its line covers no block, as in the scalar
+    # simulator's block loop.
+    counts = np.maximum(counts, 0)
     index = np.repeat(np.arange(len(addr)), counts)
     starts = np.cumsum(counts) - counts
     offsets = np.arange(len(index)) - starts[index]
@@ -61,20 +72,10 @@ def expand_blocks(
     return (blocks, *(column[index] for column in columns))
 
 
-class _DirectMappedKernel:
-    """Carried state + chunk consumer for the direct-mapped fast path."""
+class _Counters:
+    """Access, miss and write-back counters by category and object."""
 
-    def __init__(self, config: CacheConfig):
-        self.config = config
-        self.num_sets = config.num_sets
-        self.line_size = config.line_size
-        #: Narrowest dtype holding a set index: radix-sorting one or two
-        #: bytes is far cheaper than radix-sorting int64 keys.
-        self._set_dtype = np.min_scalar_type(self.num_sets - 1)
-        #: Resident block index per set; -1 means empty.
-        self.tags = np.full(self.num_sets, -1, dtype=np.int64)
-        #: Dirty bit of the resident line per set.
-        self.dirty = np.zeros(self.num_sets, dtype=bool)
+    def __init__(self):
         self.accesses = 0
         self.misses = 0
         self.writebacks = 0
@@ -82,42 +83,82 @@ class _DirectMappedKernel:
         self.miss_by_cat = np.zeros(_NUM_CATEGORIES, dtype=np.int64)
         self.acc_by_obj = np.zeros(0, dtype=np.int64)
         self.miss_by_obj = np.zeros(0, dtype=np.int64)
+        #: Ordinal of each object's first access / first miss, when the
+        #: per-object dicts follow first-touch order (else ascending id).
+        self.acc_rank: np.ndarray | None = None
+        self.miss_rank: np.ndarray | None = None
 
     def _grow_object_counters(self, max_obj: int) -> None:
         if max_obj >= len(self.acc_by_obj):
             grown = max(max_obj + 1, 2 * len(self.acc_by_obj))
-            self.acc_by_obj = np.concatenate(
-                [self.acc_by_obj, np.zeros(grown - len(self.acc_by_obj), np.int64)]
-            )
-            self.miss_by_obj = np.concatenate(
-                [self.miss_by_obj, np.zeros(grown - len(self.miss_by_obj), np.int64)]
-            )
+            extra = np.zeros(grown - len(self.acc_by_obj), np.int64)
+            self.acc_by_obj = np.concatenate([self.acc_by_obj, extra])
+            self.miss_by_obj = np.concatenate([self.miss_by_obj, extra])
+            if self.acc_rank is not None:
+                self.acc_rank = np.concatenate([self.acc_rank, extra])
+                self.miss_rank = np.concatenate([self.miss_rank, extra])
+
+    def _count_accesses(self, obj_e: np.ndarray, cat_e: np.ndarray) -> None:
+        self.accesses += len(obj_e)
+        self.acc_by_cat += np.bincount(cat_e, minlength=_NUM_CATEGORIES)
+        self._grow_object_counters(int(obj_e.max()))
+        self.acc_by_obj += np.bincount(obj_e, minlength=len(self.acc_by_obj))
+
+    def _count_misses(self, obj_m: np.ndarray, cat_m: np.ndarray) -> None:
+        self.misses += len(obj_m)
+        self.miss_by_cat += np.bincount(cat_m, minlength=_NUM_CATEGORIES)
+        self.miss_by_obj += np.bincount(obj_m, minlength=len(self.miss_by_obj))
+
+    def fill_stats(self, stats: CacheStats) -> None:
+        """Accumulate the kernel counters into a :class:`CacheStats`."""
+        stats.accesses += self.accesses
+        stats.misses += self.misses
+        stats.writebacks += self.writebacks
+        for category in _CATEGORIES:
+            stats.accesses_by_category[category] += int(self.acc_by_cat[category])
+            stats.misses_by_category[category] += int(self.miss_by_cat[category])
+        for source, ranks, target in (
+            (self.acc_by_obj, self.acc_rank, stats.accesses_by_object),
+            (self.miss_by_obj, self.miss_rank, stats.misses_by_object),
+        ):
+            ids = np.flatnonzero(source)
+            if ranks is not None:
+                ids = ids[np.argsort(ranks[ids], kind="stable")]
+            for obj, count in zip(ids.tolist(), source[ids].tolist()):
+                target[obj] = target.get(obj, 0) + count
+
+
+class _DirectMappedKernel(_Counters):
+    """Carried state + chunk consumer for the direct-mapped fast path.
+
+    Its per-object dicts list objects in ascending id order.
+    """
+
+    def __init__(self, config: CacheConfig):
+        super().__init__()
+        self.num_sets = config.num_sets
+        #: Narrowest dtype holding a set index: radix-sorting one or two
+        #: bytes is far cheaper than radix-sorting int64 keys.
+        self._set_dtype = np.min_scalar_type(self.num_sets - 1)
+        #: Resident block index per set; -1 means empty.
+        self.tags = np.full(self.num_sets, -1, dtype=np.int64)
+        #: Dirty bit of the resident line per set.
+        self.dirty = np.zeros(self.num_sets, dtype=bool)
 
     def consume(
         self,
-        addr: np.ndarray,
-        size: np.ndarray,
-        obj_id: np.ndarray,
-        category: np.ndarray,
-        is_store: np.ndarray,
-    ) -> None:
-        """Simulate one chunk of references."""
-        if not len(addr):
-            return
-        blocks, obj_e, cat_e, store_e = expand_blocks(
-            addr.astype(np.int64, copy=False),
-            size.astype(np.int64, copy=False),
-            self.line_size,
-            obj_id,
-            category,
-            is_store.astype(bool, copy=False),
-        )
+        blocks: np.ndarray,
+        obj_e: np.ndarray,
+        cat_e: np.ndarray,
+        store_e: np.ndarray,
+        miss_mask: bool = False,
+    ) -> np.ndarray | None:
+        """Simulate one chunk of block touches.
+
+        With ``miss_mask``, returns which touches missed, in time order.
+        """
         total = len(blocks)
-        self.accesses += total
-        self.acc_by_cat += np.bincount(cat_e, minlength=_NUM_CATEGORIES)
-        max_obj = int(obj_e.max())
-        self._grow_object_counters(max_obj)
-        self.acc_by_obj += np.bincount(obj_e, minlength=len(self.acc_by_obj))
+        self._count_accesses(obj_e, cat_e)
 
         # Sort by set; stable keeps program order within each set-group.
         sets = blocks % self.num_sets
@@ -140,14 +181,7 @@ class _DirectMappedKernel:
         # First access of each set-group compares to the carried tag.
         hit[set_start] = b[set_start] == self.tags[s[set_start]]
         miss = ~hit
-
-        obj_sorted = obj_e[order]
-        miss_cat = cat_e[order][miss]
-        self.miss_by_cat += np.bincount(miss_cat, minlength=_NUM_CATEGORIES)
-        self.miss_by_obj += np.bincount(
-            obj_sorted[miss], minlength=len(self.miss_by_obj)
-        )
-        self.misses += int(miss.sum())
+        self._count_misses(obj_e[order][miss], cat_e[order][miss])
 
         # Resident runs: every miss fills a line and starts a run; the
         # first access of a set-group also starts a (possibly continued)
@@ -180,33 +214,155 @@ class _DirectMappedKernel:
         end_pos = np.flatnonzero(set_end)
         self.tags[s[end_pos]] = b[end_pos]
         self.dirty[s[end_pos]] = seg_dirty[seg_id[end_pos]]
+        if not miss_mask:
+            return None
+        in_time = np.empty(total, dtype=bool)
+        in_time[order] = miss
+        return in_time
+
+
+class _SetAssociativeKernel(_Counters):
+    """Set-associative LRU on the capped stack-distance routine.
+
+    Each set's residents carry between chunks as pseudo-touches, oldest
+    first, with their dirty bits; pseudo-touches count no access.  Every
+    miss and every pseudo-touch starts a *residency* of its block, dirty
+    when any of its touches stores (or the carried line was dirty).
+    Every residency is evicted within the chunk except each set's final
+    ``ways`` residents, so the chunk's write-backs are its dirty
+    residencies minus the dirty final residents, which carry out.
+
+    Per-object dicts list objects in first-touch (accesses) and
+    first-miss (misses) order, as the scalar simulator fills them.
+    """
+
+    def __init__(self, config: CacheConfig):
+        super().__init__()
+        self.num_sets = config.num_sets
+        self.ways = config.associativity
+        self._set_dtype = np.min_scalar_type(self.num_sets - 1)
+        #: Resident blocks, by set and oldest first within a set.
+        self.resident = np.zeros(0, dtype=np.int64)
+        self.resident_dirty = np.zeros(0, dtype=bool)
+        self.acc_rank = np.zeros(0, dtype=np.int64)
+        self.miss_rank = np.zeros(0, dtype=np.int64)
+
+    @staticmethod
+    def _rank_new(counts, ranks, objs: np.ndarray, offset: int) -> None:
+        """Rank each object not counted before by its first index in ``objs``."""
+        fresh = np.flatnonzero(counts[objs] == 0)
+        if len(fresh):
+            new, first = np.unique(objs[fresh], return_index=True)
+            ranks[new] = offset + fresh[first]
+
+    def consume(
+        self,
+        blocks: np.ndarray,
+        obj_e: np.ndarray,
+        cat_e: np.ndarray,
+        store_e: np.ndarray,
+        miss_mask: bool = False,
+    ) -> np.ndarray:
+        """Simulate one chunk of block touches.
+
+        Always returns which touches missed, in time order: the per-object
+        first-miss order needs it whatever ``miss_mask`` asks.
+        """
+        total = len(blocks)
+        self._grow_object_counters(int(obj_e.max()))
+        self._rank_new(self.acc_by_obj, self.acc_rank, obj_e, self.accesses)
+        self._count_accesses(obj_e, cat_e)
+
+        carried = len(self.resident)
+        touches = np.concatenate([self.resident, blocks])
+        stores = np.concatenate([self.resident_dirty, store_e])
+        sets = (touches % self.num_sets).astype(self._set_dtype)
+        order = np.argsort(sets, kind="stable")
+        lru = lru_pass(touches[order], sets[order], self.ways)
+
+        # A run's head misses unless it hits; repeats always hit, and a
+        # pseudo-touch (position < carried) is a residency, not an access.
+        start = ~lru.hit
+        head_pos = order[lru.heads[start]] - carried
+        miss = np.zeros(total, dtype=bool)
+        miss[head_pos[head_pos >= 0]] = True
+        miss_at = np.flatnonzero(miss)
+        obj_m = obj_e[miss_at]
+        self._rank_new(self.miss_by_obj, self.miss_rank, obj_m, self.misses)
+        self._count_misses(obj_m, cat_e[miss_at])
+
+        # Residencies: runs of one block from a start up to its next start.
+        run_dirty = np.bitwise_or.reduceat(stores[order].view(np.int8), lru.heads)
+        starts_by_block = start[lru.by_block]
+        residency = np.empty(len(start), dtype=np.int64)
+        residency[lru.by_block] = np.cumsum(starts_by_block) - 1
+        residency_starts = np.flatnonzero(starts_by_block)
+        dirty = np.bitwise_or.reduceat(run_dirty[lru.by_block], residency_starts) != 0
+        kept = residency[lru.residents]
+        self.writebacks += int(dirty.sum()) - int(dirty[kept].sum())
+        self.resident = lru.blocks[lru.residents]
+        self.resident_dirty = dirty[kept]
+        return miss
+
+
+class _ThreeCs:
+    """Compulsory / capacity / conflict split of a kernel's misses.
+
+    The fully associative LRU shadow of ``num_lines`` blocks runs on the
+    capped stack-distance routine over the time-ordered block touches,
+    with its carried stack prepended oldest first.  A miss is compulsory
+    on the first touch of its block ever (a sorted array of seen blocks
+    carries between chunks), a conflict miss when the shadow would have
+    hit, and a capacity miss otherwise.
+    """
+
+    def __init__(self, config: CacheConfig):
+        self.capacity = config.num_lines
+        self.stack = np.zeros(0, dtype=np.int64)
+        self.seen = np.zeros(0, dtype=np.int64)
+        self.compulsory = 0
+        self.capacity_misses = 0
+        self.conflict = 0
+
+    def consume(self, blocks: np.ndarray, miss: np.ndarray) -> None:
+        """Classify one chunk's misses (``miss`` in time order)."""
+        carried = len(self.stack)
+        lru = lru_pass(np.concatenate([self.stack, blocks]), None, self.capacity)
+        # A repeated touch always hits the cache, so every miss heads a run.
+        miss_pos = np.flatnonzero(miss) + carried
+        runs = np.searchsorted(lru.heads, miss_pos, side="right") - 1
+        conflict = int(lru.hit[runs].sum())
+
+        distinct = np.unique(blocks)
+        where = np.searchsorted(self.seen, distinct)
+        known = np.zeros(len(distinct), dtype=bool)
+        inside = where < len(self.seen)
+        known[inside] = self.seen[where[inside]] == distinct[inside]
+        fresh = ~known
+        compulsory = int(fresh.sum())
+        self.seen = np.insert(self.seen, where[fresh], distinct[fresh])
+
+        self.compulsory += compulsory
+        self.conflict += conflict
+        self.capacity_misses += len(miss_pos) - compulsory - conflict
+        self.stack = lru.blocks[lru.residents]
 
     def fill_stats(self, stats: CacheStats) -> None:
-        """Accumulate the kernel counters into a :class:`CacheStats`."""
-        stats.accesses += self.accesses
-        stats.misses += self.misses
-        stats.writebacks += self.writebacks
-        for category in _CATEGORIES:
-            stats.accesses_by_category[category] += int(self.acc_by_cat[category])
-            stats.misses_by_category[category] += int(self.miss_by_cat[category])
-        for source, target in (
-            (self.acc_by_obj, stats.accesses_by_object),
-            (self.miss_by_obj, stats.misses_by_object),
-        ):
-            nonzero = np.flatnonzero(source)
-            for obj, count in zip(nonzero.tolist(), source[nonzero].tolist()):
-                target[obj] = target.get(obj, 0) + count
+        stats.compulsory += self.compulsory
+        stats.capacity += self.capacity_misses
+        stats.conflict += self.conflict
 
 
 class BatchCacheSimulator:
-    """Chunk-consuming cache simulator with a vectorized fast path.
+    """Chunk-consuming cache simulator, vectorized for every geometry.
 
     Args:
         config: Cache geometry; the paper's 8K/32B direct-mapped default.
-        classify: Three-Cs classification; forces the scalar fallback.
-        parity: Run the scalar simulator alongside the kernel and let
+        classify: Split misses into compulsory / capacity / conflict with
+            the vectorized fully associative shadow.
+        parity: Run the scalar simulator alongside the kernels and let
             :meth:`assert_parity` compare their stats — the batched
-            engine's correctness harness.
+            engine's correctness harness, and its only per-access loop.
 
     Consume whole column chunks via :meth:`consume` (or a
     :class:`~repro.trace.buffer.TraceBuffer` via :meth:`consume_buffer`),
@@ -221,21 +377,19 @@ class BatchCacheSimulator:
     ):
         self.config = config or CacheConfig()
         self.classify = classify
-        self.vectorized = self.config.associativity == 1 and not classify
-        self._kernel = _DirectMappedKernel(self.config) if self.vectorized else None
-        self._scalar = (
-            None
-            if self.vectorized and not parity
-            else CacheSimulator(self.config, classify=classify)
-        )
-        self._shadow = (
-            CacheSimulator(self.config, classify=classify)
-            if parity and self.vectorized
-            else None
-        )
-        if self._shadow is not None:
-            self._scalar = self._shadow
         self.parity = parity
+        #: Every geometry runs vectorized (read by the benchmark tracer).
+        self.vectorized = True
+        kernel = (
+            _DirectMappedKernel
+            if self.config.associativity == 1
+            else _SetAssociativeKernel
+        )
+        self._kernel = kernel(self.config)
+        self._three_cs = _ThreeCs(self.config) if classify else None
+        self._shadow = (
+            CacheSimulator(self.config, classify=classify) if parity else None
+        )
         self._stats: CacheStats | None = None
 
     def consume(
@@ -250,11 +404,25 @@ class BatchCacheSimulator:
         self._stats = None
         obs.count("sim.events", len(addr))
         obs.count("sim.chunks")
-        if self._kernel is not None:
-            self._kernel.consume(addr, size, obj_id, category, is_store)
-            if self._shadow is None:
-                return
-        access = self._scalar.access
+        if len(addr):
+            blocks, obj_e, cat_e, store_e = expand_blocks(
+                addr.astype(np.int64, copy=False),
+                size.astype(np.int64, copy=False),
+                self.config.line_size,
+                obj_id,
+                category,
+                is_store.astype(bool, copy=False),
+            )
+            if len(blocks):
+                three_cs = self._three_cs
+                miss = self._kernel.consume(
+                    blocks, obj_e, cat_e, store_e, miss_mask=three_cs is not None
+                )
+                if three_cs is not None:
+                    three_cs.consume(blocks, miss)
+        if self._shadow is None:
+            return
+        access = self._shadow.access
         categories = _CATEGORIES
         for a, sz, obj, cat, st in zip(
             addr.tolist(),
@@ -273,11 +441,11 @@ class BatchCacheSimulator:
     @property
     def stats(self) -> CacheStats:
         """Accumulated statistics, identical to the scalar simulator's."""
-        if self._kernel is None:
-            return self._scalar.stats
         if self._stats is None:
             stats = CacheStats()
             self._kernel.fill_stats(stats)
+            if self._three_cs is not None:
+                self._three_cs.fill_stats(stats)
             invariants.maybe_check_cache_stats(stats, context="batched kernel")
             self._stats = stats
         return self._stats

@@ -224,8 +224,8 @@ def measure(
         engine: ``"auto"`` (default) streams events through the batched
             engine via :class:`~repro.runtime.replay.BatchReplaySink`;
             ``"scalar"`` keeps the per-event pipeline.  Both produce
-            identical results — the batched engine itself falls back to
-            the scalar simulator for geometries it cannot vectorize.
+            identical results for every geometry, with or without
+            ``classify``.
         trace: A recorded trace of the same (workload, input) run; when
             given, the workload is not re-run at all
             (:func:`measure_trace`).

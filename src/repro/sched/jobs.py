@@ -6,9 +6,11 @@
 
 * one **trace** job per distinct (workload, input) — record once,
   persist the memmap columns;
-* one **profile** and one **place** job per distinct (workload, train
-  input, geometry, placer) recipe — Table 2 and Table 4 requests for the
-  same program collapse onto the same nodes here;
+* one **profile** job per distinct (workload, train input, profiler
+  recipe) — the profiler reads only the cache size, so every
+  associativity of a size shares it — and one **place** job per distinct
+  (workload, train input, geometry, placer) recipe; Table 2 and Table 4
+  requests for the same program collapse onto the same nodes here;
 * one **measure** job per (workload, test input, placement arm);
 * one **aggregate** node per spec, executed in the parent, that
   reassembles the :class:`~repro.runtime.driver.ExperimentResult`.
@@ -85,6 +87,11 @@ def _job_key(kind: str, fields: dict) -> str:
 
 def bag_key(spec: JobSpec) -> tuple:
     """In-memory artifact key for store-less runs (semantic, not digest)."""
+    if spec.kind == "profile":
+        recipe = store_stages.profile_recipe(
+            _config(spec), store_stages.profile_params(None)
+        )
+        return (spec.kind, spec.workload, spec.input_name, *sorted(recipe.items()))
     base: tuple = (spec.kind, spec.workload, spec.input_name, spec.cache)
     if spec.kind == "place":
         base += (spec.place_heap, spec.placement_engine, spec.cost_model)
@@ -147,8 +154,7 @@ def plan_experiments(specs) -> tuple[JobGraph, list[Job]]:
                 {
                     "workload": name,
                     "input": train,
-                    "cache": cache_fields,
-                    "params": params,
+                    "profile": store_stages.profile_recipe(config, params),
                 },
             ),
             label=profile_spec.label,

@@ -39,6 +39,7 @@ from ..profiling.serialize import (
     profile_from_dict,
     profile_to_dict,
 )
+from ..profiling.trg import QUEUE_THRESHOLD_CACHE_MULTIPLE
 from .artifacts import (
     measure_result_from_dict,
     measure_result_to_dict,
@@ -69,6 +70,21 @@ def profile_params(profiler_kwargs: dict | None = None) -> dict:
     return params
 
 
+def profile_recipe(config: CacheConfig | None, params: dict) -> dict:
+    """What the profiler reads: its knobs, with the queue threshold resolved.
+
+    The profiler sees the cache only through its default recency-queue
+    threshold (twice the cache size), so line size and associativity
+    stay out of the recipe: one profile serves every geometry of a size.
+    Store keys, profile job keys and profile bag keys all derive from it.
+    """
+    recipe = dict(params)
+    if recipe["queue_threshold"] is None:
+        size = (config or CacheConfig()).size
+        recipe["queue_threshold"] = QUEUE_THRESHOLD_CACHE_MULTIPLE * size
+    return recipe
+
+
 def placement_digest(placement) -> str:
     """Content digest of a placement map (keys CCDP measurements)."""
     return digest_json(placement_to_dict(placement))
@@ -84,11 +100,7 @@ def _trace_meta_fields(workload: str, input_name: str) -> dict:
 def _profile_fields(
     fingerprint: str, config: CacheConfig | None, params: dict
 ) -> dict:
-    return {
-        "trace": fingerprint,
-        "cache": config_fields(config),
-        "params": params,
-    }
+    return {"trace": fingerprint, "profile": profile_recipe(config, params)}
 
 
 def _placement_fields(

@@ -5,15 +5,18 @@ The batched engine (:mod:`repro.cache.batch`, :mod:`repro.profiling.batch`,
 is *bit-identical* to the scalar pipeline — every paper table must be
 reproducible on either engine.  These tests pin that contract on real
 workloads (deltablue, espresso), a synthetic workload with heap churn,
-and three cache geometries: the paper's 8K/32B direct-mapped cache, a
-larger direct-mapped geometry, and a 2-way set-associative geometry that
-exercises the scalar fallback inside :class:`BatchCacheSimulator`.
+and four cache geometries: the paper's 8K/32B direct-mapped cache, a
+larger direct-mapped geometry, and 2- and 4-way set-associative
+geometries that run the stack-distance kernel inside
+:class:`BatchCacheSimulator`, with and without three-Cs classification.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.cache import batch as batch_module
 from repro.cache.batch import BatchCacheSimulator
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import CacheSimulator
@@ -22,6 +25,7 @@ from repro.profiling.profiler import ProfilerSink
 from repro.runtime.driver import build_placement, measure, measure_trace
 from repro.runtime.resolvers import CCDPResolver, NaturalResolver, RandomResolver
 from repro.trace.buffer import record_trace
+from repro.trace.events import Category
 from repro.workloads import make_workload
 from repro.workloads.synthetic import SyntheticSpec, SyntheticWorkload
 
@@ -29,6 +33,7 @@ GEOMETRIES = [
     pytest.param(CacheConfig(size=8192, line_size=32, associativity=1), id="8k-32B-direct"),
     pytest.param(CacheConfig(size=16384, line_size=64, associativity=1), id="16k-64B-direct"),
     pytest.param(CacheConfig(size=8192, line_size=32, associativity=2), id="8k-32B-2way"),
+    pytest.param(CacheConfig(size=8192, line_size=32, associativity=4), id="8k-32B-4way"),
 ]
 
 
@@ -74,6 +79,26 @@ def test_measure_trace_matches_scalar_measure(name, config):
     assert batched.cache == scalar.cache
     assert batched.cache.accesses > 0
     assert batched.cache.misses > 0
+
+
+@pytest.mark.parametrize("config", GEOMETRIES)
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_classified_measure_matches_scalar(name, config):
+    """Three-Cs split of the batched engine == the scalar shadow's."""
+    workload = workload_under_test(name)
+    input_name = workload.train_input
+    trace = record_trace(workload_under_test(name), input_name)
+    batched = measure_trace(trace, RandomResolver(seed=7), config, classify=True)
+    scalar = measure(
+        workload_under_test(name),
+        input_name,
+        RandomResolver(seed=7),
+        config,
+        classify=True,
+        engine="scalar",
+    )
+    assert batched.cache == scalar.cache
+    assert batched.cache.compulsory > 0
 
 
 @pytest.mark.parametrize("config", GEOMETRIES)
@@ -161,13 +186,64 @@ def test_batched_profile_equals_scalar_profile(name):
     )
 
 
+@pytest.mark.parametrize("classify", [False, True])
+def test_every_geometry_is_vectorized(classify, monkeypatch):
+    """No geometry falls back: only parity mode builds a scalar simulator."""
+    built = []
+
+    class CountingSimulator(CacheSimulator):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(batch_module, "CacheSimulator", CountingSimulator)
+    addr = np.arange(0, 40 * 1024, 96, dtype=np.int64)
+    ones = np.ones(len(addr), dtype=np.int64)
+    for ways in (1, 2, 4, 8):
+        config = CacheConfig(size=8192, line_size=32, associativity=ways)
+        engine = BatchCacheSimulator(config, classify=classify)
+        assert engine.vectorized is True
+        engine.consume(addr, ones * 40, ones, ones, ones)
+        assert engine.stats.accesses == 2 * len(addr)
+    assert built == []
+    BatchCacheSimulator(config, classify=classify, parity=True)
+    assert len(built) == 1
+
+
+def test_zero_size_reference_counts_no_access():
+    """A zero-size reference at a line-aligned address touches no block.
+
+    The batched engine used to count it whenever no other reference of
+    the chunk spanned two lines.  A negative size (an uploaded trace is
+    not checked for one) touches no block either.
+    """
+    config = CacheConfig(size=8192, line_size=32, associativity=1)
+    for addrs, sizes, accesses in (
+        ([64, 128], [4, 0], 1),
+        ([64, 128, 30], [4, 0, 4], 3),  # 30..33 spans two lines
+        ([64, 200, 30], [4, -40, 4], 3),
+    ):
+        scalar = CacheSimulator(config)
+        for a, size in zip(addrs, sizes):
+            scalar.access(a, size, 1, Category.HEAP)
+        engine = BatchCacheSimulator(config)
+        zeros = np.zeros(len(addrs), dtype=np.int64)
+        engine.consume(
+            np.array(addrs, dtype=np.int64),
+            np.array(sizes, dtype=np.int64),
+            zeros + 1,
+            zeros + Category.HEAP,
+            zeros,
+        )
+        assert engine.stats == scalar.stats
+        assert engine.stats.accesses == accesses
+
+
 def test_parity_mode_catches_divergence():
     """A corrupted kernel state must trip the parity assertion."""
     engine = BatchCacheSimulator(
         CacheConfig(size=8192, line_size=32, associativity=1), parity=True
     )
-    import numpy as np
-
     addr = np.arange(0, 64 * 32, 32, dtype=np.int64)
     ones = np.ones(len(addr), dtype=np.int64)
     zeros = np.zeros(len(addr), dtype=np.int64)

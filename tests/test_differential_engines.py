@@ -9,9 +9,11 @@ workloads for the placers.  Both directions assert *bit-identical*
 results — equal :class:`~repro.cache.simulator.CacheStats` and equal
 :class:`~repro.core.placement_map.PlacementMap` — because the fast
 engines are specified as exact reimplementations, not approximations.
+Set-associative streams also compare the serialized stats, whose
+per-object dicts must list objects in the scalar simulator's order.
 
 The suite is deterministic: ``derandomize=True`` derives every example
-from the test's own source, so CI runs a fixed corpus (~100 cases) with
+from the test's own source, so CI runs a fixed corpus (~230 cases) with
 no deadline flakes.
 """
 
@@ -24,8 +26,10 @@ from hypothesis import strategies as st
 from repro.cache.batch import BatchCacheSimulator
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import CacheSimulator
+from repro.cache.stack import capped_hits, previous_touch
 from repro.core.algorithm import CCDPPlacer
 from repro.profiling.batch import profile_trace
+from repro.store.artifacts import cache_stats_to_dict
 from repro.trace.buffer import record_trace
 from repro.trace.events import Category
 from repro.workloads.synthetic import SyntheticSpec, SyntheticWorkload
@@ -37,19 +41,20 @@ _FUZZ_SETTINGS = dict(
 )
 
 #: Geometries sampled by the simulator fuzz: varied size/line/assoc,
-#: including set-associative shapes that exercise the scalar fallback.
+#: including 2-, 4- and 8-way shapes for the stack-distance kernel.
 _CONFIGS = (
     CacheConfig(size=512, line_size=16, associativity=1),
     CacheConfig(size=1024, line_size=32, associativity=1),
     CacheConfig(size=8192, line_size=32, associativity=1),
     CacheConfig(size=1024, line_size=32, associativity=2),
     CacheConfig(size=2048, line_size=64, associativity=4),
+    CacheConfig(size=2048, line_size=32, associativity=8),
 )
 
 _events = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=(1 << 14) - 1),  # addr
-        st.integers(min_value=1, max_value=96),  # size (spans lines)
+        st.integers(min_value=0, max_value=96),  # size (0 or spanning lines)
         st.integers(min_value=0, max_value=7),  # obj_id
         st.sampled_from(list(Category)),  # category
         st.booleans(),  # is_store
@@ -59,15 +64,38 @@ _events = st.lists(
 )
 
 
-def _run_scalar(config, events):
-    sim = CacheSimulator(config)
+def _repeat_runs(runs):
+    return [event for event, length in runs for _ in range(length)]
+
+
+#: Few distinct blocks in long runs; all but address 48 share set 0 in
+#: every geometry above except 8K direct-mapped.  Reuse gaps spanning few
+#: distinct blocks cross chunk boundaries, and sets thrash past their ways.
+_narrow_events = st.lists(
+    st.tuples(
+        st.tuples(
+            st.sampled_from((0, 1024, 2048, 3072, 4096, 5120, 8192, 9216, 48)),
+            st.integers(min_value=0, max_value=40),
+            st.integers(min_value=0, max_value=3),
+            st.sampled_from(list(Category)),
+            st.booleans(),
+        ),
+        st.integers(min_value=1, max_value=40),  # run length
+    ),
+    min_size=1,
+    max_size=40,
+).map(_repeat_runs)
+
+
+def _run_scalar(config, events, classify=False):
+    sim = CacheSimulator(config, classify=classify)
     for addr, size, obj_id, category, is_store in events:
         sim.access(addr, size, obj_id, category, is_store)
     return sim.stats
 
 
-def _run_batched(config, events, chunk):
-    engine = BatchCacheSimulator(config)
+def _run_batched(config, events, chunk, classify=False):
+    engine = BatchCacheSimulator(config, classify=classify)
     addr, size, obj_id, category, is_store = (
         np.array(column, dtype=dtype)
         for column, dtype in zip(
@@ -87,22 +115,26 @@ def _run_batched(config, events, chunk):
 
 
 class TestSimulatorDifferential:
-    @settings(max_examples=60, **_FUZZ_SETTINGS)
+    @settings(max_examples=120, **_FUZZ_SETTINGS)
     @given(
         config=st.sampled_from(_CONFIGS),
-        events=_events,
+        events=st.one_of(_events, _narrow_events),
         chunk=st.sampled_from((1, 7, 64, 1 << 16)),
+        classify=st.booleans(),
     )
-    def test_batched_equals_scalar(self, config, events, chunk):
+    def test_batched_equals_scalar(self, config, events, chunk, classify):
         """Chunked batched simulation == event-at-a-time scalar simulation.
 
         Odd chunk sizes split the stream mid-run, so the kernel's carried
-        state (resident tags, dirty bits, per-set order) is exercised
-        across chunk boundaries, not just within one consume call.
+        state (resident tags, dirty bits, per-set LRU order, the three-Cs
+        shadow stack and seen blocks) is exercised across chunk
+        boundaries, not just within one consume call.
         """
-        scalar = _run_scalar(config, events)
-        batched = _run_batched(config, events, chunk)
+        scalar = _run_scalar(config, events, classify)
+        batched = _run_batched(config, events, chunk, classify)
         assert batched == scalar
+        if config.associativity > 1:
+            assert cache_stats_to_dict(batched) == cache_stats_to_dict(scalar)
 
     @settings(max_examples=20, **_FUZZ_SETTINGS)
     @given(events=_events)
@@ -118,6 +150,26 @@ class TestSimulatorDifferential:
         )
         shadowed.consume(addr, size, obj_id, category, is_store)
         shadowed.assert_parity()
+
+
+def _capped_hits_brute_force(keys, cap):
+    hits = []
+    for i, key in enumerate(keys):
+        earlier = [p for p in range(i) if keys[p] == key]
+        hits.append(bool(earlier) and len(set(keys[earlier[-1] + 1 : i])) < cap)
+    return hits
+
+
+class TestStackDistanceDifferential:
+    @settings(max_examples=60, **_FUZZ_SETTINGS)
+    @given(
+        keys=st.lists(st.integers(min_value=0, max_value=12), max_size=400),
+        cap=st.integers(min_value=1, max_value=10),
+    )
+    def test_capped_hits_equals_brute_force(self, keys, cap):
+        """The merge-sort-tree count == counting distinct keys directly."""
+        prev, _order = previous_touch(np.array(keys, dtype=np.int64))
+        assert capped_hits(prev, cap).tolist() == _capped_hits_brute_force(keys, cap)
 
 
 _specs = st.builds(

@@ -151,12 +151,25 @@ class TestScheduling:
         kinds = {}
         for job in graph.topo_order():
             kinds.setdefault(job.kind, []).append(job)
-        # The TRG depends on geometry, so profiles/places split per
-        # associativity; the raw traces are still shared.
+        # The profiler reads only the cache size, so both associativities
+        # share the traces and the profile; placements split per geometry.
+        assert len(kinds["trace"]) == 2
+        assert len(kinds["profile"]) == 1
+        assert len(kinds["place"]) == 2
+        assert len(kinds["measure"]) == 4
+
+    def test_cache_sizes_split_profiles(self):
+        cells = build_grid(
+            sizes=(8192, 16384), associativities=(1,), workloads=("espresso",)
+        )
+        graph, _aggregates = plan_experiments([cell.spec() for cell in cells])
+        kinds = {}
+        for job in graph.topo_order():
+            kinds.setdefault(job.kind, []).append(job)
+        # The recency-queue threshold is twice the cache size.
         assert len(kinds["trace"]) == 2
         assert len(kinds["profile"]) == 2
         assert len(kinds["place"]) == 2
-        assert len(kinds["measure"]) == 4
 
     def test_unknown_cost_model_rejected_at_plan_time(self):
         spec = ExperimentSpec(workload="espresso", cost_model="quantum")
