@@ -1,4 +1,4 @@
-"""Bench: the batched engine vs the seed's scalar pipeline.
+"""Bench: the batched table pipeline and the raw cache kernel.
 
 Runs :func:`repro.runtime.bench.run_bench` in quick mode (two programs)
 under the benchmark timer and writes ``BENCH_pipeline.json`` so every PR
@@ -6,10 +6,10 @@ leaves a machine-readable perf trajectory next to the table artifacts.
 
 Shapes asserted:
 
-* both arms process the same logical event count (the ratio is a pure
-  engine speedup, not a work difference);
-* the batched arm beats the scalar arm end-to-end;
-* the raw direct-mapped kernel is at least 3x the scalar simulator;
+* the batched arm is the only arm, and it processed events;
+* the raw kernel reports a positive throughput;
+* no scalar-vs-batched ``speedup`` is reported (the per-event twins are
+  test oracles, checked by the parity suites, not timed);
 * the JSON report exists and round-trips with the headline numbers.
 """
 
@@ -28,17 +28,21 @@ OUTPUT = os.path.join(os.path.dirname(__file__), "..", "BENCH_pipeline.json")
 def test_perf_pipeline(benchmark):
     result = run_once(benchmark, run_bench, quick=True, output=OUTPUT)
 
-    scalar = result["arms"]["scalar"]
+    assert set(result["arms"]) == {"batched"}
     batched = result["arms"]["batched"]
-    assert scalar["events"] == batched["events"] > 0
-    assert batched["total_s"] < scalar["total_s"]
-    assert result["speedup"] > 1.0
-    assert result["kernel"]["speedup"] >= 3.0
+    assert batched["events"] > 0
+    assert batched["total_s"] > 0.0
+    assert result["kernel"]["batch_events_per_sec"] > 0.0
+    assert "speedup" not in result
+    assert "speedup" not in result["kernel"]
 
     with open(OUTPUT) as handle:
         report = json.load(handle)
     assert report["programs"] == result["programs"]
-    assert report["speedup"] == result["speedup"]
-    assert set(report["arms"]) == {"scalar", "batched"}
-    for arm in report["arms"].values():
-        assert set(arm["tables_s"]) == {"table1", "table2", "table4"}
+    assert set(report["arms"]) == {"batched"}
+    assert "speedup" not in report
+    assert set(report["arms"]["batched"]["tables_s"]) == {
+        "table1",
+        "table2",
+        "table4",
+    }

@@ -1,16 +1,15 @@
-"""Bench: the array placement engine vs the scalar merge loop.
+"""Bench: the placement pass, per program.
 
 Runs :func:`repro.runtime.bench.run_placement_bench` in quick mode (two
 programs) under the benchmark timer and writes ``BENCH_placement.json``
 so every PR leaves a machine-readable placement-pass trajectory next to
 the pipeline report.
 
-This is a smoke benchmark, not a gate: the quick programs are the two
-*smallest* workloads, where the array engine's fixed vectorization
-overhead is not amortized, so no speedup threshold is asserted here.
-The full nine-program run (``repro bench --placement``) is where the
-headline ratio is measured.  What the smoke run does assert is parity —
-both engines must produce identical placement maps — plus report shape.
+This is a smoke benchmark, not a gate: no threshold is asserted.  The
+array arm is the only arm (the dict-based placer is a test oracle,
+checked by the placement parity suites), and its ``per_program_s`` is
+the per-program dispatch prior ``repro.sched.costs`` reads.  What the
+smoke run asserts is the report shape.
 """
 
 from __future__ import annotations
@@ -30,17 +29,17 @@ def test_perf_placement(benchmark):
         benchmark, run_placement_bench, quick=True, rounds=1, output=OUTPUT
     )
 
-    assert result["parity"] is True
-    assert result["speedup"] > 0.0
-    for arm in ("scalar", "array"):
-        per_program = result["arms"][arm]["per_program_s"]
-        assert set(per_program) == set(result["programs"])
-        assert all(elapsed > 0.0 for elapsed in per_program.values())
+    assert set(result["arms"]) == {"array"}
+    per_program = result["arms"]["array"]["per_program_s"]
+    assert set(per_program) == set(result["programs"])
+    assert all(elapsed > 0.0 for elapsed in per_program.values())
+    assert "speedup" not in result
+    assert "parity" not in result
 
     with open(OUTPUT) as handle:
         report = json.load(handle)
     assert report["programs"] == result["programs"]
-    assert report["speedup"] == result["speedup"]
-    assert report["parity"] is True
-    assert set(report["arms"]) == {"scalar", "array"}
+    assert set(report["arms"]) == {"array"}
+    assert "speedup" not in report
+    assert "parity" not in report
     assert report["cache"]["size"] == 8192

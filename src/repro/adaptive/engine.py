@@ -201,6 +201,10 @@ def run_adaptive(
 
     Returns:
         The carried cache statistics plus per-window telemetry.
+
+    Raises:
+        TraceError: An access touches an object outside its lifetime
+            (never declared, not yet allocated, or already freed).
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {_POLICIES}")
@@ -252,7 +256,7 @@ def run_adaptive(
         aggregator = WindowAggregator(history)
         simulator = BatchCacheSimulator(config)
         obj, offset_col, size_col, cat_col, store_col = trace.columns()
-        bases, _declared = trace._resolve_bases(CCDPResolver(placement))
+        resolved = trace.resolve_bases(CCDPResolver(placement))
 
         windows: list[WindowRecord] = []
         placements = [placement]
@@ -267,9 +271,10 @@ def run_adaptive(
             end = min(total, start + window_events)
             with obs.span("adapt.window", index=w, events=end - start):
                 obj_w = np.asarray(obj[start:end])
+                resolved.check(start, obj_w)
                 offset_w = np.asarray(offset_col[start:end])
                 eids_w = eid_map[obj_w]
-                entity_base[eids_w] = bases[obj_w]
+                entity_base[eids_w] = resolved.bases[obj_w]
                 edges = window_trg(
                     eids_w,
                     offset_w // chunk_size,
@@ -283,7 +288,7 @@ def run_adaptive(
                     chunk_end = min(end, chunk_start + _MEASURE_CHUNK)
                     obj_chunk = np.asarray(obj[chunk_start:chunk_end])
                     simulator.consume(
-                        bases[obj_chunk]
+                        resolved.bases[obj_chunk]
                         + np.asarray(offset_col[chunk_start:chunk_end]),
                         size_col[chunk_start:chunk_end],
                         obj_chunk,
@@ -333,9 +338,7 @@ def run_adaptive(
                     replacements += 1
                     dirty_refits += step.dirty_entities
                     obs.count("adapt.replacements")
-                    bases, _declared = trace._resolve_bases(
-                        CCDPResolver(placement)
-                    )
+                    resolved = trace.resolve_bases(CCDPResolver(placement))
                     ref_score = None
                     record.replaced = True
             windows.append(record)

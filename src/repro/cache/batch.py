@@ -21,10 +21,10 @@ capped stack-distance routine of :mod:`repro.cache.stack`: per set with
 chunk as pseudo-touches prepended oldest first.
 
 :class:`BatchCacheSimulator` vectorizes every geometry, with or without
-classification.  A *parity* mode drives the scalar
-:class:`~repro.cache.simulator.CacheSimulator` alongside the kernels and
-asserts identical :class:`~repro.cache.simulator.CacheStats`; it is the
-only per-access path.
+classification, and has no per-access loop.  Its
+:class:`~repro.cache.simulator.CacheStats` equal the per-event
+:class:`~repro.cache.simulator.CacheSimulator`'s, which the parity and
+differential suites keep as the reference.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from ..obs import invariants
 from ..obs import telemetry as obs
 from ..trace.events import Category
 from .config import CacheConfig
-from .simulator import CacheSimulator, CacheStats
+from .simulator import CacheStats
 from .stack import lru_pass
 
 _CATEGORIES = tuple(Category)
@@ -360,24 +360,14 @@ class BatchCacheSimulator:
         config: Cache geometry; the paper's 8K/32B direct-mapped default.
         classify: Split misses into compulsory / capacity / conflict with
             the vectorized fully associative shadow.
-        parity: Run the scalar simulator alongside the kernels and let
-            :meth:`assert_parity` compare their stats — the batched
-            engine's correctness harness, and its only per-access loop.
 
-    Consume whole column chunks via :meth:`consume` (or a
-    :class:`~repro.trace.buffer.TraceBuffer` via :meth:`consume_buffer`),
-    then read :attr:`stats`.
+    Consume whole column chunks via :meth:`consume`, then read
+    :attr:`stats`.
     """
 
-    def __init__(
-        self,
-        config: CacheConfig | None = None,
-        classify: bool = False,
-        parity: bool = False,
-    ):
+    def __init__(self, config: CacheConfig | None = None, classify: bool = False):
         self.config = config or CacheConfig()
         self.classify = classify
-        self.parity = parity
         #: Every geometry runs vectorized (read by the benchmark tracer).
         self.vectorized = True
         kernel = (
@@ -387,9 +377,6 @@ class BatchCacheSimulator:
         )
         self._kernel = kernel(self.config)
         self._three_cs = _ThreeCs(self.config) if classify else None
-        self._shadow = (
-            CacheSimulator(self.config, classify=classify) if parity else None
-        )
         self._stats: CacheStats | None = None
 
     def consume(
@@ -420,23 +407,6 @@ class BatchCacheSimulator:
                 )
                 if three_cs is not None:
                     three_cs.consume(blocks, miss)
-        if self._shadow is None:
-            return
-        access = self._shadow.access
-        categories = _CATEGORIES
-        for a, sz, obj, cat, st in zip(
-            addr.tolist(),
-            size.tolist(),
-            obj_id.tolist(),
-            category.tolist(),
-            is_store.tolist(),
-        ):
-            access(a, sz, obj, categories[cat], bool(st))
-
-    def consume_buffer(self, buffer) -> None:
-        """Drain a :class:`~repro.trace.buffer.TraceBuffer` into the kernel."""
-        for chunk in buffer.drain():
-            self.consume(*chunk)
 
     @property
     def stats(self) -> CacheStats:
@@ -449,14 +419,3 @@ class BatchCacheSimulator:
             invariants.maybe_check_cache_stats(stats, context="batched kernel")
             self._stats = stats
         return self._stats
-
-    def assert_parity(self) -> None:
-        """In parity mode, assert kernel and scalar stats are identical."""
-        if self._shadow is None:
-            return
-        kernel_stats = self.stats
-        scalar_stats = self._shadow.stats
-        assert kernel_stats == scalar_stats, (
-            "batched kernel diverged from scalar simulator:\n"
-            f"  kernel: {kernel_stats}\n  scalar: {scalar_stats}"
-        )

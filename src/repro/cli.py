@@ -21,10 +21,9 @@ Commands mirror the paper's workflow:
   one deduplicated job graph and write ``BENCH_sweep.json``: per-cell
   placed-vs-original miss rates, win/loss/tie verdicts, and the cells
   where associativity inverts CCDP's verdict (``docs/SWEEP.md``).
-* ``bench``    — time the table pipeline under the batched engine vs the
-  scalar baseline and write ``BENCH_pipeline.json``; ``--placement``
-  times the placement pass (array vs scalar conflict-scan engine) and
-  writes ``BENCH_placement.json``; ``--store`` times a cold vs warm
+* ``bench``    — time the table pipeline and the raw cache kernel and
+  write ``BENCH_pipeline.json``; ``--placement`` times the placement
+  pass per program and writes ``BENCH_placement.json``; ``--store`` times a cold vs warm
   artifact-store run and writes ``BENCH_cache.json``; ``--trace-scale``
   streams 10-100x amplified traces through each storage backend
   (``--scales``, ``--backends``) and writes ``BENCH_scale.json`` with
@@ -1013,7 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_options(p_sweep, default_on=True)
 
     p_bench = sub.add_parser(
-        "bench", help="benchmark the batched engine against the scalar baseline"
+        "bench", help="benchmark the table pipeline and the cache kernel"
     )
     p_bench.add_argument(
         "--quick", action="store_true",
@@ -1021,11 +1020,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for the batched arm (default 1)",
+        help="worker processes for the table pipeline (default 1)",
     )
     p_bench.add_argument(
         "--placement", action="store_true",
-        help="benchmark the placement pass (array vs scalar engine) "
+        help="benchmark the placement pass per program "
              "instead of the simulation pipeline",
     )
     p_bench.add_argument(

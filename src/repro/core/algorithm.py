@@ -18,6 +18,12 @@ after Phase 3 and derive TRGselect (Phase 4) afterwards, so that packed
 groups participate in the merge loop as single compound nodes with their
 edges already coalesced.  This is equivalent to the paper's ordering —
 Phase 5 only fuses nodes and sums their edges — and avoids re-coalescing.
+
+The Phase 2 and Phase 6 conflict scans run on the vectorized
+:class:`~repro.core.placement_engine.ArrayPlacementEngine`.  The
+dict-based reference path (:class:`~repro.core.compound.CompoundMerger`
+over :func:`~repro.core.cache_struct.conflict_cost_scan`) makes the same
+decisions; the placement parity suites drive it as a test oracle.
 """
 
 from __future__ import annotations
@@ -32,14 +38,8 @@ from ..memory.layout import DATA_BASE, STACK_BASE, TEXT_BASE
 from ..memory.static_layout import layout_sequential
 from ..profiling.profile_data import Profile, STACK_ENTITY_ID
 from ..trace.events import Category
-from .cache_struct import (
-    CacheImage,
-    TRGIndex,
-    active_chunks_by_entity,
-    build_adjacency,
-    conflict_cost_scan,
-)
-from .compound import CompoundMerger, CompoundNode
+from .cache_struct import TRGIndex
+from .compound import CompoundNode
 from .cost_model import ConflictCostModel
 from .placement_engine import FIXED, ArrayCompoundMerger, ArrayPlacementEngine
 from .global_order import GlobalLayout, LayoutAtom, order_globals
@@ -69,17 +69,11 @@ class CCDPPlacer:
             gcc, leaving the other programs with zero run-time overhead.
         locality_threshold: Phase 1 binning evidence threshold.
         max_bins: Phase 1 bin-count cap.
-        engine: ``"array"`` (default) runs the conflict scans through the
-            vectorized :class:`~repro.core.placement_engine.\
-ArrayPlacementEngine`; ``"scalar"`` keeps the dict-based
-            :class:`~repro.core.compound.CompoundMerger` path.  Both
-            produce bit-identical placements (the parity suite asserts
-            it); the scalar path exists as the reference baseline.
         cost_model: Optional :class:`~repro.core.cost_model.\
 ConflictCostModel` refining the Phase 2/6 conflict scans —
             associativity-gated set collisions and/or per-entity
-            two-level penalties.  Requires the array engine; ``None``
-            (or a trivial model) keeps the classic direct-mapped cost.
+            two-level penalties.  ``None`` (or a trivial model) keeps
+            the classic direct-mapped cost.
     """
 
     def __init__(
@@ -90,22 +84,14 @@ ConflictCostModel` refining the Phase 2/6 conflict scans —
         place_heap: bool = True,
         locality_threshold: int = DEFAULT_LOCALITY_THRESHOLD,
         max_bins: int = DEFAULT_MAX_BINS,
-        engine: str = "array",
         cost_model: ConflictCostModel | None = None,
     ):
-        if engine not in ("array", "scalar"):
-            raise ValueError(f"unknown placement engine: {engine!r}")
-        if cost_model is not None and not cost_model.is_trivial and engine != "array":
-            raise ValueError(
-                "non-trivial cost models require the array placement engine"
-            )
         self.profile = profile
         self.config = cache_config or CacheConfig()
         self.popularity_cutoff = popularity_cutoff
         self.place_heap = place_heap
         self.locality_threshold = locality_threshold
         self.max_bins = max_bins
-        self.engine = engine
         self.cost_model = cost_model
         self.stats = PlacementStats()
 
@@ -128,7 +114,7 @@ ConflictCostModel` refining the Phase 2/6 conflict scans —
 
     def _place(self, registry: obs.Telemetry) -> PlacementMap:
         profile = self.profile
-        with registry.span("place", engine=self.engine) as place_span:
+        with registry.span("place") as place_span:
             with registry.span("place.prep"):
                 # The entity-level affinity collapse of TRGplace feeds
                 # Phases 1, 4, 5 and 7; derive it once per run (served
@@ -141,7 +127,7 @@ ConflictCostModel` refining the Phase 2/6 conflict scans —
             with registry.span("place.phase1"):
                 heap_prep = self._preprocess_heap(popular)
             with registry.span("place.phase2"):
-                stack_const, stack_offset = self._place_stack_and_constants()
+                stack_offset = self._place_stack_and_constants()
             with registry.span("place.phase3"):
                 nodes, node_of_entity = self._create_compound_nodes(
                     popular, heap_prep
@@ -154,9 +140,7 @@ ConflictCostModel` refining the Phase 2/6 conflict scans —
             with registry.span("place.phase4"):
                 select_edges = self._create_trgselect(node_of_entity)
             with registry.span("place.phase6") as merge_span:
-                self._merge_loop(
-                    nodes, node_of_entity, select_edges, stack_const
-                )
+                self._merge_loop(nodes, node_of_entity, select_edges)
             with registry.span("place.phase7"):
                 layout = self._final_global_layout(
                     popular, nodes, node_of_entity, packed_groups, popularity
@@ -167,12 +151,12 @@ ConflictCostModel` refining the Phase 2/6 conflict scans —
                 )
         self.stats.merge_loop_seconds = merge_span.seconds
         self.stats.place_seconds = place_span.seconds
-        if self.engine == "array":
-            scans = self._array_engine.scan_count
-        else:
-            scans = self._scalar_scan_count
-        obs.count("place.conflict_scans", scans)
+        obs.count("place.conflict_scans", self._conflict_scans())
         return placement
+
+    def _conflict_scans(self) -> int:
+        """Figure 2 conflict scans of this run (Phase 2 and Phase 6)."""
+        return self._array_engine.scan_count
 
     # -- PHASE 0 ---------------------------------------------------------------
 
@@ -216,51 +200,13 @@ ConflictCostModel` refining the Phase 2/6 conflict scans —
 
     # -- PHASE 2 ---------------------------------------------------------------
 
-    def _place_stack_and_constants(self) -> tuple[CacheImage | None, int]:
-        """Fix constants at their text addresses, then place the stack."""
-        if self.engine == "array":
-            return None, self._place_stack_and_constants_array()
-        profile = self.profile
-        config = self.config
-        active = active_chunks_by_entity(profile)
-        adjacency = build_adjacency(profile)
-        self._active_chunks = active
-        self._adjacency = adjacency
+    def _place_stack_and_constants(self) -> int:
+        """Fix constants at their text addresses, then place the stack.
 
-        image = CacheImage(config, profile.chunk_size)
-        constants = profile.entities_of(Category.CONST)
-        addresses = layout_sequential(
-            [(e.key, e.size) for e in sorted(constants, key=lambda e: e.decl_index)],
-            TEXT_BASE,
-        )
-        for entity in constants:
-            image.add_entity(
-                entity.eid,
-                entity.size,
-                addresses[entity.key] % config.size,
-                active.get(entity.eid, (0,)),
-            )
-
-        stack = profile.entities[STACK_ENTITY_ID]
-        moving = CacheImage(config, profile.chunk_size)
-        moving.add_entity(stack.eid, max(stack.size, 1), 0, active.get(stack.eid, (0,)))
-        self._scalar_scan_count = 1
-        start_line, _cost = conflict_cost_scan(
-            image.pairs, moving.pairs, adjacency, config.num_sets
-        )
-        stack_offset = start_line * config.line_size
-        image.add_entity(
-            stack.eid, max(stack.size, 1), stack_offset, active.get(stack.eid, (0,))
-        )
-        return image, stack_offset
-
-    def _place_stack_and_constants_array(self) -> int:
-        """Array-engine Phase 2: same decisions, span arrays as state.
-
-        Builds the run's :class:`TRGIndex` + :class:`ArrayPlacementEngine`
-        (replacing ``build_adjacency`` / ``active_chunks_by_entity``),
+        Builds the run's :class:`TRGIndex` + :class:`ArrayPlacementEngine`,
         registers constants at their text addresses as :data:`FIXED`,
-        then scans the stack against them exactly like the scalar path.
+        then scans the stack against them; returns the stack's cache
+        offset.
         """
         profile = self.profile
         config = self.config
@@ -405,34 +351,22 @@ ConflictCostModel` refining the Phase 2/6 conflict scans —
 
     # -- PHASE 6 ---------------------------------------------------------------
 
-    def _make_merger(
-        self,
-        nodes: dict[int, CompoundNode],
-        stack_const: CacheImage | None,
-    ) -> CompoundMerger | ArrayCompoundMerger:
-        """The engine-selected Phase 6 merger over the Phase 2 image."""
-        profile = self.profile
-        entity_sizes = {eid: max(e.size, 1) for eid, e in profile.entities.items()}
-        if self.engine == "array":
-            return ArrayCompoundMerger(self._array_engine, entity_sizes, nodes)
-        return CompoundMerger(
-            self.config,
-            profile.chunk_size,
-            stack_const,
-            self._adjacency,
-            entity_sizes,
-            self._active_chunks,
-        )
+    def _entity_sizes(self) -> dict[int, int]:
+        """Placement sizes per entity id (zero-size entities take a byte)."""
+        return {eid: max(e.size, 1) for eid, e in self.profile.entities.items()}
+
+    def _make_merger(self, nodes: dict[int, CompoundNode]) -> ArrayCompoundMerger:
+        """The Phase 6 merger over the Phase 2 span arrays."""
+        return ArrayCompoundMerger(self._array_engine, self._entity_sizes(), nodes)
 
     def _merge_loop(
         self,
         nodes: dict[int, CompoundNode],
         node_of_entity: dict[int, int],
         select_edges: dict[tuple[int, int], int],
-        stack_const: CacheImage | None,
     ) -> None:
         """Merge compound nodes in descending TRGselect-weight order."""
-        merger = self._make_merger(nodes, stack_const)
+        merger = self._make_merger(nodes)
         heap: list[tuple[int, int, int]] = [
             (-weight, nid_a, nid_b) for (nid_a, nid_b), weight in select_edges.items()
         ]
@@ -499,8 +433,6 @@ ConflictCostModel` refining the Phase 2/6 conflict scans —
                 self.stats.total_conflict_cost += merger.anchor(node)
         self.stats.merges = merger.merge_count
         self.stats.anchors = merger.anchor_count
-        if self.engine == "scalar":
-            self._scalar_scan_count += merger.scan_count
         obs.count("place.merge_loop.iterations", iterations)
         obs.count("place.merge_loop.stale_skips", stale_skips)
         obs.count("place.merges", merger.merge_count)

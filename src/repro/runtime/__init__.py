@@ -10,7 +10,7 @@ from .driver import (
     profile_workload,
     run_experiment,
 )
-from .replay import BatchReplaySink, ReplaySink
+from .replay import ReplaySink
 from .resolvers import (
     AddressResolver,
     CCDPResolver,
@@ -20,7 +20,6 @@ from .resolvers import (
 
 __all__ = [
     "AddressResolver",
-    "BatchReplaySink",
     "build_placement",
     "CCDPResolver",
     "collect_stats",

@@ -1,22 +1,16 @@
-"""End-to-end pipeline benchmark: batched engine vs the scalar baseline.
+"""End-to-end pipeline benchmark: the table pipeline and the raw kernel.
 
 ``repro bench`` times the paper's table pipeline (Table 1 statistics and
-the Table 2/4 miss-rate tables) twice over the same programs:
+the Table 2/4 miss-rate tables) through the experiment harnesses: each
+(workload, input) is recorded once as structure-of-arrays columns, and
+statistics, profiles, and all placement measurements are derived from
+the columns by the vectorized kernels, through the job graph.  A
+raw-kernel microbenchmark (events/sec through the batched cache
+simulator on a recorded trace) is included for the per-event view.
+Results are written as JSON, by default to ``BENCH_pipeline.json``.
 
-* **scalar** — the seed's per-event pipeline: every table re-runs each
-  workload through per-event sinks and the scalar cache simulator
-  (:func:`~repro.runtime.driver.collect_stats` without a trace and
-  ``run_experiment(..., engine="scalar")``).
-* **batched** — the experiment harnesses: each (workload, input) is
-  recorded once as structure-of-arrays columns, and statistics,
-  profiles, and all placement measurements are derived from the columns
-  by the vectorized kernels, through the job graph.
-
-Both arms produce identical tables (the parity suite asserts equality of
-every statistic), so the wall-clock ratio is a pure engine speedup.  A
-raw-kernel microbenchmark (events/sec through the cache simulators on a
-recorded trace) is included for the per-event view.  Results are written
-as JSON, by default to ``BENCH_pipeline.json``.
+The per-event reference implementations these kernels must equal are
+checked by the parity and differential test suites, not timed here.
 """
 
 from __future__ import annotations
@@ -27,7 +21,6 @@ from typing import Callable
 
 from ..cache.batch import BatchCacheSimulator
 from ..cache.config import CacheConfig
-from ..cache.simulator import CacheSimulator
 from ..trace.buffer import DEFAULT_CHUNK_EVENTS, record_trace
 from ..workloads import make_workload
 from .resolvers import NaturalResolver
@@ -66,34 +59,6 @@ def _harness_tables(programs: list[str]) -> dict[str, Callable[[], object]]:
     }
 
 
-def _scalar_tables(programs: list[str]) -> dict[str, Callable[[], object]]:
-    """The same tables' work on the per-event pipeline (scalar arm)."""
-    from ..experiments.common import paper_cache
-    from .driver import collect_stats, run_experiment
-
-    def table1() -> None:
-        for name in programs:
-            workload = make_workload(name)
-            for input_name in (workload.train_input, workload.test_input):
-                collect_stats(workload, input_name)
-
-    def experiments(same_input: bool) -> None:
-        for name in programs:
-            workload = make_workload(name)
-            run_experiment(
-                workload,
-                test_input=workload.train_input if same_input else None,
-                cache_config=paper_cache(),
-                engine="scalar",
-            )
-
-    return {
-        "table1": table1,
-        "table2": lambda: experiments(True),
-        "table4": lambda: experiments(False),
-    }
-
-
 def _pipeline_events(programs: list[str]) -> int:
     """Logical references processed by one pipeline pass.
 
@@ -101,8 +66,7 @@ def _pipeline_events(programs: list[str]) -> int:
     and testing inputs, Table 2 (profile + two measurements of the
     training input), and Table 4 (profile the training input, measure
     the testing input twice) — five passes over the training references
-    and three over the testing references.  Both arms perform the same
-    logical work, so events/sec compares throughput directly.
+    and three over the testing references.
     """
     from ..experiments.common import cached_stats
 
@@ -129,43 +93,28 @@ def _arm(tables: dict[str, float], events: int) -> dict[str, object]:
 def _kernel_microbench(
     program: str, config: CacheConfig | None = None
 ) -> dict[str, object]:
-    """Events/sec through the raw cache simulators on one recorded trace."""
+    """Events/sec through the batched cache simulator on one recorded trace."""
     config = config or CacheConfig()
     workload = make_workload(program)
     trace = record_trace(workload, workload.train_input)
     addr = trace.resolve(NaturalResolver())
-    _obj, _offset, size, cat, store = trace.columns()
-    obj = _obj
+    obj, _offset, size, cat, store = trace.columns()
 
     start = time.perf_counter()
-    engine = BatchCacheSimulator(config)
+    simulator = BatchCacheSimulator(config)
     for begin in range(0, len(addr), DEFAULT_CHUNK_EVENTS):
         chunk = slice(begin, begin + DEFAULT_CHUNK_EVENTS)
-        engine.consume(addr[chunk], size[chunk], obj[chunk], cat[chunk], store[chunk])
+        simulator.consume(
+            addr[chunk], size[chunk], obj[chunk], cat[chunk], store[chunk]
+        )
     batch_s = time.perf_counter() - start
-
-    from ..trace.events import Category
-
-    categories = tuple(Category)
-    scalar = CacheSimulator(config)
-    access = scalar.access
-    start = time.perf_counter()
-    for a, sz, o, c, st in zip(
-        addr.tolist(), size.tolist(), obj.tolist(), cat.tolist(), store.tolist()
-    ):
-        access(a, sz, o, categories[c], bool(st))
-    scalar_s = time.perf_counter() - start
-    assert engine.stats == scalar.stats, "kernel diverged during bench"
 
     events = trace.events
     return {
         "program": program,
         "events": events,
         "batch_s": batch_s,
-        "scalar_s": scalar_s,
         "batch_events_per_sec": events / batch_s if batch_s else 0.0,
-        "scalar_events_per_sec": events / scalar_s if scalar_s else 0.0,
-        "speedup": scalar_s / batch_s if batch_s else 0.0,
     }
 
 
@@ -176,12 +125,11 @@ def run_bench(
     programs: list[str] | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, object]:
-    """Benchmark the table pipeline under both engines; write JSON.
+    """Benchmark the table pipeline; write JSON.
 
     Returns the result dict (also written to ``output`` unless None):
-    per-table wall-clock for each arm, pipeline events/sec, the raw
-    kernel microbenchmark, and the headline ``speedup`` of the batched
-    arm over the scalar baseline.
+    per-table wall-clock of the batched arm, pipeline events/sec, and
+    the raw kernel microbenchmark.
     """
     from ..experiments.common import (
         all_programs,
@@ -195,8 +143,6 @@ def run_bench(
 
     say(f"kernel microbench ({programs[0]})...")
     kernel = _kernel_microbench(programs[0])
-    say("scalar pipeline arm...")
-    scalar_tables = _time_tables(_scalar_tables(programs))
     say("batched pipeline arm...")
     clear_cache()
     set_parallel_jobs(jobs)
@@ -206,20 +152,12 @@ def run_bench(
     finally:
         clear_cache()
         set_parallel_jobs(1)
-    scalar_arm = _arm(scalar_tables, events)
-    batched_arm = _arm(batched_tables, events)
-
     result: dict[str, object] = {
         "quick": quick,
         "programs": programs,
         "jobs": jobs,
-        "arms": {"scalar": scalar_arm, "batched": batched_arm},
+        "arms": {"batched": _arm(batched_tables, events)},
         "kernel": kernel,
-        "speedup": (
-            scalar_arm["total_s"] / batched_arm["total_s"]
-            if batched_arm["total_s"]
-            else 0.0
-        ),
     }
     if output:
         with open(output, "w") as handle:
@@ -235,15 +173,13 @@ def run_placement_bench(
     programs: list[str] | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, object]:
-    """Benchmark the placement pass: array engine vs the scalar baseline.
+    """Benchmark the placement pass, ``CCDPPlacer.place()``, per program.
 
-    Profiles each program's training input once (from a recorded trace,
-    outside the timed region), then times ``CCDPPlacer.place()`` under
-    both engines.  Each (program, engine, round) gets a *fresh* profile
-    object so per-profile memos (TRG index, popularity, affinity) are
-    rebuilt inside the timed region — the ratio is a pure engine
-    comparison of the same cold-start work.  The two engines' placement
-    maps are asserted identical before anything is timed.
+    Each (program, round) gets a *fresh* profile of the training input
+    (from a recorded trace, profiled outside the timed region), so
+    per-profile memos (TRG index, popularity, affinity) are rebuilt
+    inside the timed region: every round times the same cold-start
+    work.  The best round per program is reported.
 
     Returns the result dict (also written to ``output`` unless None).
     """
@@ -261,38 +197,21 @@ def run_placement_bench(
         trace = cached_trace(name, workload.train_input)
         return workload, profile_trace(trace, cache_config=config)
 
-    arms: dict[str, dict[str, object]] = {
-        "scalar": {"per_program_s": {}},
-        "array": {"per_program_s": {}},
-    }
-    parity = True
+    per_program_s: dict[str, float] = {}
     for name in programs:
         say(f"placement bench: {name}...")
-        workload, profile = fresh_profile(name)
-        maps = {}
-        for engine in ("scalar", "array"):
-            maps[engine] = CCDPPlacer(
-                profile_trace(
-                    cached_trace(name, workload.train_input), cache_config=config
-                ),
-                config,
-                place_heap=workload.place_heap,
-                engine=engine,
-            ).place()
-        parity = parity and maps["scalar"] == maps["array"]
-        for engine in ("scalar", "array"):
-            best = None
-            for _ in range(max(1, rounds)):
-                _workload, profile = fresh_profile(name)
-                start = time.perf_counter()
-                CCDPPlacer(
-                    profile, config, place_heap=workload.place_heap, engine=engine
-                ).place()
-                elapsed = time.perf_counter() - start
-                best = elapsed if best is None else min(best, elapsed)
-            arms[engine]["per_program_s"][name] = best
-    for arm in arms.values():
-        arm["total_s"] = sum(arm["per_program_s"].values())
+        best = None
+        for _ in range(max(1, rounds)):
+            workload, profile = fresh_profile(name)
+            start = time.perf_counter()
+            CCDPPlacer(profile, config, place_heap=workload.place_heap).place()
+            elapsed = time.perf_counter() - start
+            best = elapsed if best is None else min(best, elapsed)
+        per_program_s[name] = best
+    array_arm = {
+        "per_program_s": per_program_s,
+        "total_s": sum(per_program_s.values()),
+    }
 
     result: dict[str, object] = {
         "quick": quick,
@@ -303,13 +222,9 @@ def run_placement_bench(
             "line_size": config.line_size,
             "associativity": config.associativity,
         },
-        "arms": arms,
-        "parity": parity,
-        "speedup": (
-            arms["scalar"]["total_s"] / arms["array"]["total_s"]
-            if arms["array"]["total_s"]
-            else 0.0
-        ),
+        # ``sched.costs`` reads ``arms.array.per_program_s`` as the
+        # per-program dispatch prior.
+        "arms": {"array": array_arm},
     }
     if output:
         with open(output, "w") as handle:
@@ -556,26 +471,14 @@ def render_cache_bench(result: dict[str, object]) -> str:
 
 def render_placement_bench(result: dict[str, object]) -> str:
     """Human-readable summary of a :func:`run_placement_bench` result."""
-    scalar = result["arms"]["scalar"]
     array = result["arms"]["array"]
     lines = [
         f"placement pass ({len(result['programs'])} programs, "
         f"best of {result['rounds']} rounds):"
     ]
     for name in result["programs"]:
-        s = scalar["per_program_s"][name]
-        a = array["per_program_s"][name]
-        ratio = s / a if a else 0.0
-        lines.append(
-            f"  {name:<10} scalar {s * 1000:8.2f}ms"
-            f"   array {a * 1000:8.2f}ms   -> {ratio:5.2f}x"
-        )
-    lines.append(
-        f"  {'total':<10} scalar {scalar['total_s'] * 1000:8.2f}ms"
-        f"   array {array['total_s'] * 1000:8.2f}ms"
-        f"   -> {result['speedup']:.2f}x"
-    )
-    lines.append(f"  parity: {'identical maps' if result['parity'] else 'MISMATCH'}")
+        lines.append(f"  {name:<10} {array['per_program_s'][name] * 1000:8.2f}ms")
+    lines.append(f"  {'total':<10} {array['total_s'] * 1000:8.2f}ms")
     if "output" in result:
         lines.append(f"wrote {result['output']}")
     return "\n".join(lines)
@@ -583,30 +486,16 @@ def render_placement_bench(result: dict[str, object]) -> str:
 
 def render_bench(result: dict[str, object]) -> str:
     """Human-readable summary of a :func:`run_bench` result."""
-    lines = []
-    scalar = result["arms"]["scalar"]
     batched = result["arms"]["batched"]
     kernel = result["kernel"]
-    lines.append(f"pipeline ({', '.join(result['programs'])}; jobs={result['jobs']}):")
-    for label in scalar["tables_s"]:
-        lines.append(
-            f"  {label:<8} scalar {scalar['tables_s'][label]:6.2f}s"
-            f"   batched {batched['tables_s'][label]:6.2f}s"
-        )
-    lines.append(
-        f"  {'total':<8} scalar {scalar['total_s']:6.2f}s"
-        f"   batched {batched['total_s']:6.2f}s"
-        f"   -> {result['speedup']:.2f}x"
-    )
-    lines.append(
-        f"  events/sec: scalar {scalar['events_per_sec']:,.0f}"
-        f"   batched {batched['events_per_sec']:,.0f}"
-    )
+    lines = [f"pipeline ({', '.join(result['programs'])}; jobs={result['jobs']}):"]
+    for label, seconds in batched["tables_s"].items():
+        lines.append(f"  {label:<8} {seconds:6.2f}s")
+    lines.append(f"  {'total':<8} {batched['total_s']:6.2f}s")
+    lines.append(f"  events/sec: {batched['events_per_sec']:,.0f}")
     lines.append(
         f"kernel ({kernel['program']}, {kernel['events']} events): "
-        f"scalar {kernel['scalar_events_per_sec']:,.0f} ev/s, "
-        f"batched {kernel['batch_events_per_sec']:,.0f} ev/s "
-        f"({kernel['speedup']:.1f}x)"
+        f"{kernel['batch_events_per_sec']:,.0f} ev/s"
     )
     if "output" in result:
         lines.append(f"wrote {result['output']}")

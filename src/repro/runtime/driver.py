@@ -16,7 +16,7 @@ from ..cache.batch import BatchCacheSimulator
 from ..obs import invariants
 from ..obs import telemetry as obs
 from ..cache.config import CacheConfig
-from ..cache.simulator import CacheSimulator, CacheStats
+from ..cache.simulator import CacheStats
 from ..core.algorithm import CCDPPlacer
 from ..core.placement_map import PlacementMap
 from ..profiling.batch import profile_trace
@@ -28,7 +28,6 @@ from ..store import traces as store_traces
 from ..trace.buffer import DEFAULT_CHUNK_EVENTS, TraceRecorder, record_trace
 from ..trace.stats import StatsSink, WorkloadStats
 from ..workloads.base import Workload
-from .replay import BatchReplaySink, ReplaySink
 from .resolvers import (
     AddressResolver,
     CCDPResolver,
@@ -148,34 +147,33 @@ def measure_trace(
     cache_config: CacheConfig | None = None,
     classify: bool = False,
     track_pages: bool = False,
-    parity: bool = False,
 ) -> MeasureResult:
     """Simulate a recorded trace under a placement, batched.
 
     Lifetime ops are replayed through the resolver once; addresses are
     then gathered chunk-by-chunk (:meth:`TraceRecorder.iter_resolved`)
-    and streamed through the batched cache engine (and page tracker) —
-    no whole-trace address column is ever materialized, and consumed
+    and streamed through the batched cache simulator (and page tracker)
+    — no whole-trace address column is ever materialized, and consumed
     chunks of a memmapped trace are dropped from the resident set
     (:meth:`TraceRecorder.advise_done`), so simulation RSS stays at
-    one-chunk working set regardless of trace length.  Results equal
-    the scalar :func:`measure` of the same run.
+    one-chunk working set regardless of trace length.  Statistics equal
+    the per-event :class:`~repro.cache.simulator.CacheSimulator`'s over
+    the same run; the parity suites check this against a test oracle.
 
     With an artifact store installed, the finished statistics are served
     from (and persisted to) the store, keyed by the trace fingerprint
-    and the resolver's placement policy; ``parity`` runs bypass the
-    store so the scalar/batched cross-check always actually executes.
+    and the resolver's placement policy.
     """
 
     def compute() -> MeasureResult:
         with obs.span("simulate", events=trace.events):
-            engine = BatchCacheSimulator(cache_config, classify=classify, parity=parity)
+            simulator = BatchCacheSimulator(cache_config, classify=classify)
             pages = PageTracker() if track_pages else None
             obj, _offset, size, cat, store = trace.columns()
             for start, end, addr_chunk in trace.iter_resolved(
                 resolver, DEFAULT_CHUNK_EVENTS
             ):
-                engine.consume(
+                simulator.consume(
                     addr_chunk,
                     size[start:end],
                     obj[start:end],
@@ -185,14 +183,12 @@ def measure_trace(
                 if pages is not None:
                     pages.touch_batch(addr_chunk, size[start:end])
                 trace.advise_done(start, end)
-            if parity:
-                engine.assert_parity()
             paging = PagingSummary.from_tracker(pages) if pages else None
-            stats = engine.stats
+            stats = simulator.stats
         return MeasureResult(cache=stats, paging=paging)
 
     artifact_store = current_store()
-    if artifact_store is None or parity:
+    if artifact_store is None:
         result = compute()
     else:
         result = store_stages.cached_measure(
@@ -215,44 +211,23 @@ def measure(
     cache_config: CacheConfig | None = None,
     classify: bool = False,
     track_pages: bool = False,
-    engine: str = "auto",
     trace: TraceRecorder | None = None,
 ) -> MeasureResult:
     """Simulate one input under a placement and collect cache/page stats.
 
-    Args:
-        engine: ``"auto"`` (default) streams events through the batched
-            engine via :class:`~repro.runtime.replay.BatchReplaySink`;
-            ``"scalar"`` keeps the per-event pipeline.  Both produce
-            identical results for every geometry, with or without
-            ``classify``.
-        trace: A recorded trace of the same (workload, input) run; when
-            given, the workload is not re-run at all
-            (:func:`measure_trace`).
+    Without a recorded ``trace`` of the same (workload, input) run, the
+    workload runs once to record one; the recording is then simulated
+    by :func:`measure_trace`.
     """
-    if trace is not None and engine != "scalar":
-        return measure_trace(
-            trace,
-            resolver,
-            cache_config,
-            classify=classify,
-            track_pages=track_pages,
-        )
-    pages = PageTracker() if track_pages else None
-    with obs.span("simulate", input=input_name):
-        if engine == "scalar":
-            cache = CacheSimulator(cache_config, classify=classify)
-            sink: ReplaySink | BatchReplaySink = ReplaySink(resolver, cache, pages)
-            stats_source = cache
-        else:
-            batch = BatchCacheSimulator(cache_config, classify=classify)
-            sink = BatchReplaySink(resolver, batch, pages)
-            stats_source = batch
-        workload.run(sink, input_name)
-        stats = stats_source.stats
-    invariants.maybe_check_cache_stats(stats, context="measure")
-    paging = PagingSummary.from_tracker(pages) if pages else None
-    return MeasureResult(cache=stats, paging=paging)
+    if trace is None:
+        trace = record_trace(workload, input_name)
+    return measure_trace(
+        trace,
+        resolver,
+        cache_config,
+        classify=classify,
+        track_pages=track_pages,
+    )
 
 
 def build_placement(
@@ -261,7 +236,6 @@ def build_placement(
     cache_config: CacheConfig | None = None,
     place_heap: bool | None = None,
     trace: TraceRecorder | None = None,
-    placement_engine: str = "array",
     cost_model: str = "direct",
     **profiler_kwargs,
 ) -> tuple[Profile, PlacementMap]:
@@ -271,7 +245,7 @@ def build_placement(
     both stage outputs are store-backed: the profile by trace
     fingerprint + profiler parameters, the placement map by those plus
     the geometry and placer configuration — so e.g. re-placing under a
-    different engine reuses the cached profile.  ``cost_model`` selects
+    different cost model reuses the cached profile.  ``cost_model`` selects
     the conflict-cost model (``direct``/``assoc``/``two-level``); the
     two-level calibration replay needs the recorded ``trace``.
     """
@@ -288,7 +262,6 @@ def build_placement(
             profile,
             cache_config=cache_config,
             place_heap=resolved_heap,
-            engine=placement_engine,
             cost_model=resolve_cost_model(cost_model, cache_config, trace),
         )
         return placer.place()
@@ -301,7 +274,6 @@ def build_placement(
         trace,
         cache_config,
         resolved_heap,
-        placement_engine,
         store_stages.profile_params(profiler_kwargs),
         compute,
         cost_model=cost_model,
@@ -319,7 +291,6 @@ def run_experiment(
     classify: bool = False,
     track_pages: bool = False,
     place_heap: bool | None = None,
-    engine: str = "auto",
 ) -> ExperimentResult:
     """Full pipeline: profile on train, place, measure on test.
 
@@ -327,17 +298,16 @@ def run_experiment(
     "ideal" Table 2 configuration; distinct inputs reproduce the
     realistic Table 4 configuration.
 
-    With the default batched ``engine``, each distinct (workload, input)
-    is run *once* to record its trace; profiling and every placement
-    measurement are then derived from the recorded columns by the
-    vectorized kernels.  ``engine="scalar"`` restores the per-event
-    pipeline.  Batches of registered workloads run through the job
-    graph instead (:func:`repro.sched.executor.run_experiments_dag`),
-    which shares stages across experiments.
+    Each distinct (workload, input) is run *once* to record its trace;
+    profiling and every placement measurement are then derived from the
+    recorded columns by the vectorized kernels.  Batches of registered
+    workloads run through the job graph instead
+    (:func:`repro.sched.executor.run_experiments_dag`), which shares
+    stages across experiments.
     """
     train = train_input or workload.train_input
     test = test_input or workload.test_input
-    artifact_store = current_store() if engine != "scalar" else None
+    artifact_store = current_store()
     if artifact_store is not None:
         # Full-warm path: when every stage entry hits (keyed off the
         # recorded trace fingerprints), the experiment is reassembled
@@ -360,80 +330,51 @@ def run_experiment(
         if cached is not None:
             probe.commit()
             return cached
-    if engine == "scalar":
-        profile, placement = build_placement(
-            workload, train, cache_config, place_heap=place_heap
-        )
-        train_trace = test_trace = None
-    else:
-        traces: dict[str, TraceRecorder] = {}
+    traces: dict[str, TraceRecorder] = {}
 
-        def trace_of(input_name: str) -> TraceRecorder:
-            if input_name not in traces:
-                trace = None
-                if artifact_store is not None:
-                    # Attach the store's memmap artifact when one
-                    # exists: zero-copy, no workload run.
-                    trace = store_traces.load_trace(
-                        artifact_store, workload.name, input_name
-                    )
-                if trace is None:
-                    trace = record_trace(workload, input_name)
-                if artifact_store is not None:
-                    # Persist the fingerprint meta entry plus the memmap
-                    # column artifact so the next run (this process or
-                    # any other) attaches instead of re-recording.
-                    # Idempotent when the artifact already exists.
-                    store_traces.remember_and_save(
-                        artifact_store, workload.name, input_name, trace
-                    )
-                traces[input_name] = trace
-            return traces[input_name]
+    def trace_of(input_name: str) -> TraceRecorder:
+        if input_name not in traces:
+            trace = None
+            if artifact_store is not None:
+                # Attach the store's memmap artifact when one exists:
+                # zero-copy, no workload run.
+                trace = store_traces.load_trace(
+                    artifact_store, workload.name, input_name
+                )
+            if trace is None:
+                trace = record_trace(workload, input_name)
+            if artifact_store is not None:
+                # Persist the fingerprint meta entry plus the memmap
+                # column artifact so the next run (this process or any
+                # other) attaches instead of re-recording.  Idempotent
+                # when the artifact already exists.
+                store_traces.remember_and_save(
+                    artifact_store, workload.name, input_name, trace
+                )
+            traces[input_name] = trace
+        return traces[input_name]
 
-        train_trace = trace_of(train)
-        profile, placement = build_placement(
-            workload,
-            train,
-            cache_config,
-            place_heap=place_heap,
-            trace=train_trace,
-        )
-        test_trace = trace_of(test)
+    train_trace = trace_of(train)
+    profile, placement = build_placement(
+        workload,
+        train,
+        cache_config,
+        place_heap=place_heap,
+        trace=train_trace,
+    )
+    test_trace = trace_of(test)
+
+    def measure_arm(resolver: AddressResolver) -> MeasureResult:
+        return measure_trace(test_trace, resolver, cache_config, classify, track_pages)
+
     with obs.span("measure.original"):
-        original = measure(
-            workload,
-            test,
-            NaturalResolver(),
-            cache_config,
-            classify,
-            track_pages,
-            engine=engine,
-            trace=test_trace,
-        )
+        original = measure_arm(NaturalResolver())
     with obs.span("measure.ccdp"):
-        ccdp = measure(
-            workload,
-            test,
-            CCDPResolver(placement),
-            cache_config,
-            classify,
-            track_pages,
-            engine=engine,
-            trace=test_trace,
-        )
+        ccdp = measure_arm(CCDPResolver(placement))
     random_result = None
     if include_random:
         with obs.span("measure.random"):
-            random_result = measure(
-                workload,
-                test,
-                RandomResolver(seed=random_seed),
-                cache_config,
-                classify,
-                track_pages,
-                engine=engine,
-                trace=test_trace,
-            )
+            random_result = measure_arm(RandomResolver(seed=random_seed))
     return ExperimentResult(
         workload=workload.name,
         train_input=train,

@@ -11,9 +11,7 @@ and the sum feeds the cache simulator and, optionally, the page tracker.
 from __future__ import annotations
 
 from ..analysis.paging import PageTracker
-from ..cache.batch import BatchCacheSimulator
 from ..cache.simulator import CacheSimulator
-from ..trace.buffer import DEFAULT_CHUNK_EVENTS, TraceBuffer
 from ..trace.events import ObjectInfo
 from ..trace.sinks import TraceError, TraceSink
 from .resolvers import AddressResolver
@@ -52,64 +50,3 @@ class ReplaySink(TraceSink):
         self.cache.access(addr, size, obj_id, category, is_store)
         if self.pages is not None:
             self.pages.touch(addr, size)
-
-
-class BatchReplaySink(TraceSink):
-    """Replay sink that stages accesses in columns for a batched engine.
-
-    Addresses are resolved per event (the resolver's view of live objects
-    is inherently serial) but simulation is deferred: events accumulate in
-    a :class:`~repro.trace.buffer.TraceBuffer` and are drained chunk-wise
-    into a :class:`~repro.cache.batch.BatchCacheSimulator` — and,
-    optionally, a :class:`~repro.analysis.paging.PageTracker` — replacing
-    one Python cache lookup per event with one kernel call per chunk.
-    """
-
-    def __init__(
-        self,
-        resolver: AddressResolver,
-        engine: BatchCacheSimulator,
-        pages: PageTracker | None = None,
-        chunk_events: int = DEFAULT_CHUNK_EVENTS,
-    ):
-        self.resolver = resolver
-        self.engine = engine
-        self.pages = pages
-        self.chunk_events = chunk_events
-        self._buffer = TraceBuffer()
-        self._base_of = resolver.base_of
-
-    def on_object(self, info: ObjectInfo) -> None:
-        self.resolver.on_object(info)
-
-    def on_alloc(self, info: ObjectInfo, return_addresses: tuple[int, ...]) -> None:
-        self.resolver.on_alloc(info, return_addresses)
-
-    def on_free(self, obj_id: int) -> None:
-        self.resolver.on_free(obj_id)
-
-    def on_access(self, obj_id, offset, size, is_store, category) -> None:
-        buffer = self._buffer
-        try:
-            buffer.append_addr(self._base_of[obj_id] + offset)
-        except KeyError:
-            raise TraceError(
-                f"corrupt trace: access to unknown object id {obj_id} "
-                "(never declared or allocated)"
-            ) from None
-        buffer.append_size(size)
-        buffer.append_obj(obj_id)
-        buffer.append_cat(category)
-        buffer.append_store(is_store)
-        if len(buffer) >= self.chunk_events:
-            self.flush()
-
-    def flush(self) -> None:
-        """Drain all buffered events into the engine (and page tracker)."""
-        for chunk in self._buffer.drain(self.chunk_events):
-            self.engine.consume(*chunk)
-            if self.pages is not None:
-                self.pages.touch_batch(chunk[0], chunk[1])
-
-    def on_end(self) -> None:
-        self.flush()

@@ -9,10 +9,12 @@ amplified trace through the batched cache engine with chunked address
 resolution — measuring events/sec and the peak resident set.
 
 Amplification by tiling is sound for this purpose: object ids are
-run-unique and a resolver's base addresses persist from declaration on
-(a free never un-declares), so every copy of the access columns resolves
-against the one replay of the base trace's lifetime ops, and the
-simulated stream is a valid (if periodic) reference pattern.
+run-unique, and the amplified trace keeps the base's declarations and
+allocations where they were but moves its frees to the end of the
+stream, so every object is live through every copy.  Every copy of the
+access columns then resolves against the one replay of those lifetime
+ops, and the simulated stream is a valid (if periodic) reference
+pattern.
 
 Each arm runs in a **fresh spawned process**: ``ru_maxrss`` is a
 monotonic per-process high-water mark, so honest per-arm peaks require
@@ -34,7 +36,12 @@ from multiprocessing import get_context
 
 from ..obs import telemetry as obs
 from ..trace import plane
-from ..trace.buffer import DEFAULT_CHUNK_EVENTS, TraceRecorder, record_trace
+from ..trace.buffer import (
+    _OP_FREE,
+    DEFAULT_CHUNK_EVENTS,
+    TraceRecorder,
+    record_trace,
+)
 from ..trace.events import Category
 
 #: Output file of ``repro bench --trace-scale``.
@@ -80,9 +87,10 @@ def amplify_trace(
 
     The base columns stream chunk-wise through ``write_at`` — the
     amplified trace is never materialized in RAM — and the result wraps
-    the sealed container with the base's lifetime ops (their positions
-    all fall inside the first copy, which is exactly the op stream one
-    long periodic run would produce).
+    the sealed container with the base's lifetime ops.  Declarations and
+    allocations keep their positions inside the first copy; the frees
+    move to the end of the stream, because every later copy touches the
+    base's heap objects again.
     """
     events = base.events * factor
     storage = plane.create_storage(backend, events, directory=directory)
@@ -94,9 +102,11 @@ def amplify_trace(
             chunk = tuple(column[start:end] for column in columns)
             position += storage.write_at(position, chunk)
     storage.seal()
+    ops = [op for op in base.ops if op[1] != _OP_FREE]
+    ops += [(events, kind, obj_id) for _p, kind, obj_id in base.ops if kind == _OP_FREE]
     return TraceRecorder.from_storage(
         storage,
-        ops=list(base.ops),
+        ops=ops,
         compute_instructions=base.compute_instructions * factor,
         max_stack_depth=base.max_stack_depth,
     )

@@ -233,6 +233,7 @@ def _attach_checkpoints(
                 train,
                 test_input=train if spec.same_input else workload.test_input,
                 config=spec.cache_config,
+                cost_model=spec.cost_model,
                 classify=spec.classify,
                 track_pages=spec.track_pages,
             )

@@ -57,7 +57,6 @@ class JobSpec:
     cache: tuple | None = None  # (size, line_size, associativity)
     train_input: str | None = None  # measure(ccdp): where the placement trained
     place_heap: bool = False
-    placement_engine: str = "array"
     cost_model: str = "direct"  # place: direct | assoc | two-level
     policy: str = "natural"  # measure: natural | ccdp | random
     seed: int = RANDOM_SEED
@@ -94,7 +93,7 @@ def bag_key(spec: JobSpec) -> tuple:
         return (spec.kind, spec.workload, spec.input_name, *sorted(recipe.items()))
     base: tuple = (spec.kind, spec.workload, spec.input_name, spec.cache)
     if spec.kind == "place":
-        base += (spec.place_heap, spec.placement_engine, spec.cost_model)
+        base += (spec.place_heap, spec.cost_model)
     elif spec.kind == "measure":
         base += (spec.policy, spec.seed, spec.classify, spec.track_pages)
     return base
@@ -176,7 +175,6 @@ def plan_experiments(specs) -> tuple[JobGraph, list[Job]]:
             "cache": cache_fields,
             "params": params,
             "place_heap": heap,
-            "engine": place_spec.placement_engine,
         }
         # Mirror the store-key schema: the default model stays out of the
         # recipe so pre-existing place jobs keep their identity.
@@ -306,7 +304,6 @@ def _load_artifact(store: ArtifactStore, job: Job, fingerprint: str):
                 fingerprint,
                 config,
                 spec.place_heap,
-                spec.placement_engine,
                 params,
                 spec.cost_model,
             ),
@@ -479,7 +476,6 @@ def _run_place(spec: JobSpec, bag: dict | None):
             config,
             place_heap=spec.place_heap,
             trace=trace,
-            placement_engine=spec.placement_engine,
             cost_model=spec.cost_model,
         )
         return placement
@@ -491,7 +487,6 @@ def _run_place(spec: JobSpec, bag: dict | None):
             profile,
             cache_config=config,
             place_heap=spec.place_heap,
-            engine=spec.placement_engine,
             cost_model=resolve_cost_model(spec.cost_model, config, trace),
         ).place()
 
@@ -503,7 +498,6 @@ def _run_place(spec: JobSpec, bag: dict | None):
         trace,
         config,
         spec.place_heap,
-        spec.placement_engine,
         store_stages.profile_params({}),
         compute,
         cost_model=spec.cost_model,
@@ -523,7 +517,6 @@ def _load_placement_for(spec: JobSpec, bag: dict | None):
                     input_name=spec.train_input,
                     cache=spec.cache,
                     place_heap=spec.place_heap,
-                    placement_engine=spec.placement_engine,
                     cost_model=spec.cost_model,
                 )
             )
@@ -538,7 +531,6 @@ def _load_placement_for(spec: JobSpec, bag: dict | None):
             spec.train_input,
             _config(spec),
             spec.place_heap,
-            spec.placement_engine,
             cost_model=spec.cost_model,
         )
         if placement is not None:
@@ -554,7 +546,6 @@ def _load_placement_for(spec: JobSpec, bag: dict | None):
         _config(spec),
         place_heap=spec.place_heap,
         trace=cached_trace(spec.workload, spec.train_input),
-        placement_engine=spec.placement_engine,
         cost_model=spec.cost_model,
     )
     return placement

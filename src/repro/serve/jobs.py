@@ -406,7 +406,7 @@ def _run_placement(record: JobRecord, store: ArtifactStore) -> dict:
             "placement": placement_to_dict(result.final_placement),
         }
     pair = store_stages.try_load_placement_pair(
-        store, workload, input_name, config, place_heap, "array"
+        store, workload, input_name, config, place_heap
     )
     if pair is not None:
         record.meta["warm"] = True

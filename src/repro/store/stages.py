@@ -107,7 +107,6 @@ def _placement_fields(
     fingerprint: str,
     config: CacheConfig | None,
     place_heap: bool,
-    engine: str,
     params: dict,
     cost_model: str = "direct",
 ) -> dict:
@@ -115,7 +114,6 @@ def _placement_fields(
         "trace": fingerprint,
         "cache": config_fields(config),
         "place_heap": bool(place_heap),
-        "engine": engine,
         "params": params,
     }
     # Only non-default cost models enter the key, so every placement
@@ -224,14 +222,13 @@ def cached_placement(
     trace,
     config: CacheConfig | None,
     place_heap: bool,
-    engine: str,
     params: dict,
     compute: Callable,
     cost_model: str = "direct",
 ):
     """Placement stage: the CCDP map for one (trace, geometry, placer)."""
     fields = _placement_fields(
-        trace_fingerprint(trace), config, place_heap, engine, params, cost_model
+        trace_fingerprint(trace), config, place_heap, params, cost_model
     )
     return store.get_or_compute(
         KIND_PLACEMENT,
@@ -342,7 +339,6 @@ def try_load_placement_pair(
     train_input: str,
     config: CacheConfig | None,
     place_heap: bool,
-    engine: str,
     profiler_kwargs: dict | None = None,
     cost_model: str = "direct",
 ):
@@ -362,9 +358,7 @@ def try_load_placement_pair(
     placement = _load(
         store,
         KIND_PLACEMENT,
-        _placement_fields(
-            fingerprint, config, place_heap, engine, params, cost_model
-        ),
+        _placement_fields(fingerprint, config, place_heap, params, cost_model),
         placement_from_dict,
     )
     if placement is None:
@@ -378,7 +372,6 @@ def try_load_placement(
     train_input: str,
     config: CacheConfig | None,
     place_heap: bool,
-    engine: str,
     profiler_kwargs: dict | None = None,
     cost_model: str = "direct",
 ):
@@ -396,9 +389,7 @@ def try_load_placement(
     return _load(
         store,
         KIND_PLACEMENT,
-        _placement_fields(
-            fingerprint, config, place_heap, engine, params, cost_model
-        ),
+        _placement_fields(fingerprint, config, place_heap, params, cost_model),
         placement_from_dict,
     )
 
@@ -431,7 +422,7 @@ def checkpoint_coverage(
     test_input: str | None = None,
     config: CacheConfig | None = None,
     place_heap: bool | None = None,
-    engine: str = "array",
+    cost_model: str = "direct",
     profiler_kwargs: dict | None = None,
     classify: bool = False,
     track_pages: bool = False,
@@ -443,7 +434,8 @@ def checkpoint_coverage(
     report: a failed shard with its profile and placement checkpointed
     resumes at simulation, not at re-profiling.  The CCDP measurement is
     keyed by the placement's content digest, so it is only probed when
-    the placement entry itself is present.
+    the placement entry itself is present.  ``cost_model`` is the
+    placer's conflict-cost model, part of the placement key.
 
     The walk runs under :meth:`ArtifactStore.probing` and never commits:
     diagnostic reads must not disturb the run's hit/miss accounting.
@@ -456,7 +448,7 @@ def checkpoint_coverage(
             test_input,
             config,
             place_heap,
-            engine,
+            cost_model,
             profiler_kwargs,
             classify,
             track_pages,
@@ -470,7 +462,7 @@ def _checkpoint_coverage(
     test_input: str | None,
     config: CacheConfig | None,
     place_heap: bool | None,
-    engine: str,
+    cost_model: str,
     profiler_kwargs: dict | None,
     classify: bool,
     track_pages: bool,
@@ -503,7 +495,7 @@ def _checkpoint_coverage(
     placement = _load(
         store,
         KIND_PLACEMENT,
-        _placement_fields(train_print, config, resolved_heap, engine, params),
+        _placement_fields(train_print, config, resolved_heap, params, cost_model),
         placement_from_dict,
     )
     coverage["placement"] = placement is not None
@@ -548,7 +540,6 @@ def try_load_experiment(
     classify: bool,
     track_pages: bool,
     place_heap: bool | None = None,
-    placement_engine: str = "array",
     cost_model: str = "direct",
 ):
     """Reassemble a full ExperimentResult from the store, or None.
@@ -567,7 +558,6 @@ def try_load_experiment(
         train_input,
         config,
         resolved_heap,
-        placement_engine,
         cost_model=cost_model,
     )
     if pair is None:

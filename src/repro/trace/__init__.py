@@ -12,7 +12,6 @@ from .events import (
 )
 from .buffer import (
     DEFAULT_CHUNK_EVENTS,
-    TraceBuffer,
     TraceRecorder,
     record_trace,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "SizeBucketRow",
     "STACK_OBJECT_ID",
     "StatsSink",
-    "TraceBuffer",
     "TraceError",
     "TraceRecorder",
     "TraceSink",

@@ -1,35 +1,29 @@
-"""Structure-of-arrays trace buffers: the batched-engine substrate.
+"""Structure-of-arrays trace recording: the batched pipeline's substrate.
 
-The scalar pipeline hands every memory reference to a sink as one Python
-method call, and every simulator processes it as one Python-level cache
-lookup.  That per-event shape is the interpreter-bound hot path of every
-experiment.  This module restructures the data flow: accesses are sunk
-into flat *columns* (``array`` module buffers exposed as numpy arrays)
-instead of per-event objects, and consumers drain whole chunks at a time
-into vectorized kernels (:mod:`repro.cache.batch`).
+Handing every memory reference to a sink as one Python method call, and
+to a simulator as one Python-level cache lookup, is the interpreter-bound
+hot path of a per-event pipeline.  This module restructures the data
+flow: accesses are sunk into flat *columns* (``array`` module buffers
+exposed as numpy arrays) instead of per-event objects, and consumers
+take whole chunks at a time into vectorized kernels
+(:mod:`repro.cache.batch`, :mod:`repro.profiling.batch`).
 
-Two producers are provided:
+:class:`TraceRecorder` is a :class:`~repro.trace.sinks.TraceSink` that
+materializes one workload run as *unresolved* access columns
+``(obj_id, offset, size, category, is_store)`` plus the interleaved
+object-lifetime events.  Because object ids are run-unique (never
+reused), a recorded trace can be re-simulated under any placement
+policy without re-running the workload: lifetime events are replayed
+through a resolver once, and addresses are then computed in vectorized
+chunk-wise gathers (:meth:`TraceRecorder.iter_resolved` /
+:meth:`TraceRecorder.resolve`).
 
-* :class:`TraceBuffer` — a bounded staging buffer of *resolved* accesses
-  ``(address, size, obj_id, category, is_store)`` with a chunked
-  :meth:`TraceBuffer.drain` API.  Streaming consumers (the batched replay
-  sink) append events and periodically drain full chunks into a kernel.
-* :class:`TraceRecorder` — a :class:`~repro.trace.sinks.TraceSink` that
-  materializes one workload run as *unresolved* access columns
-  ``(obj_id, offset, size, category, is_store)`` plus the interleaved
-  object-lifetime events.  Because object ids are run-unique (never
-  reused), a recorded trace can be re-simulated under any placement
-  policy without re-running the workload: lifetime events are replayed
-  through a resolver once, and addresses are then computed in vectorized
-  chunk-wise gathers (:meth:`TraceRecorder.iter_resolved` /
-  :meth:`TraceRecorder.resolve`).
-
-Both producers take a pluggable storage backend
-(:mod:`repro.trace.plane`): ``heap`` keeps the seed's in-process layout;
-``shm`` and ``mmap`` spill staged chunks to disk while recording and
-seal the finished columns into an attachable shared-memory segment or
-file-backed memory map, so a trace never has to fit in RAM and workers
-can consume it zero-copy via a :class:`~repro.trace.plane.TraceHandle`.
+The recorder takes a pluggable storage backend (:mod:`repro.trace.plane`):
+``heap`` keeps the columns in-process; ``shm`` and ``mmap`` spill staged
+chunks to disk while recording and seal the finished columns into an
+attachable shared-memory segment or file-backed memory map, so a trace
+never has to fit in RAM and workers can consume it zero-copy via a
+:class:`~repro.trace.plane.TraceHandle`.
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ from .plane import TraceHandle
 from .sinks import TraceError, TraceSink
 from .stats import WorkloadStats
 
-#: Default number of events per drained chunk (events, not bytes).
+#: Default number of events per consumed chunk (events, not bytes).
 DEFAULT_CHUNK_EVENTS = 1 << 16
 
 #: ``Category`` members indexed by value, for int -> enum conversion.
@@ -61,155 +55,40 @@ _OP_FREE = 2
 _OP_STACK_DEPTH = 3
 _OP_COMPUTE = 4
 
+#: Access position no trace reaches: the open end of a live interval.
+_NEVER = np.iinfo(np.int64).max
 
-class TraceBuffer:
-    """Flat structure-of-arrays buffer of resolved memory accesses.
 
-    Columns are C-backed ``array`` buffers while filling (append is a
-    single C call) and are exposed as numpy arrays when drained, so the
-    per-event cost is five appends and the per-chunk cost is zero-copy
-    ``frombuffer`` views.
+class ResolvedBases:
+    """Each object id's placed base address and live interval.
 
-    With ``spill_chunk_events`` set, full staging chunks are written to
-    a spill file (:class:`~repro.trace.plane.SpillWriter`) as they fill,
-    so the buffer's RAM stays bounded at one chunk no matter how many
-    events are appended before the next :meth:`drain`; the drain then
-    streams the spilled chunks back before the in-memory remainder.
+    Built by :meth:`TraceRecorder.resolve_bases` from one replay of the
+    lifetime ops.  An op recorded at position ``p`` fires before access
+    ``p``, so object ``i`` is live at the access positions
+    ``born[i] <= p < died[i]``; an id no op declared is never live.
+    :meth:`check` is where every batched consumer rejects an access
+    outside its object's lifetime, as the per-event replay sinks do.
     """
 
-    def __init__(
-        self,
-        spill_chunk_events: int | None = None,
-        spill_dir: str | os.PathLike | None = None,
-    ) -> None:
-        self._addr = array("q")
-        self._size = array("i")
-        self._obj = array("i")
-        self._cat = array("b")
-        self._store = array("b")
-        # Bound methods, so the hot append path skips attribute lookups.
-        self.append_addr = self._addr.append
-        self.append_size = self._size.append
-        self.append_obj = self._obj.append
-        self.append_cat = self._cat.append
-        self.append_store = self._store.append
-        self._spill_chunk_events = spill_chunk_events
-        self._spill_dir = spill_dir
-        self._spill: plane.SpillWriter | None = None
-        self._spilled = 0
+    def __init__(self, bases: np.ndarray, born: np.ndarray, died: np.ndarray):
+        self.bases = bases
+        self.born = born
+        self.died = died
 
-    def append(
-        self, addr: int, size: int, obj_id: int, category: int, is_store: bool
-    ) -> None:
-        """Append one resolved access to the columns."""
-        self._addr.append(addr)
-        self._size.append(size)
-        self._obj.append(obj_id)
-        self._cat.append(category)
-        self._store.append(is_store)
-        if (
-            self._spill_chunk_events is not None
-            and len(self._addr) >= self._spill_chunk_events
-        ):
-            self.spill()
-
-    def __len__(self) -> int:
-        return self._spilled + len(self._addr)
-
-    def _staging_columns(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if not self._addr:
-            return tuple(np.empty(0, d) for d in plane.BUFFER_COLUMN_DTYPES)
-        return (
-            np.frombuffer(self._addr, dtype=np.int64),
-            np.frombuffer(self._size, dtype=np.int32),
-            np.frombuffer(self._obj, dtype=np.int32),
-            np.frombuffer(self._cat, dtype=np.int8),
-            np.frombuffer(self._store, dtype=np.int8),
-        )
-
-    def columns(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Zero-copy numpy views of the five columns (addr, size, obj, cat, store).
-
-        Only the in-memory staging is viewable; once events have spilled
-        to disk the full stream exists only chunk-wise, via :meth:`drain`.
-        """
-        if self._spilled:
-            raise TraceError(
-                "columns() is unavailable after a spill; "
-                "drain() streams the full event sequence"
-            )
-        return self._staging_columns()
-
-    def spill(self) -> None:
-        """Flush the staged events to the spill file (no-op when empty)."""
-        if not self._addr:
+    def check(self, start: int, obj: np.ndarray) -> None:
+        """Raise :class:`TraceError` unless accesses ``start..`` hit live objects."""
+        if not len(obj):
             return
-        if self._spill is None:
-            root = (
-                os.fspath(self._spill_dir)
-                if self._spill_dir
-                else tempfile.gettempdir()
+        in_range = (obj >= 0) & (obj < len(self.bases))
+        ids = obj if in_range.all() else np.where(in_range, obj, STACK_OBJECT_ID)
+        position = np.arange(start, start + len(obj))
+        dead = ~in_range | (position < self.born[ids]) | (position >= self.died[ids])
+        if dead.any():
+            bad = int(obj[np.argmax(dead)])
+            raise TraceError(
+                f"corrupt trace: access to unknown object id {bad} "
+                "(never declared or allocated)"
             )
-            path = os.path.join(root, plane.storage_name("buffer") + ".spill")
-            self._spill = plane.SpillWriter(path, dtypes=plane.BUFFER_COLUMN_DTYPES)
-        staged = self._staging_columns()
-        self._spilled += self._spill.write_chunk(staged)
-        del staged
-        self._clear_staging()
-
-    def _clear_staging(self) -> None:
-        del self._addr[:]
-        del self._size[:]
-        del self._obj[:]
-        del self._cat[:]
-        del self._store[:]
-
-    def clear(self) -> None:
-        """Drop all buffered events, spilled ones included."""
-        self._clear_staging()
-        self._spilled = 0
-        if self._spill is not None:
-            self._spill.unlink()
-            self._spill = None
-
-    def drain(
-        self, chunk_events: int = DEFAULT_CHUNK_EVENTS
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield column chunks of at most ``chunk_events`` events, then clear.
-
-        Spilled chunks stream back from disk first (in append order),
-        then the in-memory staging is chunked.  The yielded arrays are
-        copies, so the buffer can be refilled while a consumer holds
-        earlier chunks.  A spill file that ends mid-chunk raises
-        :class:`~repro.trace.events.TraceError`.
-        """
-        if self._spill is not None and self._spilled:
-            self._spill.close()
-            for chunk in plane.iter_spill_chunks(
-                self._spill.path, dtypes=plane.BUFFER_COLUMN_DTYPES
-            ):
-                for start in range(0, len(chunk[0]), chunk_events):
-                    end = start + chunk_events
-                    yield tuple(column[start:end].copy() for column in chunk)
-        addr, size, obj, cat, store = self._staging_columns()
-        total = len(addr)
-        for start in range(0, total, chunk_events):
-            end = min(start + chunk_events, total)
-            yield (
-                addr[start:end].copy(),
-                size[start:end].copy(),
-                obj[start:end].copy(),
-                cat[start:end].copy(),
-                store[start:end].copy(),
-            )
-        # Release the zero-copy views before clearing: an ``array`` with
-        # exported buffers refuses to resize.
-        del addr, size, obj, cat, store
-        self.clear()
 
 
 class TraceRecorder(TraceSink):
@@ -630,12 +509,12 @@ class TraceRecorder(TraceSink):
         if position < total or total == 0:
             yield (position, total, [])
 
-    def _resolve_bases(self, resolver) -> tuple[np.ndarray, np.ndarray]:
-        """Replay lifetime ops through ``resolver``; returns (bases, declared).
+    def resolve_bases(self, resolver) -> ResolvedBases:
+        """Replay lifetime ops through ``resolver`` once; see :class:`ResolvedBases`.
 
         The arrays are sized by the largest *declared* object id, so no
         full column scan is needed — out-of-range ids in the access
-        stream are caught per chunk by :meth:`iter_resolved`.
+        stream are caught per chunk by :meth:`ResolvedBases.check`.
         """
         max_obj = STACK_OBJECT_ID
         for _position, kind, payload in self.lifetime_ops:
@@ -644,23 +523,28 @@ class TraceRecorder(TraceSink):
             elif kind == _OP_ALLOC:
                 max_obj = max(max_obj, payload[0].obj_id)
         bases = np.zeros(max_obj + 1, dtype=np.int64)
-        declared = np.zeros(max_obj + 1, dtype=bool)
-        declared[STACK_OBJECT_ID] = True
+        born = np.full(max_obj + 1, _NEVER, dtype=np.int64)
+        died = np.full(max_obj + 1, _NEVER, dtype=np.int64)
         base_of = resolver.base_of
         bases[STACK_OBJECT_ID] = base_of[STACK_OBJECT_ID]
-        for _position, kind, payload in self.lifetime_ops:
+        born[STACK_OBJECT_ID] = 0
+        for position, kind, payload in self.lifetime_ops:
             if kind == _OP_OBJECT:
                 resolver.on_object(payload)
                 bases[payload.obj_id] = base_of[payload.obj_id]
-                declared[payload.obj_id] = True
+                born[payload.obj_id] = position
             elif kind == _OP_ALLOC:
                 info, return_addresses = payload
                 resolver.on_alloc(info, return_addresses)
                 bases[info.obj_id] = base_of[info.obj_id]
-                declared[info.obj_id] = True
+                born[info.obj_id] = position
             elif kind == _OP_FREE:
                 resolver.on_free(payload)
-        return bases, declared
+                # Only a free of a live object ends a life, as in the
+                # resolver; a stray or repeated free changes nothing.
+                if 0 <= payload <= max_obj and born[payload] <= position < died[payload]:
+                    died[payload] = position
+        return ResolvedBases(bases, born, died)
 
     def iter_resolved(
         self, resolver, chunk_events: int = DEFAULT_CHUNK_EVENTS
@@ -674,35 +558,22 @@ class TraceRecorder(TraceSink):
         :meth:`advise_done` to also drop the consumed column pages).
 
         Raises :class:`~repro.trace.sinks.TraceError` when the recording
-        is truncated (no ``on_end`` marker) or a chunk references an
-        object id no lifetime op ever declared.
+        is truncated (no ``on_end`` marker) or an access touches an
+        object outside its lifetime: never declared, not yet allocated,
+        or already freed.
         """
         if not self.ended:
             raise TraceError(
                 "truncated trace: recording ended without its on_end marker"
             )
         obj, offset, _size, _cat, _store = self.columns()
-        bases, declared = self._resolve_bases(resolver)
-        max_obj = len(declared) - 1
+        resolved = self.resolve_bases(resolver)
         total = len(obj)
         for start in range(0, total, chunk_events):
             end = min(start + chunk_events, total)
             obj_chunk = np.asarray(obj[start:end])
-            out_of_range = obj_chunk > max_obj
-            if out_of_range.any():
-                bad = int(obj_chunk[np.argmax(out_of_range)])
-                raise TraceError(
-                    f"corrupt trace: access to unknown object id {bad} "
-                    "(never declared or allocated)"
-                )
-            known = declared[obj_chunk]
-            if not known.all():
-                bad = int(obj_chunk[np.argmin(known)])
-                raise TraceError(
-                    f"corrupt trace: access to unknown object id {bad} "
-                    "(never declared or allocated)"
-                )
-            yield start, end, bases[obj_chunk] + np.asarray(offset[start:end])
+            resolved.check(start, obj_chunk)
+            yield start, end, resolved.bases[obj_chunk] + np.asarray(offset[start:end])
 
     def resolve(self, resolver) -> np.ndarray:
         """Replay lifetime ops through ``resolver`` and resolve all addresses.

@@ -49,9 +49,6 @@ from .events import TraceError
 #: The recorder's access-column dtypes: (obj, offset, size, cat, store).
 TRACE_COLUMN_DTYPES = (np.int32, np.int64, np.int32, np.int8, np.int8)
 
-#: The resolved-access buffer's dtypes: (addr, size, obj, cat, store).
-BUFFER_COLUMN_DTYPES = (np.int64, np.int32, np.int32, np.int8, np.int8)
-
 #: Bytes per event in the recorder's column layout.
 BYTES_PER_EVENT = sum(np.dtype(d).itemsize for d in TRACE_COLUMN_DTYPES)
 

@@ -1,0 +1,124 @@
+"""Per-event reference pipelines: the oracles the parity suites check against.
+
+The product measures and places through the vectorized kernels only:
+:func:`repro.runtime.driver.measure` records a trace and simulates it
+with :class:`~repro.cache.batch.BatchCacheSimulator`, profiles come from
+:func:`~repro.profiling.batch.profile_trace`, and
+:class:`~repro.core.algorithm.CCDPPlacer` runs its conflict scans on the
+:class:`~repro.core.placement_engine.ArrayPlacementEngine`.  This module
+keeps the per-event twins those kernels must equal bit for bit:
+
+* :func:`scalar_measure` — the live run through :class:`ReplaySink` into
+  the per-event :class:`CacheSimulator` (and :class:`PageTracker`);
+* :func:`scalar_profile` — the live run through :class:`ProfilerSink`;
+* :class:`ScalarPlacer` — a :class:`CCDPPlacer` whose Phase 2 and
+  Phase 6 run on :class:`CacheImage`, :func:`conflict_cost_scan` and
+  :class:`CompoundMerger`.
+
+pytest does not collect this module (no ``test_`` prefix); tests import
+it as ``tests.oracles``.
+"""
+
+from __future__ import annotations
+
+from repro.analysis.paging import PageTracker, PagingSummary
+from repro.cache.config import CacheConfig
+from repro.cache.simulator import CacheSimulator
+from repro.core.algorithm import CCDPPlacer
+from repro.core.cache_struct import (
+    CacheImage,
+    active_chunks_by_entity,
+    build_adjacency,
+    conflict_cost_scan,
+)
+from repro.core.compound import CompoundMerger, CompoundNode
+from repro.memory.layout import TEXT_BASE
+from repro.memory.static_layout import layout_sequential
+from repro.profiling.profile_data import STACK_ENTITY_ID, Profile
+from repro.profiling.profiler import ProfilerSink
+from repro.runtime.driver import MeasureResult
+from repro.runtime.replay import ReplaySink
+from repro.trace.events import Category
+
+
+def scalar_measure(
+    workload,
+    input_name: str,
+    resolver,
+    config: CacheConfig | None = None,
+    classify: bool = False,
+    track_pages: bool = False,
+) -> MeasureResult:
+    """Simulate one live run event by event: the reference ``measure``."""
+    cache = CacheSimulator(config, classify=classify)
+    pages = PageTracker() if track_pages else None
+    workload.run(ReplaySink(resolver, cache, pages), input_name)
+    paging = PagingSummary.from_tracker(pages) if pages else None
+    return MeasureResult(cache=cache.stats, paging=paging)
+
+
+def scalar_profile(workload, input_name: str, **profiler_kwargs) -> Profile:
+    """Profile one live run event by event: the reference profiler."""
+    sink = ProfilerSink(**profiler_kwargs)
+    workload.run(sink, input_name)
+    return sink.profile
+
+
+class ScalarPlacer(CCDPPlacer):
+    """The placer with the dict-based Figure 2 scans in Phases 2 and 6.
+
+    Prices only the classic direct-mapped conflict cost, so a
+    non-trivial cost model is rejected.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.cost_model is not None and not self.cost_model.is_trivial:
+            raise ValueError("the reference placer prices only the direct cost")
+
+    def _place_stack_and_constants(self) -> int:
+        profile = self.profile
+        config = self.config
+        active = active_chunks_by_entity(profile)
+        self._active_chunks = active
+        self._adjacency = build_adjacency(profile)
+
+        image = CacheImage(config, profile.chunk_size)
+        constants = profile.entities_of(Category.CONST)
+        addresses = layout_sequential(
+            [(e.key, e.size) for e in sorted(constants, key=lambda e: e.decl_index)],
+            TEXT_BASE,
+        )
+        for entity in constants:
+            image.add_entity(
+                entity.eid,
+                entity.size,
+                addresses[entity.key] % config.size,
+                active.get(entity.eid, (0,)),
+            )
+
+        stack = profile.entities[STACK_ENTITY_ID]
+        stack_chunks = active.get(stack.eid, (0,))
+        moving = CacheImage(config, profile.chunk_size)
+        moving.add_entity(stack.eid, max(stack.size, 1), 0, stack_chunks)
+        start_line, _cost = conflict_cost_scan(
+            image.pairs, moving.pairs, self._adjacency, config.num_sets
+        )
+        stack_offset = start_line * config.line_size
+        image.add_entity(stack.eid, max(stack.size, 1), stack_offset, stack_chunks)
+        self._stack_const = image
+        return stack_offset
+
+    def _make_merger(self, nodes: dict[int, CompoundNode]) -> CompoundMerger:
+        self._merger = CompoundMerger(
+            self.config,
+            self.profile.chunk_size,
+            self._stack_const,
+            self._adjacency,
+            self._entity_sizes(),
+            self._active_chunks,
+        )
+        return self._merger
+
+    def _conflict_scans(self) -> int:
+        return 1 + self._merger.scan_count

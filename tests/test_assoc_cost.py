@@ -271,18 +271,6 @@ class TestPlacerIntegration:
         # still produce a structurally valid placement either way.
         assert set(gated.global_offsets) == set(baseline.global_offsets)
 
-    def test_scalar_engine_rejects_nontrivial_model(self):
-        workload = aliased_hot_set()
-        config = config_for(2)
-        profile = profile_workload(workload, workload.train_input, config)
-        with pytest.raises(ValueError, match="array placement engine"):
-            CCDPPlacer(
-                profile,
-                cache_config=config,
-                engine="scalar",
-                cost_model=ConflictCostModel(ways=2),
-            )
-
 
 class TestTwoLevelPenalties:
     def test_penalties_price_every_entity_at_least_l2(self):

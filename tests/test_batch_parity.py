@@ -1,14 +1,15 @@
-"""Batched-engine parity: vectorized kernels == scalar simulator, exactly.
+"""Batched parity: vectorized kernels == the per-event oracles, exactly.
 
-The batched engine (:mod:`repro.cache.batch`, :mod:`repro.profiling.batch`,
+The batched pipeline (:mod:`repro.cache.batch`, :mod:`repro.profiling.batch`,
 :func:`repro.runtime.driver.measure_trace`) is only admissible because it
-is *bit-identical* to the scalar pipeline — every paper table must be
-reproducible on either engine.  These tests pin that contract on real
-workloads (deltablue, espresso), a synthetic workload with heap churn,
-and four cache geometries: the paper's 8K/32B direct-mapped cache, a
-larger direct-mapped geometry, and 2- and 4-way set-associative
-geometries that run the stack-distance kernel inside
-:class:`BatchCacheSimulator`, with and without three-Cs classification.
+is *bit-identical* to the per-event reference pipeline kept in
+:mod:`tests.oracles`.  These tests pin that contract on real workloads
+(deltablue, espresso), a synthetic workload with heap churn, and five
+cache geometries: the paper's 8K/32B direct-mapped cache, a larger
+direct-mapped geometry, and 2-, 4- and 8-way set-associative geometries
+that run the stack-distance kernel inside :class:`BatchCacheSimulator`,
+with and without three-Cs classification, on recorded traces and on
+live runs through :func:`repro.runtime.driver.measure`.
 """
 
 from __future__ import annotations
@@ -16,24 +17,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cache import batch as batch_module
 from repro.cache.batch import BatchCacheSimulator
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import CacheSimulator
 from repro.profiling.batch import profile_trace
-from repro.profiling.profiler import ProfilerSink
 from repro.runtime.driver import build_placement, measure, measure_trace
 from repro.runtime.resolvers import CCDPResolver, NaturalResolver, RandomResolver
 from repro.trace.buffer import record_trace
 from repro.trace.events import Category
 from repro.workloads import make_workload
 from repro.workloads.synthetic import SyntheticSpec, SyntheticWorkload
+from tests.oracles import scalar_measure, scalar_profile
 
 GEOMETRIES = [
     pytest.param(CacheConfig(size=8192, line_size=32, associativity=1), id="8k-32B-direct"),
     pytest.param(CacheConfig(size=16384, line_size=64, associativity=1), id="16k-64B-direct"),
     pytest.param(CacheConfig(size=8192, line_size=32, associativity=2), id="8k-32B-2way"),
     pytest.param(CacheConfig(size=8192, line_size=32, associativity=4), id="8k-32B-4way"),
+    pytest.param(CacheConfig(size=8192, line_size=32, associativity=8), id="8k-32B-8way"),
 ]
 
 
@@ -69,12 +70,8 @@ def test_measure_trace_matches_scalar_measure(name, config):
     input_name = workload.train_input
     trace = record_trace(workload_under_test(name), input_name)
     batched = measure_trace(trace, NaturalResolver(), config)
-    scalar = measure(
-        workload_under_test(name),
-        input_name,
-        NaturalResolver(),
-        config,
-        engine="scalar",
+    scalar = scalar_measure(
+        workload_under_test(name), input_name, NaturalResolver(), config
     )
     assert batched.cache == scalar.cache
     assert batched.cache.accesses > 0
@@ -89,13 +86,12 @@ def test_classified_measure_matches_scalar(name, config):
     input_name = workload.train_input
     trace = record_trace(workload_under_test(name), input_name)
     batched = measure_trace(trace, RandomResolver(seed=7), config, classify=True)
-    scalar = measure(
+    scalar = scalar_measure(
         workload_under_test(name),
         input_name,
         RandomResolver(seed=7),
         config,
         classify=True,
-        engine="scalar",
     )
     assert batched.cache == scalar.cache
     assert batched.cache.compulsory > 0
@@ -104,35 +100,45 @@ def test_classified_measure_matches_scalar(name, config):
 @pytest.mark.parametrize("config", GEOMETRIES)
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_streaming_batch_sink_matches_scalar(name, config):
-    """The streaming batched engine (live run) == scalar measurement."""
+    """``measure`` on a live workload == scalar per-event measurement."""
     batched = measure(
         workload_under_test(name),
         workload_under_test(name).train_input,
         RandomResolver(seed=99),
         config,
     )
-    scalar = measure(
+    scalar = scalar_measure(
         workload_under_test(name),
         workload_under_test(name).train_input,
         RandomResolver(seed=99),
         config,
-        engine="scalar",
     )
     assert batched.cache == scalar.cache
 
 
+@pytest.mark.parametrize("config", GEOMETRIES)
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_parity_mode_asserts_clean(name):
-    """The kernel's built-in shadow-simulator parity harness passes."""
+def test_live_classified_measure_matches_scalar(name, config):
+    """Live ``measure`` with the three-Cs split, pages too == the oracle."""
     workload = workload_under_test(name)
-    trace = record_trace(workload, workload.train_input)
-    result = measure_trace(
-        trace,
+    batched = measure(
+        workload,
+        workload.train_input,
         NaturalResolver(),
-        CacheConfig(size=8192, line_size=32, associativity=1),
-        parity=True,
+        config,
+        classify=True,
+        track_pages=True,
     )
-    assert result.cache.accesses == trace.events or result.cache.accesses > 0
+    scalar = scalar_measure(
+        workload_under_test(name),
+        workload.train_input,
+        NaturalResolver(),
+        config,
+        classify=True,
+        track_pages=True,
+    )
+    assert batched.cache == scalar.cache
+    assert batched.paging == scalar.paging
 
 
 @pytest.mark.parametrize("config", GEOMETRIES)
@@ -144,12 +150,11 @@ def test_parity_under_ccdp_placement(config):
         workload_under_test("deltablue"), workload.train_input, config
     )
     batched = measure_trace(trace, CCDPResolver(placement), config)
-    scalar = measure(
+    scalar = scalar_measure(
         workload_under_test("deltablue"),
         workload.train_input,
         CCDPResolver(placement),
         config,
-        engine="scalar",
     )
     assert batched.cache == scalar.cache
 
@@ -161,10 +166,7 @@ def test_batched_profile_equals_scalar_profile(name):
     input_name = workload.train_input
     trace = record_trace(workload, input_name)
     batched = profile_trace(trace)
-
-    sink = ProfilerSink()
-    workload_under_test(name).run(sink, input_name)
-    scalar = sink.profile
+    scalar = scalar_profile(workload_under_test(name), input_name)
 
     # TRG edges: same weights AND same insertion order (downstream
     # tie-breaking iterates the dict).
@@ -188,15 +190,15 @@ def test_batched_profile_equals_scalar_profile(name):
 
 @pytest.mark.parametrize("classify", [False, True])
 def test_every_geometry_is_vectorized(classify, monkeypatch):
-    """No geometry falls back: only parity mode builds a scalar simulator."""
+    """No geometry falls back: the batched simulator builds no scalar one."""
     built = []
+    scalar_init = CacheSimulator.__init__
 
-    class CountingSimulator(CacheSimulator):
-        def __init__(self, *args, **kwargs):
-            built.append(args)
-            super().__init__(*args, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        scalar_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(batch_module, "CacheSimulator", CountingSimulator)
+    monkeypatch.setattr(CacheSimulator, "__init__", counting_init)
     addr = np.arange(0, 40 * 1024, 96, dtype=np.int64)
     ones = np.ones(len(addr), dtype=np.int64)
     for ways in (1, 2, 4, 8):
@@ -206,8 +208,6 @@ def test_every_geometry_is_vectorized(classify, monkeypatch):
         engine.consume(addr, ones * 40, ones, ones, ones)
         assert engine.stats.accesses == 2 * len(addr)
     assert built == []
-    BatchCacheSimulator(config, classify=classify, parity=True)
-    assert len(built) == 1
 
 
 def test_zero_size_reference_counts_no_access():
@@ -237,22 +237,6 @@ def test_zero_size_reference_counts_no_access():
         )
         assert engine.stats == scalar.stats
         assert engine.stats.accesses == accesses
-
-
-def test_parity_mode_catches_divergence():
-    """A corrupted kernel state must trip the parity assertion."""
-    engine = BatchCacheSimulator(
-        CacheConfig(size=8192, line_size=32, associativity=1), parity=True
-    )
-    addr = np.arange(0, 64 * 32, 32, dtype=np.int64)
-    ones = np.ones(len(addr), dtype=np.int64)
-    zeros = np.zeros(len(addr), dtype=np.int64)
-    engine.consume(addr, ones * 4, zeros, zeros, zeros)
-    engine.assert_parity()  # clean so far
-    engine._kernel.misses += 1  # corrupt
-    engine._stats = None  # drop the memoized stats snapshot
-    with pytest.raises(AssertionError):
-        engine.assert_parity()
 
 
 def test_direct_mapped_scalar_fast_path_matches_lru_path():

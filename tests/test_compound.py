@@ -121,12 +121,12 @@ class TestMerge:
         assert merger._initial_scan_point(node) == 6  # (64+128)/32
 
 
-def build_merger(kind, node_offsets, trg=None, sizes=None, fixed=None):
-    """Build equivalent mergers under either placement engine.
+def build_merger(merger_class, node_offsets, trg=None, sizes=None, fixed=None):
+    """Build equivalent mergers of either class over the same state.
 
     Args:
-        kind: ``"scalar"`` (:class:`CompoundMerger`) or ``"array"``
-            (:class:`ArrayCompoundMerger`).
+        merger_class: :class:`CompoundMerger` (the dict-based reference)
+            or :class:`ArrayCompoundMerger` (what the placer runs).
         node_offsets: node id -> {entity id -> relative byte offset}.
         trg: ((eid, chunk), (eid, chunk)) -> weight edges.
         sizes: entity id -> placement size (node entities).
@@ -140,7 +140,7 @@ def build_merger(kind, node_offsets, trg=None, sizes=None, fixed=None):
         nid: CompoundNode(node_id=nid, offsets=dict(offs))
         for nid, offs in node_offsets.items()
     }
-    if kind == "array":
+    if merger_class is ArrayCompoundMerger:
         profile = Profile(chunk_size=256)
         every = dict(sizes)
         every.update({eid: size for eid, (_off, size) in fixed.items()})
@@ -176,32 +176,34 @@ def build_merger(kind, node_offsets, trg=None, sizes=None, fixed=None):
     return merger, nodes
 
 
-@pytest.mark.parametrize("kind", ("scalar", "array"))
+@pytest.mark.parametrize(
+    "merger_class", (CompoundMerger, ArrayCompoundMerger), ids=("scalar", "array")
+)
 class TestFigure2TieBreaking:
     """Satellite: anchor/merge start-point and strict-improvement rules."""
 
-    def test_zero_cost_anchor_stays_at_preferred_line_zero(self, kind):
+    def test_zero_cost_anchor_stays_at_preferred_line_zero(self, merger_class):
         # No edges: every start costs 0.  Strict improvement ("<", never
         # "<=") keeps the preferred start, so the node must not move.
-        merger, nodes = build_merger(kind, {0: {1: 64}})
+        merger, nodes = build_merger(merger_class, {0: {1: 64}})
         assert merger.anchor(nodes[0]) == 0
         assert nodes[0].offsets == {1: 64}
         assert nodes[0].anchored
 
-    def test_zero_cost_merge_packs_densely(self, kind):
+    def test_zero_cost_merge_packs_densely(self, merger_class):
         # Figure 2's intelligent initial start point: with no conflicts,
         # node2 lands exactly past node1's extent, not back at line 0.
-        merger, nodes = build_merger(kind, {0: {1: 0}, 1: {2: 0}})
+        merger, nodes = build_merger(merger_class, {0: {1: 0}, 1: {2: 0}})
         assert merger.merge(nodes[0], nodes[1]) == 0
         assert nodes[0].offsets == {1: 0, 2: 256}  # 8 lines x 32B
         assert not nodes[1].offsets
 
-    def test_all_equal_costs_keep_preferred_start(self, kind):
+    def test_all_equal_costs_keep_preferred_start(self, merger_class):
         # A fixed entity covering all 32 lines conflicts with entity 2
         # at every one of the 32 candidate starts.  With nothing to
         # improve on, the scan keeps the dense-packing start.
         merger, nodes = build_merger(
-            kind,
+            merger_class,
             {0: {1: 0}, 1: {2: 0}},
             trg={((2, 0), (9, chunk)): 4 for chunk in range(4)},
             fixed={9: (0, 1024)},
@@ -210,13 +212,13 @@ class TestFigure2TieBreaking:
         assert cost == 4 * 8  # every moving line conflicts at weight 4
         assert nodes[0].offsets[2] == 256
 
-    def test_first_zero_cost_start_in_scan_order_wins(self, kind):
+    def test_first_zero_cost_start_in_scan_order_wins(self, merger_class):
         # node1 occupies lines 0-7, so the scan starts at line 8.  The
         # fixed image conflicts with entity 2 on lines 8-10; the first
         # zero-cost start in scan order is line 11 and ties later in the
         # scan (12, 13, ...) must not displace it.
         merger, nodes = build_merger(
-            kind,
+            merger_class,
             {0: {1: 0}, 1: {2: 0}},
             trg={((2, 0), (9, 0)): 7},
             sizes={1: 256, 2: 32},

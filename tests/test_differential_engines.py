@@ -1,8 +1,8 @@
 """Differential fuzzing: fast engines vs their scalar reference twins.
 
 The fixed parity suites check the batched cache kernel and the array
-placement engine against their scalar baselines on the nine benchmark
-workloads.  This harness widens that net with hypothesis-generated
+placement engine against the per-event oracles (:mod:`tests.oracles`)
+on the nine benchmark workloads.  This harness widens that net with hypothesis-generated
 inputs: random access streams over random cache geometries for the
 simulators, and random :class:`~repro.workloads.synthetic.SyntheticSpec`
 workloads for the placers.  Both directions assert *bit-identical*
@@ -13,7 +13,7 @@ Set-associative streams also compare the serialized stats, whose
 per-object dicts must list objects in the scalar simulator's order.
 
 The suite is deterministic: ``derandomize=True`` derives every example
-from the test's own source, so CI runs a fixed corpus (~230 cases) with
+from the test's own source, so CI runs a fixed corpus (~210 cases) with
 no deadline flakes.
 """
 
@@ -33,6 +33,7 @@ from repro.store.artifacts import cache_stats_to_dict
 from repro.trace.buffer import record_trace
 from repro.trace.events import Category
 from repro.workloads.synthetic import SyntheticSpec, SyntheticWorkload
+from tests.oracles import ScalarPlacer, scalar_profile
 
 _FUZZ_SETTINGS = dict(
     deadline=None,
@@ -136,21 +137,6 @@ class TestSimulatorDifferential:
         if config.associativity > 1:
             assert cache_stats_to_dict(batched) == cache_stats_to_dict(scalar)
 
-    @settings(max_examples=20, **_FUZZ_SETTINGS)
-    @given(events=_events)
-    def test_parity_mode_self_checks(self, events):
-        """The built-in parity shadow agrees on fuzzed streams too."""
-        config = CacheConfig(size=1024, line_size=32, associativity=1)
-        shadowed = BatchCacheSimulator(config, parity=True)
-        addr, size, obj_id, category, is_store = (
-            np.array(column, dtype=dtype)
-            for column, dtype in zip(
-                zip(*events), (np.int64, np.int32, np.int32, np.int8, np.int8)
-            )
-        )
-        shadowed.consume(addr, size, obj_id, category, is_store)
-        shadowed.assert_parity()
-
 
 def _capped_hits_brute_force(keys, cap):
     hits = []
@@ -191,7 +177,7 @@ class TestPlacerDifferential:
     @settings(max_examples=25, **_FUZZ_SETTINGS)
     @given(spec=_specs, place_heap=st.booleans())
     def test_array_equals_scalar(self, spec, place_heap):
-        """Array conflict-scan engine == scalar merger, map for map.
+        """CCDPPlacer's array scans == the ScalarPlacer oracle, map for map.
 
         PlacementMap equality covers the global layout, segment bases,
         the heap allocation table, and the placement stats (whose timing
@@ -201,29 +187,20 @@ class TestPlacerDifferential:
         trace = record_trace(workload, workload.train_input)
         profile = profile_trace(trace)
         config = CacheConfig(size=1024, line_size=32, associativity=1)
-        placements = {}
-        for engine in ("array", "scalar"):
-            placer = CCDPPlacer(
-                profile,
-                cache_config=config,
-                place_heap=place_heap,
-                engine=engine,
-            )
-            placements[engine] = placer.place()
-        assert placements["array"] == placements["scalar"]
+        placements = [
+            placer_class(profile, cache_config=config, place_heap=place_heap).place()
+            for placer_class in (CCDPPlacer, ScalarPlacer)
+        ]
+        assert placements[0] == placements[1]
 
     @settings(max_examples=8, **_FUZZ_SETTINGS)
     @given(spec=_specs)
     def test_batched_profile_equals_scalar_profile(self, spec):
         """profile_trace over a recording == live ProfilerSink profiling."""
-        from repro.profiling.profiler import ProfilerSink
-
         workload = SyntheticWorkload(spec)
         trace = record_trace(workload, workload.train_input)
         batched = profile_trace(trace)
-        sink = ProfilerSink()
-        workload.run(sink, workload.train_input)
-        scalar = sink.profile
+        scalar = scalar_profile(workload, workload.train_input)
         assert batched.trg == scalar.trg
         assert batched.total_accesses == scalar.total_accesses
         assert set(batched.entities) == set(scalar.entities)

@@ -6,7 +6,8 @@ p]``).  It now maintains a per-node incidence set and touches only the
 absorbed node's own edges.  This suite replays the *old* loop (embedded
 here as the reference) next to the production one on a randomized
 profile with well over 100 compound nodes and asserts that the merge
-order, the conflict costs, and every final entity offset are unchanged.
+order, the conflict costs, and every final entity offset are unchanged,
+on both the array placer and the dict-based :class:`tests.oracles.ScalarPlacer`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.cache.config import CacheConfig
 from repro.core.algorithm import CCDPPlacer
 from repro.profiling.profile_data import Entity, Profile
 from repro.trace.events import Category
+from tests.oracles import ScalarPlacer
 
 CONFIG = CacheConfig(4096, 32, 1)
 NUM_GLOBALS = 140
@@ -51,22 +53,22 @@ def big_profile(seed: int = 7, num_globals: int = NUM_GLOBALS) -> Profile:
     return profile
 
 
-def run_phases_through_trgselect(profile: Profile, engine: str):
+def run_phases_through_trgselect(profile: Profile, placer_class):
     """Drive Phases 0-5 and return the Phase 6 inputs plus the placer."""
-    placer = CCDPPlacer(profile, CONFIG, place_heap=False, engine=engine)
+    placer = placer_class(profile, CONFIG, place_heap=False)
     placer._affinity = profile.entity_affinity()
     popular = placer._split_popular_unpopular(profile.popularity())
     heap_prep = placer._preprocess_heap(popular)
-    stack_const, _stack_offset = placer._place_stack_and_constants()
+    placer._place_stack_and_constants()
     nodes, node_of_entity = placer._create_compound_nodes(popular, heap_prep)
     placer._pack_small_globals(popular, nodes, node_of_entity)
     select_edges = placer._create_trgselect(node_of_entity)
-    return placer, nodes, node_of_entity, select_edges, stack_const
+    return placer, nodes, node_of_entity, select_edges
 
 
-def reference_merge_loop(placer, nodes, node_of_entity, select_edges, stack_const):
+def reference_merge_loop(placer, nodes, node_of_entity, select_edges):
     """The pre-incidence-index Phase 6 loop, verbatim, recording merges."""
-    merger = placer._make_merger(nodes, stack_const)
+    merger = placer._make_merger(nodes)
     merge_order: list[tuple[int, int, int]] = []
     heap = [
         (-weight, nid_a, nid_b)
@@ -112,23 +114,25 @@ def reference_merge_loop(placer, nodes, node_of_entity, select_edges, stack_cons
     return merge_order, merger
 
 
-@pytest.mark.parametrize("engine", ("scalar", "array"))
+@pytest.mark.parametrize(
+    "placer_class", (ScalarPlacer, CCDPPlacer), ids=("scalar", "array")
+)
 @pytest.mark.parametrize("seed", (7, 19))
-def test_incidence_coalescing_preserves_merge_order(engine, seed, monkeypatch):
+def test_incidence_coalescing_preserves_merge_order(placer_class, seed, monkeypatch):
     profile_new = big_profile(seed)
     profile_ref = big_profile(seed)
 
-    new = run_phases_through_trgselect(profile_new, engine)
-    ref = run_phases_through_trgselect(profile_ref, engine)
-    placer_new, nodes_new, node_of_new, edges_new, stack_const_new = new
+    new = run_phases_through_trgselect(profile_new, placer_class)
+    ref = run_phases_through_trgselect(profile_ref, placer_class)
+    placer_new, nodes_new, node_of_new, edges_new = new
     assert len(nodes_new) > 100  # the regression target: a big merge loop
 
     # Record the production loop's merge order by wrapping the merger.
     recorded: list[tuple[int, int, int]] = []
-    original_make = CCDPPlacer._make_merger
+    original_make = placer_class._make_merger
 
-    def recording_make(self, nodes, stack_const):
-        merger = original_make(self, nodes, stack_const)
+    def recording_make(self, nodes):
+        merger = original_make(self, nodes)
         original_merge = merger.merge
 
         def merge(node1, node2):
@@ -139,13 +143,13 @@ def test_incidence_coalescing_preserves_merge_order(engine, seed, monkeypatch):
         merger.merge = merge
         return merger
 
-    monkeypatch.setattr(CCDPPlacer, "_make_merger", recording_make)
-    placer_new._merge_loop(nodes_new, node_of_new, edges_new, stack_const_new)
-    monkeypatch.setattr(CCDPPlacer, "_make_merger", original_make)
+    monkeypatch.setattr(placer_class, "_make_merger", recording_make)
+    placer_new._merge_loop(nodes_new, node_of_new, edges_new)
+    monkeypatch.setattr(placer_class, "_make_merger", original_make)
 
-    placer_ref, nodes_ref, node_of_ref, edges_ref, stack_const_ref = ref
+    placer_ref, nodes_ref, node_of_ref, edges_ref = ref
     ref_order, _merger = reference_merge_loop(
-        placer_ref, nodes_ref, node_of_ref, edges_ref, stack_const_ref
+        placer_ref, nodes_ref, node_of_ref, edges_ref
     )
 
     assert recorded == ref_order

@@ -23,6 +23,7 @@ from repro.core.placement_map import PlacementStats
 from repro.profiling.serialize import placement_from_dict, placement_to_dict
 from repro.runtime.driver import build_placement, run_experiment
 from repro.trace.events import Category
+from tests.oracles import ScalarPlacer
 
 
 class TestTelemetry:
@@ -271,15 +272,6 @@ class TestInstrumentedPipeline:
         assert registry.find("measure.ccdp") is not None
         assert registry.find("simulate") is not None
 
-    def test_scalar_engine_reports_same_span_shape(self, toy_workload, small_cache):
-        registry = Telemetry()
-        with use(registry):
-            run_experiment(
-                toy_workload, cache_config=small_cache, engine="scalar"
-            )
-        assert registry.find("place.phase6") is not None
-        assert registry.find("simulate") is not None
-
 
 class TestRunReport:
     def test_run_report_end_to_end(self, small_cache):
@@ -370,13 +362,11 @@ class TestPlacementStatsFieldExclusion:
         assert restored.stats == placement.stats
 
     def test_engine_parity_unaffected_by_timing(self, toy_workload, small_cache):
-        """Array and scalar placements compare equal despite timing skew."""
-        results = {}
-        for engine in ("array", "scalar"):
-            _profile, placement = build_placement(
-                toy_workload, cache_config=small_cache, placement_engine=engine
-            )
-            results[engine] = placement
-        assert results["array"].stats == results["scalar"].stats
-        assert results["array"].stats.place_seconds != 0.0
-        assert results["scalar"].stats.place_seconds != 0.0
+        """Array and oracle placements compare equal despite timing skew."""
+        profile, array = build_placement(toy_workload, cache_config=small_cache)
+        scalar = ScalarPlacer(
+            profile, cache_config=small_cache, place_heap=toy_workload.place_heap
+        ).place()
+        assert array.stats == scalar.stats
+        assert array.stats.place_seconds != 0.0
+        assert scalar.stats.place_seconds != 0.0

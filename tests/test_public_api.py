@@ -67,3 +67,52 @@ def test_workload_registry_is_importable_via_top_level():
 
     workload = repro.make_workload("mgrid")
     assert workload.name == "mgrid"
+
+
+#: Parameter names of the retired engine, placement-engine and parity switches.
+ENGINE_SWITCHES = {"engine", "placement_engine", "parity"}
+
+
+def test_no_product_path_selects_an_engine():
+    """The vectorized kernels are the only product path; oracles live in tests."""
+    import dataclasses
+    import inspect
+
+    from repro.cache.batch import BatchCacheSimulator
+    from repro.core.algorithm import CCDPPlacer
+    from repro.runtime.driver import (
+        build_placement,
+        measure,
+        measure_trace,
+        run_experiment,
+    )
+    from repro.sched.jobs import JobSpec
+    from repro.store import stages
+
+    loaders = [
+        value
+        for value in vars(stages).values()
+        if inspect.isfunction(value) and value.__module__ == stages.__name__
+    ]
+    for target in (
+        CCDPPlacer,
+        BatchCacheSimulator,
+        build_placement,
+        run_experiment,
+        measure,
+        measure_trace,
+        *loaders,
+    ):
+        params = set(inspect.signature(target).parameters)
+        assert not params & ENGINE_SWITCHES, target.__qualname__
+    assert not {field.name for field in dataclasses.fields(JobSpec)} & ENGINE_SWITCHES
+
+
+def test_live_batched_replay_is_gone():
+    import repro.runtime.replay as replay
+    import repro.trace.buffer as buffer
+    from repro.cache.batch import BatchCacheSimulator
+
+    assert not hasattr(replay, "BatchReplaySink")
+    assert not hasattr(buffer, "TraceBuffer")
+    assert not hasattr(BatchCacheSimulator, "consume_buffer")

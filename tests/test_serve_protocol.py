@@ -194,6 +194,31 @@ def test_upload_fingerprint_mismatch_gets_400(daemon, toy_workload):
     assert ServeClient(port=daemon.port).ready()
 
 
+def test_use_after_free_upload_fails_the_adaptive_job_not_the_daemon(daemon):
+    """A trace that touches a freed object fails its job with TraceError.
+
+    ``repro serve`` checks an upload's fingerprint, not its object
+    lifetimes, so the corrupt stream reaches the adaptive engine.
+    """
+    from tests.test_trace_errors import use_after_free_trace
+
+    client = ServeClient(port=daemon.port)
+    client.upload_trace("uafprog", "train", use_after_free_trace())
+    record = client.run(
+        "placement",
+        workload="uafprog",
+        input="train",
+        cache=[1024, 32, 1],
+        mode="adaptive",
+        window_events=2,
+        timeout=60.0,
+    )
+    assert record["state"] == "failed"
+    assert "TraceError" in record["error"]
+    assert "access to unknown object id 9" in record["error"]
+    assert ServeClient(port=daemon.port).ready()
+
+
 def test_queue_full_answers_429(daemon):
     client = ServeClient(port=daemon.port)
     # One sleep occupies the dispatcher, two more fill the depth-2 queue;

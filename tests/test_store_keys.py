@@ -172,19 +172,6 @@ class TestStageRoundTrip:
             )
         assert store.counters.hits == hits_before  # nothing aliased
 
-    def test_placement_engine_distinguishes(self, toy_trace, small_cache):
-        fingerprint = trace_fingerprint(toy_trace)
-        params = stages.profile_params()
-        array_fields = stages._placement_fields(
-            fingerprint, small_cache, True, "array", params
-        )
-        scalar_fields = stages._placement_fields(
-            fingerprint, small_cache, True, "scalar", params
-        )
-        assert store_key(stages.KIND_PLACEMENT, array_fields) != store_key(
-            stages.KIND_PLACEMENT, scalar_fields
-        )
-
     def test_trace_content_distinguishes(self, toy_workload, small_cache):
         train = record_trace(toy_workload, toy_workload.train_input)
         test = record_trace(type(toy_workload)(), toy_workload.test_input)

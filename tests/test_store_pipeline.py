@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache.config import CacheConfig
 from repro.experiments.common import clear_cache
 from repro.profiling.serialize import placement_to_dict
 from repro.runtime.driver import run_experiment
+from repro.runtime.faults import FanoutReport, TaskFailure
 from repro.runtime.parallel import ExperimentSpec
-from repro.sched.executor import run_experiments_dag
+from repro.sched.executor import _attach_checkpoints, run_experiments_dag
 from repro.store import ArtifactStore, use_store
 from repro.workloads import make_workload
 
@@ -69,13 +71,6 @@ class TestWarmExperiment:
             workload = make_workload("compress")
             monkeypatch.setattr(type(workload), "run", boom)
             run_experiment(workload)
-
-    def test_scalar_engine_bypasses_store(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        with use_store(store):
-            run_experiment(make_workload("compress"), engine="scalar")
-        assert store.counters.hits == 0
-        assert store.counters.writes == 0
 
 
 class TestWarmFanOut:
@@ -188,3 +183,39 @@ class TestGcPins:
         assert store.release_pins() == 1
         assert foreign.exists()
         assert store.pinned_fingerprints() == {fingerprint}
+
+
+class TestCheckpointCoverage:
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self):
+        clear_cache()
+        yield
+        clear_cache()
+
+    def test_resume_report_probes_the_spec_cost_model(self, tmp_path):
+        """A failed ``assoc`` spec is probed under its own placement key."""
+        spec = ExperimentSpec(
+            "espresso",
+            same_input=True,
+            cache_config=CacheConfig(8192, 32, 2),
+            cost_model="assoc",
+        )
+        store = ArtifactStore(tmp_path / "store")
+        with use_store(store):
+            run_experiments_dag([spec])
+        report = FanoutReport(
+            total=1,
+            failures=[
+                TaskFailure(
+                    index=0, label="espresso", kind="error", attempts=1, error="x"
+                )
+            ],
+        )
+        _attach_checkpoints(report, [spec], store)
+        assert report.checkpoints["espresso"] == {
+            "train-trace": True,
+            "profile": True,
+            "placement": True,
+            "measure.original": True,
+            "measure.ccdp": True,
+        }

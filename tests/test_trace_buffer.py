@@ -1,66 +1,19 @@
-"""Unit tests for the structure-of-arrays trace buffers.
+"""Unit tests for the structure-of-arrays trace recorder.
 
-:class:`TraceBuffer` and :class:`TraceRecorder` are the substrate of the
-batched engine; these tests pin their column semantics, chunked drain,
-lifetime-op bookkeeping, and the exactness of :meth:`TraceRecorder.replay`
-and :meth:`TraceRecorder.stats` against the live-run equivalents.
+:class:`TraceRecorder` is the substrate of the batched pipeline; these
+tests pin its column semantics, lifetime-op bookkeeping, and the
+exactness of :meth:`TraceRecorder.replay` and :meth:`TraceRecorder.stats`
+against the live-run equivalents.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.trace.buffer import (
-    DEFAULT_CHUNK_EVENTS,
-    TraceBuffer,
-    record_trace,
-)
-from repro.trace.events import Category
+from repro.trace.buffer import DEFAULT_CHUNK_EVENTS, record_trace
 from repro.trace.sinks import TraceSink
 from repro.trace.stats import StatsSink
 from repro.workloads import make_workload
-
-
-class TestTraceBuffer:
-    def test_append_and_columns(self):
-        buffer = TraceBuffer()
-        buffer.append(0x1000, 4, 7, int(Category.GLOBAL), True)
-        buffer.append(0x2000, 8, 9, int(Category.HEAP), False)
-        addr, size, obj, cat, store = buffer.columns()
-        assert addr.tolist() == [0x1000, 0x2000]
-        assert size.tolist() == [4, 8]
-        assert obj.tolist() == [7, 9]
-        assert cat.tolist() == [int(Category.GLOBAL), int(Category.HEAP)]
-        assert store.tolist() == [1, 0]
-        assert len(buffer) == 2
-
-    def test_empty_columns_have_stable_dtypes(self):
-        addr, size, obj, cat, store = TraceBuffer().columns()
-        assert addr.dtype == np.int64
-        assert size.dtype == np.int32
-        assert obj.dtype == np.int32
-        assert cat.dtype == np.int8
-        assert store.dtype == np.int8
-        assert len(addr) == 0
-
-    def test_drain_chunks_and_clears(self):
-        buffer = TraceBuffer()
-        total = 10
-        for index in range(total):
-            buffer.append(index * 32, 4, index, 0, False)
-        chunks = list(buffer.drain(chunk_events=4))
-        assert [len(chunk[0]) for chunk in chunks] == [4, 4, 2]
-        recovered = np.concatenate([chunk[0] for chunk in chunks])
-        assert recovered.tolist() == [index * 32 for index in range(total)]
-        assert len(buffer) == 0
-
-    def test_drained_chunks_survive_refill(self):
-        buffer = TraceBuffer()
-        buffer.append(1, 4, 0, 0, False)
-        (chunk,) = buffer.drain()
-        buffer.append(2, 4, 0, 0, False)
-        # The drained chunk is a copy; refilling must not disturb it.
-        assert chunk[0].tolist() == [1]
 
 
 class _EventLog(TraceSink):

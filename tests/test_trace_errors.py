@@ -1,20 +1,22 @@
 """Error paths of the trace layer: truncated and corrupt streams.
 
 Every consumer of a trace — :class:`RecordingSink.replay`, the live
-:class:`ReplaySink`/:class:`BatchReplaySink`, and the columnar
-:class:`TraceRecorder` resolver — must fail loudly with a
-:class:`TraceError` naming the offending object id, rather than silently
-simulating garbage addresses.
+:class:`ReplaySink`, and the columnar :class:`TraceRecorder` resolver
+behind :func:`measure_trace` and :func:`run_adaptive` — must fail loudly
+with a :class:`TraceError` naming the offending object id, rather than
+silently simulating garbage addresses.  That includes an access outside
+its object's lifetime: before its allocation or after its free.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cache.batch import BatchCacheSimulator
+from repro.adaptive import run_adaptive
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import CacheSimulator
-from repro.runtime.replay import BatchReplaySink, ReplaySink
+from repro.runtime.driver import measure_trace
+from repro.runtime.replay import ReplaySink
 from repro.runtime.resolvers import NaturalResolver
 from repro.trace.buffer import TraceRecorder, record_trace
 from repro.trace.events import Category, ObjectInfo, TraceError
@@ -25,6 +27,49 @@ def _global_info(obj_id: int = 1, size: int = 64) -> ObjectInfo:
     return ObjectInfo(
         obj_id=obj_id, category=Category.GLOBAL, size=size, symbol=f"g{obj_id}"
     )
+
+
+def _heap_info(obj_id: int = 9) -> ObjectInfo:
+    return ObjectInfo(
+        obj_id=obj_id, category=Category.HEAP, size=48, symbol=f"h{obj_id}"
+    )
+
+
+def use_after_free_trace() -> TraceRecorder:
+    """Heap object 9 is touched after its free."""
+    recorder = TraceRecorder()
+    recorder.on_object(_global_info(1))
+    recorder.on_access(1, 0, 4, False, Category.GLOBAL)
+    recorder.on_alloc(_heap_info(9), (0x2000,))
+    recorder.on_access(9, 0, 4, True, Category.HEAP)
+    recorder.on_free(9)
+    recorder.on_access(9, 8, 4, False, Category.HEAP)
+    recorder.on_end()
+    return recorder
+
+
+def access_before_alloc_trace() -> TraceRecorder:
+    """Heap object 9 is touched before its allocation."""
+    recorder = TraceRecorder()
+    recorder.on_object(_global_info(1))
+    recorder.on_access(1, 0, 4, False, Category.GLOBAL)
+    recorder.on_access(9, 0, 4, False, Category.HEAP)
+    recorder.on_alloc(_heap_info(9), (0x2000,))
+    recorder.on_access(9, 8, 4, True, Category.HEAP)
+    recorder.on_end()
+    return recorder
+
+
+def undeclared_id_trace() -> TraceRecorder:
+    """Object 5 is touched but never declared; the largest id is 9."""
+    recorder = TraceRecorder()
+    recorder.on_object(_global_info(1))
+    recorder.on_alloc(_heap_info(9), (0x2000,))
+    recorder.on_access(1, 0, 4, False, Category.GLOBAL)
+    recorder.on_access(9, 0, 4, True, Category.HEAP)
+    recorder.on_access(5, 0, 4, True, Category.HEAP)
+    recorder.on_end()
+    return recorder
 
 
 class TestRecordingSinkReplay:
@@ -90,15 +135,6 @@ class TestReplaySinkErrors:
         with pytest.raises(TraceError, match="unknown object id 33"):
             sink.on_access(33, 0, 4, False, Category.GLOBAL)
 
-    def test_batch_replay_rejects_unknown_object(self):
-        sink = BatchReplaySink(
-            NaturalResolver(), BatchCacheSimulator(self._config())
-        )
-        sink.on_object(_global_info(1))
-        sink.on_access(1, 0, 4, False, Category.GLOBAL)
-        with pytest.raises(TraceError, match="unknown object id 33"):
-            sink.on_access(33, 0, 4, False, Category.GLOBAL)
-
     def test_replay_rejects_use_after_free(self):
         """A freed heap object leaves the resolver; later access is corrupt."""
         sink = ReplaySink(NaturalResolver(), CacheSimulator(self._config()))
@@ -133,3 +169,51 @@ class TestTraceRecorderErrors:
         addresses = trace.resolve(NaturalResolver())
         assert len(addresses) == len(trace)
         assert (addresses >= 0).all()
+
+
+class TestLifetimeErrors:
+    """Batched consumers reject accesses outside an object's lifetime."""
+
+    CONFIG = CacheConfig(size=1024, line_size=32, associativity=1)
+
+    def test_measure_trace_rejects_use_after_free(self):
+        with pytest.raises(TraceError, match="unknown object id 9"):
+            measure_trace(use_after_free_trace(), NaturalResolver(), self.CONFIG)
+
+    def test_measure_trace_rejects_access_before_alloc(self):
+        with pytest.raises(TraceError, match="unknown object id 9"):
+            measure_trace(
+                access_before_alloc_trace(), NaturalResolver(), self.CONFIG
+            )
+
+    def test_adaptive_rejects_use_after_free(self):
+        with pytest.raises(TraceError, match="unknown object id 9"):
+            run_adaptive(use_after_free_trace(), self.CONFIG, window_events=2)
+
+    def test_adaptive_rejects_undeclared_id(self):
+        with pytest.raises(TraceError, match="unknown object id 5"):
+            run_adaptive(undeclared_id_trace(), self.CONFIG, window_events=2)
+
+    def test_per_event_replay_agrees(self):
+        """The per-event sink rejects the same accesses with the same text."""
+        for trace, bad in (
+            (use_after_free_trace(), 9),
+            (access_before_alloc_trace(), 9),
+            (undeclared_id_trace(), 5),
+        ):
+            sink = ReplaySink(NaturalResolver(), CacheSimulator(self.CONFIG))
+            with pytest.raises(TraceError, match=f"unknown object id {bad}"):
+                trace.replay(sink)
+
+    def test_free_then_realloc_of_a_fresh_id_is_valid(self):
+        """Heap churn with fresh ids resolves cleanly, frees included."""
+        recorder = TraceRecorder()
+        recorder.on_alloc(_heap_info(9), (0x2000,))
+        recorder.on_access(9, 0, 4, True, Category.HEAP)
+        recorder.on_free(9)
+        recorder.on_alloc(_heap_info(10), (0x2000,))
+        recorder.on_access(10, 0, 4, True, Category.HEAP)
+        recorder.on_free(10)
+        recorder.on_end()
+        result = measure_trace(recorder, NaturalResolver(), self.CONFIG)
+        assert result.cache.accesses == 2

@@ -19,7 +19,12 @@ from repro.store import ArtifactStore
 from repro.store import traces as store_traces
 from repro.store.keys import trace_fingerprint
 from repro.trace import plane
-from repro.trace.buffer import DEFAULT_CHUNK_EVENTS, TraceRecorder, record_trace
+from repro.trace.buffer import (
+    _OP_FREE,
+    DEFAULT_CHUNK_EVENTS,
+    TraceRecorder,
+    record_trace,
+)
 from repro.trace.events import TraceError
 
 BACKENDS = ("heap", "shm", "mmap")
@@ -415,7 +420,13 @@ class TestScaleBench:
         try:
             events = base.events
             assert amplified.events == events * 3
-            assert amplified.ops == list(base.ops)
+            # Declarations and allocations keep their positions; the frees
+            # move to the end, so every copy touches only live objects.
+            frees = [op for op in base.ops if op[1] == _OP_FREE]
+            assert frees
+            assert amplified.ops == [
+                op for op in base.ops if op[1] != _OP_FREE
+            ] + [(events * 3, kind, obj_id) for _p, kind, obj_id in frees]
             assert (
                 amplified.compute_instructions == base.compute_instructions * 3
             )
@@ -425,13 +436,13 @@ class TestScaleBench:
                 np.testing.assert_array_equal(
                     amp_obj[copy * events : (copy + 1) * events], base_obj
                 )
-            # Every copy resolves to the same addresses as the base: the
-            # lifetime ops replay once and bases persist past frees.
-            reference = base.resolve(NaturalResolver())
+            # Every copy resolves to the same addresses as the first: the
+            # lifetime ops replay once and no object dies before the end.
             resolved = amplified.resolve(NaturalResolver())
-            for copy in range(3):
+            for copy in range(1, 3):
                 np.testing.assert_array_equal(
-                    resolved[copy * events : (copy + 1) * events], reference
+                    resolved[copy * events : (copy + 1) * events],
+                    resolved[:events],
                 )
         finally:
             amplified.close()
