@@ -21,14 +21,14 @@ Commands mirror the paper's workflow:
   one deduplicated job graph and write ``BENCH_sweep.json``: per-cell
   placed-vs-original miss rates, win/loss/tie verdicts, and the cells
   where associativity inverts CCDP's verdict (``docs/SWEEP.md``).
-* ``bench``    — time the table pipeline and the raw cache kernel and
-  write ``BENCH_pipeline.json``; ``--placement`` times the placement
-  pass per program and writes ``BENCH_placement.json``; ``--store`` times a cold vs warm
-  artifact-store run and writes ``BENCH_cache.json``; ``--trace-scale``
-  streams 10-100x amplified traces through each storage backend
-  (``--scales``, ``--backends``) and writes ``BENCH_scale.json`` with
-  events/sec, peak RSS, and cross-backend parity digests (see
-  ``docs/SCALING.md``).
+* ``bench``    — run Tables 1, 2 and 4 cold then warm over a temporary
+  artifact store, read wall-clock and per-layer seconds from the span
+  tree, and write ``BENCH_pipeline.json``; exits 1 unless the warm arm
+  executes nothing, misses nothing, and reproduces the cold tables and
+  placements bit for bit.  ``--trace-scale`` streams 10-100x amplified
+  traces through each storage backend (``--scales``, ``--backends``)
+  and writes ``BENCH_scale.json`` with events/sec, peak RSS, and
+  cross-backend parity digests (see ``docs/SCALING.md``).
 * ``report``   — run one workload's full pipeline under telemetry and
   emit a structured run report: span tree, counters, per-category miss
   attribution with conservation checks (``-o`` writes the JSON).
@@ -46,8 +46,8 @@ artifact store by default — pass ``--no-cache`` to disable, or
 ``--cache-dir`` to point at a specific store root (falling back to the
 ``REPRO_CACHE_DIR`` environment variable, then ``.repro-cache``).  A
 one-line ``[store] hits=... misses=...`` summary goes to stderr after
-each cached command.  ``bench`` leaves the store off unless
-``--cache-dir`` is given explicitly, so its timing arms stay honest.
+each cached command.  ``bench`` owns its store: a temporary one per
+run, so its cold arm is always cold.
 """
 
 from __future__ import annotations
@@ -504,33 +504,24 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .runtime.bench import (
-        CACHE_OUTPUT,
-        DAG_OUTPUT,
-        DEFAULT_OUTPUT,
-        PLACEMENT_OUTPUT,
-        SCALE_OUTPUT,
-        render_bench,
-        render_cache_bench,
-        render_dag_bench,
-        render_placement_bench,
-        render_scale_bench,
-        run_bench,
-        run_cache_bench,
-        run_dag_bench,
-        run_placement_bench,
-        run_scale_bench,
-    )
-
     if args.trace_scale:
+        from .runtime.scale import SCALE_OUTPUT, render_scale_bench, run_scale_bench
+
         scales = None
         if args.scales:
             try:
                 scales = tuple(
                     int(part) for part in args.scales.split(",") if part.strip()
                 )
+                valid = all(scale >= 1 for scale in scales)
             except ValueError:
-                print(f"bad --scales value: {args.scales!r}", file=sys.stderr)
+                valid = False
+            if not valid:
+                print(
+                    f"bad --scales value: {args.scales!r} "
+                    "(comma-separated integers >= 1)",
+                    file=sys.stderr,
+                )
                 return 2
         backends = None
         if args.backends:
@@ -556,33 +547,6 @@ def cmd_bench(args) -> int:
             and not result["leaks"]
         )
         return 0 if ok else 1
-    if args.dag:
-        result = run_dag_bench(
-            quick=args.quick,
-            jobs=args.jobs if args.jobs != 1 else 4,
-            output=args.output or DAG_OUTPUT,
-            progress=print,
-        )
-        print(render_dag_bench(result))
-        ok = bool(result["identical"]) and result["warm_executed"] == 0
-        return 0 if ok else 1
-    if args.store:
-        result = run_cache_bench(
-            quick=args.quick,
-            output=args.output or CACHE_OUTPUT,
-            cache_dir=args.cache_dir,
-            progress=print,
-        )
-        print(render_cache_bench(result))
-        return 0
-    if args.placement:
-        result = run_placement_bench(
-            quick=args.quick,
-            output=args.output or PLACEMENT_OUTPUT,
-            progress=print,
-        )
-        print(render_placement_bench(result))
-        return 0
     if args.adaptive:
         from .adaptive.bench import (
             ADAPTIVE_OUTPUT,
@@ -602,6 +566,8 @@ def cmd_bench(args) -> int:
             and result["stationary_identical"]
         )
         return 0 if ok else 1
+    from .runtime.bench import DEFAULT_OUTPUT, render_bench, run_bench
+
     result = run_bench(
         quick=args.quick,
         jobs=args.jobs,
@@ -609,7 +575,12 @@ def cmd_bench(args) -> int:
         progress=print,
     )
     print(render_bench(result))
-    return 0
+    ok = (
+        result["identical"]
+        and result["warm_executed"] == 0
+        and result["arms"]["warm"]["store"]["misses"] == 0
+    )
+    return 0 if ok else 1
 
 
 def cmd_adapt(args) -> int:
@@ -788,18 +759,8 @@ def cmd_cache(args) -> int:
     return 0
 
 
-#: Commands that consult the artifact store, mapped to whether caching
-#: is on by default (``bench`` opts in only via an explicit flag so its
-#: timing arms stay honest).
-_STORE_COMMANDS = {
-    "run": True,
-    "tables": True,
-    "jobs": True,
-    "sweep": True,
-    "report": True,
-    "bench": False,
-    "adapt": True,
-}
+#: Commands that consult the artifact store (on unless ``--no-cache``).
+_STORE_COMMANDS = frozenset({"run", "tables", "jobs", "sweep", "report", "adapt"})
 
 
 def _add_retry_options(parser: argparse.ArgumentParser) -> None:
@@ -826,11 +787,10 @@ def _add_retry_options(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(best_effort=False)
 
 
-def _add_store_options(parser: argparse.ArgumentParser, default_on: bool) -> None:
-    state = "on by default" if default_on else "off unless --cache-dir is given"
+def _add_store_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir", default=None,
-        help=f"artifact store root (caching {state}; "
+        help="artifact store root (caching on by default; "
              "falls back to $REPRO_CACHE_DIR, then .repro-cache)",
     )
     parser.add_argument(
@@ -841,10 +801,7 @@ def _add_store_options(parser: argparse.ArgumentParser, default_on: bool) -> Non
 
 def _resolve_store(args) -> ArtifactStore | None:
     """The store a CLI invocation should run under, or None."""
-    default_on = _STORE_COMMANDS.get(args.command)
-    if default_on is None or args.no_cache:
-        return None
-    if not default_on and not args.cache_dir:
+    if args.command not in _STORE_COMMANDS or args.no_cache:
         return None
     return ArtifactStore(resolve_cache_dir(args.cache_dir))
 
@@ -893,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--random", action="store_true", help="also measure random placement"
     )
     _add_cache_option(p_run)
-    _add_store_options(p_run, default_on=True)
+    _add_store_options(p_run)
 
     p_map = sub.add_parser("map", help="ASCII cache-occupancy maps")
     p_map.add_argument("workload", choices=workload_names())
@@ -928,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(tables that accept one)",
     )
     _add_retry_options(p_tables)
-    _add_store_options(p_tables, default_on=True)
+    _add_store_options(p_tables)
 
     p_jobs = sub.add_parser(
         "jobs",
@@ -955,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
              "executing anything",
     )
     _add_retry_options(p_jobs)
-    _add_store_options(p_jobs, default_on=True)
+    _add_store_options(p_jobs)
 
     from .core.cost_model import COST_MODEL_NAMES
 
@@ -1009,10 +966,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="where to write the JSON report (default BENCH_sweep.json)",
     )
     _add_retry_options(p_sweep)
-    _add_store_options(p_sweep, default_on=True)
+    _add_store_options(p_sweep)
 
     p_bench = sub.add_parser(
-        "bench", help="benchmark the table pipeline and the cache kernel"
+        "bench", help="benchmark the table pipeline cold and warm"
     )
     p_bench.add_argument(
         "--quick", action="store_true",
@@ -1021,21 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for the table pipeline (default 1)",
-    )
-    p_bench.add_argument(
-        "--placement", action="store_true",
-        help="benchmark the placement pass per program "
-             "instead of the simulation pipeline",
-    )
-    p_bench.add_argument(
-        "--store", action="store_true",
-        help="benchmark the artifact store (cold vs warm pipeline run) "
-             "and write BENCH_cache.json",
-    )
-    p_bench.add_argument(
-        "--dag", action="store_true",
-        help="benchmark the job-graph executor cold and warm "
-             "and write BENCH_dag.json",
     )
     p_bench.add_argument(
         "--trace-scale", action="store_true",
@@ -1062,9 +1004,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "-o", "--output", default=None,
         help="where to write the JSON report (default BENCH_pipeline.json, "
-             "or BENCH_placement.json with --placement)",
+             "BENCH_scale.json with --trace-scale, "
+             "BENCH_adaptive.json with --adaptive)",
     )
-    _add_store_options(p_bench, default_on=False)
 
     from .workloads.drift import drift_workload_names
 
@@ -1102,7 +1044,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-placement policy (default drift)",
     )
     _add_cache_option(p_adapt)
-    _add_store_options(p_adapt, default_on=True)
+    _add_store_options(p_adapt)
 
     p_report = sub.add_parser(
         "report",
@@ -1123,7 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the JSON report here (default: print to stdout)",
     )
     _add_cache_option(p_report)
-    _add_store_options(p_report, default_on=True)
+    _add_store_options(p_report)
 
     p_serve = sub.add_parser(
         "serve",

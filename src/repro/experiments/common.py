@@ -35,6 +35,7 @@ whole harness (the ``repro tables --jobs`` plumbing).
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Callable
 
 from ..cache.config import CacheConfig
 from ..runtime.driver import (
@@ -125,8 +126,12 @@ def cached_trace(name: str, input_name: str) -> TraceRecorder:
             _persist_trace(store, name, input_name, trace)
         return trace
     if store is not None:
-        trace = store_traces.load_trace(store, name, input_name)
+        # A speculative attach: a miss here is recounted by the
+        # recording path's own lookups, so only a hit commits.
+        with store.probing() as probe:
+            trace = store_traces.load_trace(store, name, input_name)
         if trace is not None:
+            probe.commit()
             _trace_persisted.add((str(store.root), name, input_name))
     if trace is None:
         trace = record_trace(make_workload(name), input_name)
@@ -273,25 +278,40 @@ def prefetch_experiment_batches(batches: list[dict], jobs: int | None = None) ->
             _experiment_cache[key] = result
 
 
+def _memoized(key: tuple, load: Callable, compute: Callable):
+    """Memo entry ``key``: from the memo, else the store, else ``compute()``.
+
+    ``load(store)`` is the warm path (no workload run) and is speculative:
+    its lookups run under :meth:`~repro.store.ArtifactStore.probing` and
+    count only when it returns a result.  A miss is tallied once, by the
+    get-or-compute lookups ``compute`` makes.
+    """
+    result = _experiment_cache.get(key)
+    if result is not None:
+        return result
+    store = current_store()
+    if store is not None:
+        with store.probing() as probe:
+            result = load(store)
+        if result is not None:
+            probe.commit()
+    if result is None:
+        result = compute()
+    _experiment_cache[key] = result
+    return result
+
+
 def cached_stats(name: str, input_name: str | None = None) -> WorkloadStats:
     """Collect (or reuse) Table 1 statistics for one program input."""
     workload = make_workload(name)
     input_name = input_name or workload.train_input
-    key = ("stats", name, input_name)
-    result = _experiment_cache.get(key)
-    if result is None:
-        store = current_store()
-        if store is not None:
-            result = store_stages.try_load_workload_stats(
-                store, name, input_name
-            )
-            if result is not None:
-                _experiment_cache[key] = result
-                return result
-        trace = cached_trace(name, input_name)
-        result = collect_stats(workload, input_name, trace=trace)
-        _experiment_cache[key] = result
-    return result
+    return _memoized(
+        ("stats", name, input_name),
+        lambda store: store_stages.try_load_workload_stats(store, name, input_name),
+        lambda: collect_stats(
+            workload, input_name, trace=cached_trace(name, input_name)
+        ),
+    )
 
 
 def cached_natural_run(
@@ -303,28 +323,21 @@ def cached_natural_run(
     workload = make_workload(name)
     input_name = input_name or workload.train_input
     config = cache_config or paper_cache()
-    key = ("natural", name, input_name, _config_key(config))
-    result = _experiment_cache.get(key)
-    if result is None:
-        store = current_store()
-        if store is not None:
-            result = store_stages.try_load_measure(
-                store, name, input_name, config, {"kind": "natural"},
-                classify=False, track_pages=False,
-            )
-            if result is not None:
-                _experiment_cache[key] = result
-                return result
-        result = measure(
+    return _memoized(
+        ("natural", name, input_name, _config_key(config)),
+        lambda store: store_stages.try_load_measure(
+            store, name, input_name, config, {"kind": "natural"},
+            classify=False, track_pages=False,
+        ),
+        lambda: measure(
             workload,
             input_name,
             NaturalResolver(),
             config,
             classify=False,
             trace=cached_trace(name, input_name),
-        )
-        _experiment_cache[key] = result
-    return result
+        ),
+    )
 
 
 def cached_random_run(
@@ -337,29 +350,23 @@ def cached_random_run(
     workload = make_workload(name)
     input_name = input_name or workload.train_input
     config = cache_config or paper_cache()
-    key = ("random", name, input_name, seed, _config_key(config))
-    result = _experiment_cache.get(key)
-    if result is None:
-        store = current_store()
-        if store is not None:
-            result = store_stages.try_load_measure(
-                store, name, input_name, config,
-                store_stages.resolver_policy(RandomResolver(seed=seed)),
-                classify=False, track_pages=False,
-            )
-            if result is not None:
-                _experiment_cache[key] = result
-                return result
-        result = measure(
+    resolver = RandomResolver(seed=seed)
+    return _memoized(
+        ("random", name, input_name, seed, _config_key(config)),
+        lambda store: store_stages.try_load_measure(
+            store, name, input_name, config,
+            store_stages.resolver_policy(resolver),
+            classify=False, track_pages=False,
+        ),
+        lambda: measure(
             workload,
             input_name,
-            RandomResolver(seed=seed),
+            resolver,
             config,
             classify=False,
             trace=cached_trace(name, input_name),
-        )
-        _experiment_cache[key] = result
-    return result
+        ),
+    )
 
 
 def clear_cache() -> None:

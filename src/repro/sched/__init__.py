@@ -13,7 +13,7 @@ Only the inert pieces import eagerly; the executor pulls in the runtime
 stack and is imported lazily by its callers.
 """
 
-from .costs import job_cost, refresh_history
+from .costs import job_cost
 from .graph import (
     CANCELLED,
     DONE,
@@ -39,5 +39,4 @@ __all__ = [
     "Job",
     "JobGraph",
     "job_cost",
-    "refresh_history",
 ]

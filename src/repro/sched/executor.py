@@ -33,7 +33,7 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..obs import telemetry as obs
 from ..runtime import parallel
@@ -75,7 +75,6 @@ class PlanSummary:
     cancelled: int = 0
     critical_path_seconds: float = 0.0
     wall_seconds: float = 0.0
-    job_seconds_by_kind: dict[str, float] = field(default_factory=dict)
 
     def line(self) -> str:
         return (
@@ -101,17 +100,6 @@ def _effective_cpus() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except AttributeError:  # pragma: no cover - no affinity API (macOS)
         return os.cpu_count() or 1
-
-
-def _mean_seconds_by_kind(graph: JobGraph) -> dict[str, float]:
-    """Mean executed seconds per stage kind (the cost-prior feedback)."""
-    sums: dict[str, list[float]] = {}
-    for job in graph:
-        if job.state == DONE and job.seconds > 0:
-            sums.setdefault(job.kind, []).append(job.seconds)
-    return {
-        kind: sum(values) / len(values) for kind, values in sums.items()
-    }
 
 
 def _dispatch(
@@ -328,7 +316,6 @@ def _run_graph(
         cancelled=counts.get(CANCELLED, 0),
         critical_path_seconds=critical_path,
         wall_seconds=time.perf_counter() - start,
-        job_seconds_by_kind=_mean_seconds_by_kind(graph),
     )
     _last_summary = summary
     return results, graph, summary

@@ -414,7 +414,9 @@ def run_job(spec: JobSpec, bag: dict | None = None) -> dict:
     """
     start = time.perf_counter()
     artifact = None
-    with obs.span("sched.job", kind=spec.kind, task=spec.label):
+    with obs.span(
+        "sched.job", kind=spec.kind, task=spec.label, workload=spec.workload
+    ):
         if spec.kind == "trace":
             _run_trace(spec)
         elif spec.kind == "profile":

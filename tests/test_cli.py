@@ -165,3 +165,18 @@ class TestStoreCommands:
         assert "removed" in capsys.readouterr().out
         assert main(["cache", "clear", "--cache-dir", store_dir]) == 0
         assert "removed 0 entries" in capsys.readouterr().out
+
+
+class TestBenchCommand:
+    @pytest.mark.parametrize("scales", ["0,10", "0", "-1", "abc"])
+    def test_bad_scales_exit_2(self, scales, capsys):
+        argv = ["bench", "--trace-scale", "--quick", "--scales", scales]
+        assert main(argv) == 2
+        assert "bad --scales value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", ["--placement", "--store", "--dag", "--cache-dir=x", "--no-cache"]
+    )
+    def test_folded_bench_modes_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", flag])

@@ -19,13 +19,9 @@ from repro.sched.executor import run_experiments_dag
 
 
 @pytest.fixture(autouse=True)
-def _fresh(tmp_path, monkeypatch):
-    # Keep the priors static: benchmark history is read from the cwd.
-    monkeypatch.chdir(tmp_path)
-    costs.refresh_history()
+def _fresh():
     clear_cache()
     yield
-    costs.refresh_history()
     clear_cache()
 
 
@@ -46,27 +42,38 @@ class TestCostPriors:
             "place", "espresso"
         )
 
-    def test_history_overrides_static_weights(self, tmp_path):
+    def test_priors_ignore_the_working_directory(self, tmp_path, monkeypatch):
         import json
 
-        (tmp_path / costs.PLACEMENT_HISTORY).write_text(
+        kinds = tuple(costs.STAGE_BASE)
+        programs = (*costs.PROGRAM_WEIGHT, "mystery", None)
+        static = {
+            (kind, name): costs.STAGE_BASE[kind] * costs.PROGRAM_WEIGHT.get(name, 1.0)
+            for kind in kinds
+            for name in programs
+        }
+        # Skewed reports under the names a history-reading prior would
+        # open: deltablue far heavier than compress, every stage a minute.
+        (tmp_path / "BENCH_placement.json").write_text(
             json.dumps(
                 {
                     "arms": {
                         "array": {
-                            "per_program_s": {
-                                "deltablue": 9.0,
-                                "compress": 0.3,
-                            }
+                            "per_program_s": {"deltablue": 9.0, "compress": 0.3}
                         }
                     }
                 }
             )
         )
-        costs.refresh_history()
-        assert costs.program_weight("deltablue") > costs.program_weight(
-            "compress"
+        (tmp_path / "BENCH_dag.json").write_text(
+            json.dumps({"job_seconds_by_kind": dict.fromkeys(kinds, 60.0)})
         )
+        monkeypatch.chdir(tmp_path)
+        assert {
+            (kind, name): costs.job_cost(kind, name)
+            for kind in kinds
+            for name in programs
+        } == static
 
 
 class TestFanoutOrder:

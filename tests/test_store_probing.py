@@ -7,7 +7,13 @@ caller commits, a failed probe commits nothing, and a committed probe
 folds only its hits (the fallback path accounts for its own misses).
 """
 
-from repro.store import ArtifactStore
+from repro.experiments import (
+    clear_cache,
+    run_random_vs_natural,
+    run_table1,
+    run_table2,
+)
+from repro.store import ArtifactStore, use_store
 
 
 def _put(store, kind, fields, payload):
@@ -78,3 +84,30 @@ class TestProbeTally:
         assert inner.hits == 1
         assert outer.hits == 1
         assert store.counters.hits == 0
+
+
+class TestPipelineTallies:
+    """The harness getters' warm loads are probes, not counted lookups."""
+
+    def _tables(self):
+        run_table1(["deltablue"])
+        run_table2(["deltablue"])
+        run_random_vs_natural(["deltablue"])
+
+    def test_cold_run_counts_one_miss_per_write(self, tmp_path):
+        root = tmp_path / "store"
+        clear_cache()
+        cold = ArtifactStore(root)
+        with use_store(cold):
+            self._tables()
+        assert cold.counters.writes > 0
+        assert cold.counters.misses == cold.counters.writes
+
+        clear_cache()
+        warm = ArtifactStore(root)
+        with use_store(warm):
+            self._tables()
+        clear_cache()
+        assert warm.counters.misses == 0
+        assert warm.counters.writes == 0
+        assert warm.counters.hits > 0
