@@ -25,10 +25,7 @@ Commands mirror the paper's workflow:
   artifact store, read wall-clock and per-layer seconds from the span
   tree, and write ``BENCH_pipeline.json``; exits 1 unless the warm arm
   executes nothing, misses nothing, and reproduces the cold tables and
-  placements bit for bit.  ``--trace-scale`` streams 10-100x amplified
-  traces through each storage backend (``--scales``, ``--backends``)
-  and writes ``BENCH_scale.json`` with events/sec, peak RSS, and
-  cross-backend parity digests (see ``docs/SCALING.md``).
+  placements bit for bit.
 * ``report``   — run one workload's full pipeline under telemetry and
   emit a structured run report: span tree, counters, per-category miss
   attribution with conservation checks (``-o`` writes the JSON).
@@ -504,49 +501,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.trace_scale:
-        from .runtime.scale import SCALE_OUTPUT, render_scale_bench, run_scale_bench
-
-        scales = None
-        if args.scales:
-            try:
-                scales = tuple(
-                    int(part) for part in args.scales.split(",") if part.strip()
-                )
-                valid = all(scale >= 1 for scale in scales)
-            except ValueError:
-                valid = False
-            if not valid:
-                print(
-                    f"bad --scales value: {args.scales!r} "
-                    "(comma-separated integers >= 1)",
-                    file=sys.stderr,
-                )
-                return 2
-        backends = None
-        if args.backends:
-            backends = tuple(
-                part.strip() for part in args.backends.split(",") if part.strip()
-            )
-            unknown = sorted(set(backends) - {"heap", "shm", "mmap"})
-            if unknown:
-                print(f"unknown backends: {', '.join(unknown)}", file=sys.stderr)
-                return 2
-        result = run_scale_bench(
-            quick=args.quick,
-            scales=scales,
-            backends=backends,
-            output=args.output or SCALE_OUTPUT,
-            progress=print,
-        )
-        print(render_scale_bench(result))
-        ok = (
-            result["parity_ok"]
-            and result["throughput_ok"]
-            and result["rss_bound_ok"] is not False
-            and not result["leaks"]
-        )
-        return 0 if ok else 1
     if args.adaptive:
         from .adaptive.bench import (
             ADAPTIVE_OUTPUT,
@@ -980,22 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the table pipeline (default 1)",
     )
     p_bench.add_argument(
-        "--trace-scale", action="store_true",
-        help="benchmark the trace plane at 10-100x trace scale "
-             "(events/sec + peak RSS per storage backend) "
-             "and write BENCH_scale.json",
-    )
-    p_bench.add_argument(
-        "--scales", default=None,
-        help="comma-separated amplification factors for --trace-scale "
-             "(default 1,10; e.g. 1,10,100)",
-    )
-    p_bench.add_argument(
-        "--backends", default=None,
-        help="comma-separated storage backends for --trace-scale "
-             "(heap, shm, mmap; default: all at 1x, mmap at larger scales)",
-    )
-    p_bench.add_argument(
         "--adaptive", action="store_true",
         help="benchmark adaptive re-placement (miss rate vs cadence x "
              "window size, static + oracle baselines) "
@@ -1004,7 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "-o", "--output", default=None,
         help="where to write the JSON report (default BENCH_pipeline.json, "
-             "BENCH_scale.json with --trace-scale, "
              "BENCH_adaptive.json with --adaptive)",
     )
 

@@ -45,8 +45,7 @@ def peak_rss_bytes() -> int:
 
     ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; zero where
     the platform offers neither.  The value is monotonic for a process
-    lifetime — per-phase peaks need per-phase processes (the trace-scale
-    bench runs each arm in a fresh worker for exactly this reason).
+    lifetime, so per-phase peaks need per-phase processes.
     """
     if resource is None:
         return 0

@@ -63,50 +63,34 @@ def default_jobs() -> int:
 
 # -- task payload hygiene ------------------------------------------------------
 
-#: Default ceiling on one pickled task payload.  Specs carry registry
-#: names and a CacheConfig — a few hundred bytes; trace columns cross
-#: the boundary as :class:`~repro.trace.plane.TraceHandle` references or
-#: store fingerprints, never as data.  Anything near this limit means
+#: Ceiling on one pickled task payload.  A task is a ``(JobSpec,
+#: store_root, telemetry)`` tuple of strings and scalars — a few hundred
+#: bytes; workers read trace columns from the store's memory-mapped
+#: trace files, never from the task.  Anything near this limit means
 #: bulk data leaked into a task tuple.
 MAX_TASK_PAYLOAD_BYTES = 4 << 20
-
-#: Environment override for the payload ceiling (bytes; 0 disables).
-MAX_TASK_PAYLOAD_ENV = "REPRO_MAX_TASK_PAYLOAD"
 
 
 class TaskPayloadError(ValueError):
     """A pickled task payload exceeded the fan-out's byte ceiling."""
 
 
-def max_task_payload_bytes() -> int:
-    """The active payload ceiling (env override, 0 disables the check)."""
-    raw = os.environ.get(MAX_TASK_PAYLOAD_ENV)
-    if raw is None:
-        return MAX_TASK_PAYLOAD_BYTES
-    try:
-        return int(raw)
-    except ValueError:
-        return MAX_TASK_PAYLOAD_BYTES
-
-
 def _check_payloads(items: list, labels: list[str]) -> None:
     """Measure every task payload, log it via obs, and enforce the cap.
 
     Runs in the parent before any worker spawns, so an oversized payload
-    (someone pickling trace columns instead of a handle) fails fast with
-    the offending task named, not as a mysteriously slow sweep.
+    (someone pickling trace columns into a task) fails fast with the
+    offending task named, not as a mysteriously slow sweep.
     """
-    limit = max_task_payload_bytes()
     for index, args in enumerate(items):
         size = len(pickle.dumps(args, protocol=pickle.HIGHEST_PROTOCOL))
         obs.count("fanout.payload_bytes", size)
         obs.gauge_max("fanout.payload.max_bytes", size)
-        if limit and size > limit:
+        if size > MAX_TASK_PAYLOAD_BYTES:
             raise TaskPayloadError(
                 f"task payload for {labels[index]!r} pickles to {size:,} bytes "
-                f"(limit {limit:,}); ship trace columns as a TraceHandle or "
-                "store fingerprint, not as data "
-                f"(override with {MAX_TASK_PAYLOAD_ENV})"
+                f"(limit {MAX_TASK_PAYLOAD_BYTES:,}); tasks carry stage specs "
+                "and a store path, not trace columns or other bulk data"
             )
 
 

@@ -45,7 +45,6 @@ import time
 from dataclasses import dataclass
 
 from ..obs import telemetry as obs
-from ..runtime import parallel
 from ..store import traces as store_traces
 from ..store.store import ArtifactStore, resolve_cache_dir
 from ..trace import plane
@@ -78,14 +77,8 @@ class ServeConfig:
     batch_max: int = 8
     drain_timeout: float = 30.0
     cache_dir: str | None = None
-    max_body_bytes: int | None = None
+    max_body_bytes: int = protocol.MAX_BODY_BYTES
     announce: bool = True
-
-    def body_limit(self) -> int:
-        """Request-body ceiling: explicit, or the fan-out payload guard."""
-        if self.max_body_bytes is not None:
-            return self.max_body_bytes
-        return parallel.max_task_payload_bytes()
 
 
 class Daemon:
@@ -287,7 +280,7 @@ class Daemon:
             while True:
                 try:
                     request = await protocol.read_request(
-                        reader, max_body=self.config.body_limit()
+                        reader, max_body=self.config.max_body_bytes
                     )
                 except protocol.PayloadTooLarge as exc:
                     obs.count("serve.http.rejected")

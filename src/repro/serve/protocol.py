@@ -31,10 +31,12 @@ from urllib.parse import parse_qsl, urlsplit
 #: Upper bound on the request-head section (request line + headers).
 MAX_HEAD_BYTES = 32 * 1024
 
-#: Default upper bound on request bodies; the daemon overrides this with
-#: the fan-out's payload guard (``repro.runtime.parallel``), so uploads
-#: obey the same 4 MiB discipline as pickled task payloads.
-DEFAULT_MAX_BODY_BYTES = 4 << 20
+#: Upper bound on request bodies.  A trace upload is the largest body a
+#: client sends: the biggest registry trace (compress ``bigtest-40k``,
+#: about 306k events) packs to 5.8 MiB, so 32 MiB admits every paper
+#: trace with headroom while capping what one request can make the
+#: daemon buffer.
+MAX_BODY_BYTES = 32 << 20
 
 #: Magic prefix of the binary trace-upload envelope.
 UPLOAD_MAGIC = b"RTUP"
@@ -98,7 +100,7 @@ class Request:
 
 async def read_request(
     reader: asyncio.StreamReader,
-    max_body: int = DEFAULT_MAX_BODY_BYTES,
+    max_body: int = MAX_BODY_BYTES,
 ) -> Request | None:
     """Read one request off the stream, or ``None`` on a clean EOF.
 

@@ -16,8 +16,8 @@ themselves:
   the binary file.
 
 Loading attaches the data file as a read-only memory map
-(:meth:`~repro.trace.buffer.TraceRecorder.attach` semantics): no copy,
-no workload run, bounded RSS when streamed with ``advise_done``.  A
+(:meth:`~repro.trace.buffer.TraceRecorder.from_storage`): no copy, no
+workload run, bounded RSS when streamed with ``advise_done``.  A
 truncated or tampered data file degrades exactly like a corrupt JSON
 entry (``tests/test_store_corruption.py``): the entry and file are
 deleted, ``store.corrupt`` is counted, and the caller re-records and
@@ -104,9 +104,9 @@ def save_trace(store: ArtifactStore, trace: TraceRecorder) -> str:
 
     Idempotent: when a valid entry and data file already exist, nothing
     is written.  The data file is streamed chunk-wise from the source
-    columns (heap, shm, or mmap alike) into a temp file and moved into
-    place atomically, so a crashed writer never leaves a half-written
-    artifact under its final name.
+    columns (in-process or attached alike) into a temp file and moved
+    into place atomically, so a crashed writer never leaves a
+    half-written artifact under its final name.
     """
     fingerprint = trace_fingerprint(trace)
     fields = _trace_fields(fingerprint)
@@ -123,7 +123,7 @@ def save_trace(store: ArtifactStore, trace: TraceRecorder) -> str:
         # Entry without a (valid) data file: fall through and rewrite.
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    storage = plane.MmapStorage(temp, trace.events, create=True, persist=True)
+    storage = plane.MmapStorage(temp, trace.events, create=True)
     try:
         columns = trace.columns()
         position = 0

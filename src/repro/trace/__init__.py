@@ -15,12 +15,6 @@ from .buffer import (
     TraceRecorder,
     record_trace,
 )
-from .plane import (
-    BACKENDS,
-    BYTES_PER_EVENT,
-    DEFAULT_SPILL_CHUNK_EVENTS,
-    TraceHandle,
-)
 from .sinks import MultiSink, RecordingSink, TraceSink
 from .validate import ValidatingSink, Violation
 from .stats import (
@@ -36,13 +30,9 @@ from .stats import (
 __all__ = [
     "Access",
     "Alloc",
-    "BACKENDS",
-    "BYTES_PER_EVENT",
     "Category",
     "CATEGORY_ORDER",
     "DEFAULT_CHUNK_EVENTS",
-    "DEFAULT_SPILL_CHUNK_EVENTS",
-    "TraceHandle",
     "Free",
     "MultiSink",
     "ObjectInfo",

@@ -18,27 +18,21 @@ through a resolver once, and addresses are then computed in vectorized
 chunk-wise gathers (:meth:`TraceRecorder.iter_resolved` /
 :meth:`TraceRecorder.resolve`).
 
-The recorder takes a pluggable storage backend (:mod:`repro.trace.plane`):
-``heap`` keeps the columns in-process; ``shm`` and ``mmap`` spill staged
-chunks to disk while recording and seal the finished columns into an
-attachable shared-memory segment or file-backed memory map, so a trace
-never has to fit in RAM and workers can consume it zero-copy via a
-:class:`~repro.trace.plane.TraceHandle`.
+A finished recording keeps its columns in-process, or reads them
+zero-copy from one memory-mapped file when it was attached from a store
+artifact or a spooled serve upload (:meth:`TraceRecorder.from_storage`
+over a :class:`~repro.trace.plane.MmapStorage`).
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from array import array
 from typing import Iterator
 
 import numpy as np
 
-from ..obs import telemetry as obs
 from . import plane
 from .events import Category, ObjectInfo, STACK_OBJECT_ID
-from .plane import TraceHandle
 from .sinks import TraceError, TraceSink
 from .stats import WorkloadStats
 
@@ -99,30 +93,10 @@ class TraceRecorder(TraceSink):
     rarer lifetime events (object declarations, allocs, frees, stack
     growth, compute batches) are kept as a positioned op list so exact
     interleaving can be reproduced.
-
-    ``storage`` selects where the sealed columns live: ``"heap"`` (the
-    default) keeps them in-process exactly as the seed did; ``"shm"``
-    and ``"mmap"`` spill staged chunks to disk every
-    ``spill_chunk_events`` during recording and, at ``on_end``, stream
-    the spill into an attachable container
-    (:mod:`repro.trace.plane`) — recording RAM stays bounded at one
-    staging chunk regardless of trace length.
     """
 
-    def __init__(
-        self,
-        storage: str = "heap",
-        spill_chunk_events: int = plane.DEFAULT_SPILL_CHUNK_EVENTS,
-        spill_dir: str | os.PathLike | None = None,
-    ) -> None:
-        if storage not in plane.BACKENDS:
-            raise ValueError(f"unknown trace storage backend: {storage!r}")
-        self.backend = storage
-        self._spill_chunk_events = spill_chunk_events
-        self._spill_dir = spill_dir
-        self._spill: plane.SpillWriter | None = None
-        self._spilled = 0
-        self._storage: plane.ColumnStorage | None = None
+    def __init__(self) -> None:
+        self._storage: plane.MmapStorage | None = None
         self._obj = array("i")
         self._offset = array("q")
         self._size = array("i")
@@ -136,117 +110,110 @@ class TraceRecorder(TraceSink):
         self._columns: tuple[np.ndarray, ...] | None = None
         self._lifetime_ops: list[tuple[int, int, object]] | None = None
         # The access hook is the per-event hot path of trace recording;
-        # a closure over the column appends skips all self lookups.  The
-        # heap path stays exactly the seed's five-append closure; the
-        # spilling backends add one length check per event.
+        # a closure over the column appends skips all self lookups.
         obj_append = self._obj.append
         offset_append = self._offset.append
         size_append = self._size.append
         cat_append = self._cat.append
         store_append = self._store.append
 
-        if storage == "heap":
-
-            def on_access(obj_id, offset, size, is_store, category) -> None:
-                obj_append(obj_id)
-                offset_append(offset)
-                size_append(size)
-                cat_append(category)
-                store_append(is_store)
-
-        else:
-            staging = self._obj
-            spill = self._spill_staging
-            chunk = spill_chunk_events
-
-            def on_access(obj_id, offset, size, is_store, category) -> None:
-                obj_append(obj_id)
-                offset_append(offset)
-                size_append(size)
-                cat_append(category)
-                store_append(is_store)
-                if len(staging) >= chunk:
-                    spill()
+        def on_access(obj_id, offset, size, is_store, category) -> None:
+            obj_append(obj_id)
+            offset_append(offset)
+            size_append(size)
+            cat_append(category)
+            store_append(is_store)
 
         self.on_access = on_access
-
-    # -- alternate constructors ---------------------------------------------
 
     @classmethod
     def from_storage(
         cls,
-        storage: plane.ColumnStorage,
+        storage: plane.MmapStorage,
         ops: list[tuple[int, int, object]] | tuple = (),
         compute_instructions: int = 0,
         max_stack_depth: int = 0,
         fingerprint: str | None = None,
     ) -> "TraceRecorder":
-        """Wrap a sealed column container as a finished recording."""
-        recorder = cls.__new__(cls)
-        TraceSink.__init__(recorder)
-        recorder.backend = storage.backend
-        recorder._spill_chunk_events = plane.DEFAULT_SPILL_CHUNK_EVENTS
-        recorder._spill_dir = None
-        recorder._spill = None
-        recorder._spilled = storage.events
+        """Wrap an attached column file as a finished recording."""
+        recorder = cls()
         recorder._storage = storage
-        recorder._obj = array("i")
-        recorder._offset = array("q")
-        recorder._size = array("i")
-        recorder._cat = array("b")
-        recorder._store = array("b")
         recorder.ops = list(ops)
         recorder.compute_instructions = compute_instructions
         recorder.max_stack_depth = max_stack_depth
         recorder.ended = True
-        recorder._columns = None
-        recorder._lifetime_ops = None
         if fingerprint is not None:
             recorder._fingerprint = (storage.events, fingerprint)
         return recorder
 
-    @classmethod
-    def attach(cls, handle: TraceHandle) -> "TraceRecorder":
-        """Attach the trace a :class:`~repro.trace.plane.TraceHandle` names.
+    def close(self) -> None:
+        """Release an attached column file's descriptor and mapping."""
+        self._columns = None
+        if self._storage is not None:
+            self._storage.close()
 
-        Zero-copy: the returned recorder reads the creator's segment or
-        file directly; only the handle's ops crossed the process
-        boundary.  Attached recorders never unlink the backing storage.
+    def advise_done(self, start: int, end: int) -> None:
+        """Hint that events ``[start, end)`` will not be read again.
+
+        On an attached file this drops the already-streamed pages from
+        the resident set (``madvise(MADV_DONTNEED)``); in-process columns
+        ignore it.  Chunked consumers call it after each chunk.
         """
-        storage = plane.open_storage(handle.backend, handle.ref, handle.events)
-        obs.count("trace.attach")
-        return cls.from_storage(
-            storage,
-            ops=handle.ops,
-            compute_instructions=handle.compute_instructions,
-            max_stack_depth=handle.max_stack_depth,
-            fingerprint=handle.fingerprint,
-        )
+        if self._storage is not None:
+            self._storage.advise_done(start, end)
 
-    def handle(self) -> TraceHandle:
-        """The picklable attachment handle for this sealed recording."""
-        if self._storage is None or not self._storage.ref:
-            raise TraceError(
-                f"trace on {self.backend!r} storage is not attachable; "
-                "record with storage='shm' or 'mmap'"
-            )
-        cached = getattr(self, "_fingerprint", None)
-        fingerprint = (
-            cached[1] if cached is not None and cached[0] == self.events else None
-        )
-        return TraceHandle(
-            backend=self._storage.backend,
-            ref=self._storage.ref,
-            events=self.events,
-            ops=tuple(self.ops),
-            compute_instructions=self.compute_instructions,
-            max_stack_depth=self.max_stack_depth,
-            fingerprint=fingerprint,
-        )
+    # -- sink hooks ---------------------------------------------------------
 
-    # -- spill and seal ------------------------------------------------------
+    def on_object(self, info: ObjectInfo) -> None:
+        self.ops.append((len(self._obj), _OP_OBJECT, info))
 
-    def _staging_columns(self) -> tuple[np.ndarray, ...]:
+    def on_alloc(self, info: ObjectInfo, return_addresses) -> None:
+        self.ops.append((len(self._obj), _OP_ALLOC, (info, tuple(return_addresses))))
+
+    def on_free(self, obj_id: int) -> None:
+        self.ops.append((len(self._obj), _OP_FREE, obj_id))
+
+    def on_compute(self, instructions: int) -> None:
+        self.compute_instructions += instructions
+        self.ops.append((len(self._obj), _OP_COMPUTE, instructions))
+
+    def on_stack_depth(self, depth: int) -> None:
+        if depth > self.max_stack_depth:
+            self.max_stack_depth = depth
+            self.ops.append((len(self._obj), _OP_STACK_DEPTH, depth))
+
+    def on_end(self) -> None:
+        self.ended = True
+
+    # -- access columns -----------------------------------------------------
+
+    def __len__(self) -> int:
+        return self.events
+
+    @property
+    def events(self) -> int:
+        """Number of recorded memory references."""
+        if self._storage is not None:
+            return self._storage.events
+        return len(self._obj)
+
+    def columns(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Numpy views of (obj_id, offset, size, category, is_store).
+
+        Attached recordings view the mapped file zero-copy; in-process
+        ones view the column buffers as recorded so far.
+        """
+        if self._storage is not None:
+            if self._columns is None:
+                self._columns = self._storage.columns()
+            return self._columns
+        if self._columns is None or len(self._columns[0]) != len(self._obj):
+            self._columns = self._recorded_columns()
+        return self._columns
+
+    def _recorded_columns(self) -> tuple[np.ndarray, ...]:
         if not self._obj:
             return tuple(np.empty(0, d) for d in plane.TRACE_COLUMN_DTYPES)
         return (
@@ -256,150 +223,6 @@ class TraceRecorder(TraceSink):
             np.frombuffer(self._cat, dtype=np.int8),
             np.frombuffer(self._store, dtype=np.int8),
         )
-
-    def _clear_staging(self) -> None:
-        del self._obj[:]
-        del self._offset[:]
-        del self._size[:]
-        del self._cat[:]
-        del self._store[:]
-
-    def _spill_staging(self) -> None:
-        if not self._obj:
-            return
-        if self._spill is None:
-            root = (
-                os.fspath(self._spill_dir)
-                if self._spill_dir
-                else tempfile.gettempdir()
-            )
-            path = os.path.join(root, plane.storage_name("record") + ".spill")
-            self._spill = plane.SpillWriter(path)
-        staged = self._staging_columns()
-        self._spilled += self._spill.write_chunk(staged)
-        del staged
-        self._clear_staging()
-        self._columns = None
-
-    def _seal(self) -> None:
-        """Stream spill + staging into the final attachable container."""
-        total = self.events
-        storage = plane.create_storage(
-            self.backend, total, directory=self._spill_dir
-        )
-        position = 0
-        if self._spill is not None:
-            self._spill.close()
-            for chunk in plane.iter_spill_chunks(self._spill.path):
-                position += storage.write_at(position, chunk)
-            self._spill.unlink()
-            self._spill = None
-        staged = self._staging_columns()
-        if len(staged[0]):
-            position += storage.write_at(position, staged)
-        del staged
-        self._clear_staging()
-        self._spilled = total
-        storage.seal()
-        self._storage = storage
-        self._columns = None
-
-    def close(self) -> None:
-        """Release the backing storage (owners unlink their segment/file)."""
-        if self._spill is not None:
-            self._spill.unlink()
-            self._spill = None
-        if self._storage is not None:
-            self._columns = None
-            self._storage.close()
-            self._storage = None
-
-    def advise_done(self, start: int, end: int) -> None:
-        """Hint that events ``[start, end)`` will not be read again.
-
-        On mmap storage this drops the already-streamed pages from the
-        resident set (``madvise(MADV_DONTNEED)``); elsewhere it is a
-        no-op.  Chunked consumers call it after each chunk so a trace
-        far larger than RAM streams at one-chunk RSS.
-        """
-        if self._storage is not None:
-            self._storage.advise_done(start, end)
-
-    # -- sink hooks ---------------------------------------------------------
-
-    def on_object(self, info: ObjectInfo) -> None:
-        self.ops.append((self._spilled + len(self._obj), _OP_OBJECT, info))
-
-    def on_access(self, obj_id, offset, size, is_store, category) -> None:
-        self._obj.append(obj_id)
-        self._offset.append(offset)
-        self._size.append(size)
-        self._cat.append(category)
-        self._store.append(is_store)
-        if (
-            self.backend != "heap"
-            and len(self._obj) >= self._spill_chunk_events
-        ):
-            self._spill_staging()
-
-    def on_alloc(self, info: ObjectInfo, return_addresses) -> None:
-        self.ops.append(
-            (self._spilled + len(self._obj), _OP_ALLOC, (info, tuple(return_addresses)))
-        )
-
-    def on_free(self, obj_id: int) -> None:
-        self.ops.append((self._spilled + len(self._obj), _OP_FREE, obj_id))
-
-    def on_compute(self, instructions: int) -> None:
-        self.compute_instructions += instructions
-        self.ops.append((self._spilled + len(self._obj), _OP_COMPUTE, instructions))
-
-    def on_stack_depth(self, depth: int) -> None:
-        if depth > self.max_stack_depth:
-            self.max_stack_depth = depth
-            self.ops.append(
-                (self._spilled + len(self._obj), _OP_STACK_DEPTH, depth)
-            )
-
-    def on_end(self) -> None:
-        self.ended = True
-        if self.backend != "heap" and self._storage is None:
-            self._seal()
-
-    # -- access columns -----------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._spilled + len(self._obj)
-
-    @property
-    def events(self) -> int:
-        """Number of recorded memory references."""
-        return self._spilled + len(self._obj)
-
-    def columns(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Numpy views of (obj_id, offset, size, category, is_store).
-
-        For sealed shm/mmap recordings these are zero-copy views of the
-        shared container; mid-recording they cover the staging only and
-        raise :class:`TraceError` once events have spilled to disk (the
-        full stream exists only in the sealed container, after
-        ``on_end``).
-        """
-        if self._storage is not None:
-            if self._columns is None:
-                self._columns = self._storage.columns()
-            return self._columns
-        if self._spilled:
-            raise TraceError(
-                "trace columns are unavailable mid-recording on "
-                f"{self.backend!r} storage once events have spilled; "
-                "they seal at on_end"
-            )
-        if self._columns is None or len(self._columns[0]) != len(self._obj):
-            self._columns = self._staging_columns()
-        return self._columns
 
     @property
     def lifetime_ops(self) -> list[tuple[int, int, object]]:
@@ -421,11 +244,10 @@ class TraceRecorder(TraceSink):
         """Approximate memory/storage footprint of the access columns."""
         if self._storage is not None:
             return self._storage.nbytes
-        staged = sum(
+        return sum(
             col.itemsize * len(col)
             for col in (self._obj, self._offset, self._size, self._cat, self._store)
         )
-        return staged + self._spilled * plane.BYTES_PER_EVENT
 
     # -- consumers ----------------------------------------------------------
 
@@ -637,18 +459,8 @@ class TraceRecorder(TraceSink):
         return stats
 
 
-def record_trace(
-    workload,
-    input_name: str | None = None,
-    storage: str = "heap",
-    spill_chunk_events: int = plane.DEFAULT_SPILL_CHUNK_EVENTS,
-    spill_dir: str | os.PathLike | None = None,
-) -> TraceRecorder:
+def record_trace(workload, input_name: str | None = None) -> TraceRecorder:
     """Run ``workload`` once and return its recorded trace."""
-    recorder = TraceRecorder(
-        storage=storage,
-        spill_chunk_events=spill_chunk_events,
-        spill_dir=spill_dir,
-    )
+    recorder = TraceRecorder()
     workload.run(recorder, input_name or workload.train_input)
     return recorder

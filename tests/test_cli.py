@@ -168,14 +168,18 @@ class TestStoreCommands:
 
 
 class TestBenchCommand:
-    @pytest.mark.parametrize("scales", ["0,10", "0", "-1", "abc"])
-    def test_bad_scales_exit_2(self, scales, capsys):
-        argv = ["bench", "--trace-scale", "--quick", "--scales", scales]
-        assert main(argv) == 2
-        assert "bad --scales value" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
-        "flag", ["--placement", "--store", "--dag", "--cache-dir=x", "--no-cache"]
+        "flag",
+        [
+            "--placement",
+            "--store",
+            "--dag",
+            "--cache-dir=x",
+            "--no-cache",
+            "--trace-scale",
+            "--scales=1",
+            "--backends=shm",
+        ],
     )
     def test_folded_bench_modes_are_gone(self, flag, capsys):
         with pytest.raises(SystemExit):

@@ -116,3 +116,29 @@ def test_live_batched_replay_is_gone():
     assert not hasattr(replay, "BatchReplaySink")
     assert not hasattr(buffer, "TraceBuffer")
     assert not hasattr(BatchCacheSimulator, "consume_buffer")
+
+
+#: Parameter names of the deleted storage backends and spill-while-recording.
+STORAGE_PARAMS = {"storage", "backend", "spill_chunk_events", "spill_dir"}
+
+
+def test_trace_storage_tier_is_gone():
+    """Traces record in-process or attach one mmap file; nothing else."""
+    import inspect
+
+    import repro.trace.plane as plane
+    from repro.trace.buffer import TraceRecorder, record_trace
+
+    for target in (record_trace, TraceRecorder):
+        params = set(inspect.signature(target).parameters)
+        assert not params & STORAGE_PARAMS, target.__qualname__
+    for name in (
+        "ShmStorage",
+        "SpillWriter",
+        "TraceHandle",
+        "create_storage",
+        "open_storage",
+    ):
+        assert not hasattr(plane, name), name
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.runtime.scale")

@@ -342,18 +342,6 @@ class TestPayloadGuard:
         assert registry.counters["fanout.payload_bytes"] > 0
         assert registry.gauges["fanout.payload.max_bytes"] > 0
 
-    def test_env_override_and_disable(self, monkeypatch):
-        monkeypatch.setenv(parallel.MAX_TASK_PAYLOAD_ENV, "16")
-        assert parallel.max_task_payload_bytes() == 16
-        with pytest.raises(parallel.TaskPayloadError):
-            parallel._check_payloads([("a" * 64,)], ["tiny-cap"])
-        monkeypatch.setenv(parallel.MAX_TASK_PAYLOAD_ENV, "0")
-        parallel._check_payloads([("a" * 64,)], ["disabled"])  # no raise
-        monkeypatch.setenv(parallel.MAX_TASK_PAYLOAD_ENV, "junk")
-        assert (
-            parallel.max_task_payload_bytes() == parallel.MAX_TASK_PAYLOAD_BYTES
-        )
-
     def test_pooled_fanout_rejects_bulk_data_before_spawning(self):
         blob = b"y" * (parallel.MAX_TASK_PAYLOAD_BYTES + 1)
         with pytest.raises(parallel.TaskPayloadError):

@@ -138,6 +138,34 @@ def test_oversized_body_gets_413_without_reading_it(daemon):
     assert ServeClient(port=daemon.port).ready()
 
 
+def test_default_daemon_accepts_the_largest_paper_trace(tmp_path):
+    """Every paper trace fits the default body ceiling, the largest too.
+
+    compress ``bigtest-40k`` packs to about 5.8 MiB; a stats job on the
+    upload can only finish from the uploaded columns, because ``bigprog``
+    is not a registry workload.
+    """
+    from repro.workloads import make_workload
+
+    trace = record_trace(make_workload("compress"), "bigtest-40k")
+    daemon = Daemon(
+        ServeConfig(cache_dir=str(tmp_path / "serve-store"), announce=False)
+    ).start()
+    try:
+        client = ServeClient(port=daemon.port, timeout=120.0)
+        uploaded = client.upload_trace("bigprog", "bigtest-40k", trace)
+        assert uploaded["events"] == trace.events
+        assert uploaded["bytes"] > 4 << 20
+        record = client.run(
+            "stats", workload="bigprog", input="bigtest-40k", timeout=120.0
+        )
+        assert record["state"] == "done", record
+        stats = record["result"]["stats"]
+        assert stats["loads"] + stats["stores"] == trace.events
+    finally:
+        daemon.stop()
+
+
 def test_mid_upload_disconnect_is_survived(daemon):
     head = (
         "POST /v1/traces?workload=x&input=y HTTP/1.1\r\n"

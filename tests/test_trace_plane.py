@@ -1,15 +1,15 @@
-"""The zero-copy trace plane: backends, spill, handles, trace artifacts.
+"""The trace column container: layout, mmap attach, trace artifacts.
 
-Everything here is parametrized over the three column-storage backends
-where it can be: the heap path is the seed's behavior, and shm/mmap must
-be observationally identical to it (bit-identical columns, resolution,
-and statistics) while staying attachable and leak-free.
+A trace is either recorded into in-process columns or attached from one
+memory-mapped file (a store artifact or a spooled serve upload).  The
+chunked-consumption tests run over both forms of the same recording:
+the attached copy must stream bit-identically, chunk by chunk, with
+``advise_done`` dropping the pages behind it.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 
 import numpy as np
 import pytest
@@ -17,31 +17,12 @@ import pytest
 from repro.runtime.resolvers import NaturalResolver
 from repro.store import ArtifactStore
 from repro.store import traces as store_traces
-from repro.store.keys import trace_fingerprint
 from repro.trace import plane
-from repro.trace.buffer import (
-    _OP_FREE,
-    DEFAULT_CHUNK_EVENTS,
-    TraceRecorder,
-    record_trace,
-)
-from repro.trace.events import TraceError
+from repro.trace.buffer import DEFAULT_CHUNK_EVENTS, TraceRecorder, record_trace
+from repro.trace.events import Category, ObjectInfo, TraceError
 
-BACKENDS = ("heap", "shm", "mmap")
-
-#: A spill chunk far smaller than any recorded toy trace, so shm/mmap
-#: recordings exercise the spill-while-recording path in every test.
-TINY_SPILL = 512
-
-
-def _record(workload, backend: str, tmp_path, spill=TINY_SPILL):
-    return record_trace(
-        workload,
-        "train",
-        storage=backend,
-        spill_chunk_events=spill,
-        spill_dir=tmp_path,
-    )
+#: ``heap`` is the in-process recording, ``mmap`` its store-attached copy.
+FORMS = ("heap", "mmap")
 
 
 def _synthetic_columns(events: int) -> tuple[np.ndarray, ...]:
@@ -53,6 +34,32 @@ def _synthetic_columns(events: int) -> tuple[np.ndarray, ...]:
         rng.integers(0, 4, events, dtype=np.int8),
         rng.integers(0, 2, events, dtype=np.int8),
     )
+
+
+def _written(path, columns) -> None:
+    storage = plane.MmapStorage(path, len(columns[0]), create=True)
+    storage.write_at(0, columns)
+    storage.close()
+
+
+@pytest.fixture
+def in_form(tmp_path):
+    """Return a finished recording as itself or as its store-attached copy."""
+    store = ArtifactStore(tmp_path / "store")
+    attached: list[TraceRecorder] = []
+
+    def convert(recorder: TraceRecorder, form: str) -> TraceRecorder:
+        if form == "heap":
+            return recorder
+        fingerprint = store_traces.save_trace(store, recorder)
+        loaded = store_traces.load_trace_by_fingerprint(store, fingerprint)
+        assert loaded is not None
+        attached.append(loaded)
+        return loaded
+
+    yield convert
+    for trace in attached:
+        trace.close()
 
 
 class TestColumnLayout:
@@ -73,241 +80,105 @@ class TestColumnLayout:
 
 
 class TestStorageContainers:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_write_read_round_trip(self, backend, tmp_path):
+    def test_write_read_round_trip(self, tmp_path):
         columns = _synthetic_columns(777)
-        storage = plane.create_storage(backend, 777, directory=tmp_path)
+        storage = plane.MmapStorage(tmp_path / "round.trace", 777, create=True)
+        # Two unequal writes spanning an odd boundary.
+        storage.write_at(0, tuple(c[:500] for c in columns))
+        storage.write_at(500, tuple(c[500:] for c in columns))
+        storage.close()
+        attached = plane.MmapStorage(tmp_path / "round.trace", 777, create=False)
         try:
-            # Two unequal writes spanning an odd boundary.
-            storage.write_at(0, tuple(c[:500] for c in columns))
-            storage.write_at(500, tuple(c[500:] for c in columns))
-            storage.seal()
-            for written, expected in zip(storage.columns(), columns):
+            for written, expected in zip(attached.columns(), columns):
                 np.testing.assert_array_equal(written, expected)
         finally:
-            storage.close()
+            attached.close()
 
-    @pytest.mark.parametrize("backend", ("shm", "mmap"))
-    def test_attach_sees_creator_data_and_never_unlinks(self, backend, tmp_path):
+    def test_close_keeps_the_file_for_the_next_attach(self, tmp_path):
+        path = tmp_path / "kept.trace"
         columns = _synthetic_columns(64)
-        storage = plane.create_storage(backend, 64, directory=tmp_path)
-        storage.write_at(0, columns)
-        storage.seal()
-        attached = plane.open_storage(backend, storage.ref, 64)
+        _written(path, columns)
+        attached = plane.MmapStorage(path, 64, create=False)
         np.testing.assert_array_equal(attached.columns()[1], columns[1])
         attached.close()
-        # The attachment's close must not have torn down the backing.
-        again = plane.open_storage(backend, storage.ref, 64)
+        again = plane.MmapStorage(path, 64, create=False)
         np.testing.assert_array_equal(again.columns()[0], columns[0])
         again.close()
-        storage.close()
+        assert path.is_file()
 
-    @pytest.mark.parametrize("backend", ("shm", "mmap"))
-    def test_owner_close_releases_the_backing(self, backend, tmp_path):
-        storage = plane.create_storage(backend, 8, directory=tmp_path)
-        storage.write_at(0, _synthetic_columns(8))
-        storage.seal()
-        ref = storage.ref
-        storage.close()
-        with pytest.raises(TraceError):
-            plane.open_storage(backend, ref, 8)
+    def test_a_closed_trace_refuses_reads(self, tmp_path, toy_workload):
+        store = ArtifactStore(tmp_path / "store")
+        fingerprint = store_traces.save_trace(
+            store, record_trace(toy_workload, "train")
+        )
+        trace = store_traces.load_trace_by_fingerprint(store, fingerprint)
+        trace.close()
+        with pytest.raises(TraceError, match="closed"):
+            trace.columns()
 
     def test_attach_with_wrong_event_count_is_rejected(self, tmp_path):
-        storage = plane.create_storage("mmap", 32, directory=tmp_path)
-        storage.write_at(0, _synthetic_columns(32))
-        storage.seal()
-        try:
-            with pytest.raises(TraceError):
-                plane.open_storage("mmap", storage.ref, 31)
-        finally:
-            storage.close()
+        path = tmp_path / "count.trace"
+        _written(path, _synthetic_columns(32))
+        with pytest.raises(TraceError):
+            plane.MmapStorage(path, 31, create=False)
 
-    def test_unknown_backend_is_rejected(self):
-        with pytest.raises(ValueError, match="disk"):
-            plane.create_storage("disk", 1)
-        with pytest.raises(ValueError):
-            plane.open_storage("heap", "", 1)
-
-
-class TestSpillFormat:
-    def test_chunks_round_trip(self, tmp_path):
-        path = tmp_path / "round.spill"
-        columns = _synthetic_columns(1000)
-        writer = plane.SpillWriter(path)
-        writer.write_chunk(tuple(c[:600] for c in columns))
-        writer.write_chunk(tuple(c[600:] for c in columns))
-        writer.close()
-        chunks = list(plane.iter_spill_chunks(path))
-        assert [len(chunk[0]) for chunk in chunks] == [600, 400]
-        rebuilt = np.concatenate([chunk[1] for chunk in chunks])
-        np.testing.assert_array_equal(rebuilt, columns[1])
-
-    def test_empty_file_yields_nothing(self, tmp_path):
-        path = tmp_path / "empty.spill"
-        plane.SpillWriter(path).close()
-        assert list(plane.iter_spill_chunks(path)) == []
-
-    @pytest.mark.parametrize("clip", (3, 20, 200))
-    def test_truncation_raises_mid_chunk(self, tmp_path, clip):
-        path = tmp_path / "short.spill"
-        writer = plane.SpillWriter(path)
-        writer.write_chunk(_synthetic_columns(100))
-        writer.close()
-        os.truncate(path, os.path.getsize(path) - clip)
-        with pytest.raises(TraceError, match="mid-chunk"):
-            list(plane.iter_spill_chunks(path))
-
-
-class TestBackendParity:
-    """shm/mmap recordings must be bit-identical to the heap path."""
-
-    @pytest.mark.parametrize("backend", ("shm", "mmap"))
-    def test_columns_resolution_and_stats_match_heap(
-        self, backend, toy_workload, tmp_path
-    ):
-        heap = record_trace(toy_workload, "train")
-        other = _record(toy_workload, backend, tmp_path)
-        try:
-            assert other.events == heap.events
-            assert other.ops == heap.ops
-            for left, right in zip(other.columns(), heap.columns()):
-                np.testing.assert_array_equal(left, right)
-            np.testing.assert_array_equal(
-                other.resolve(NaturalResolver()), heap.resolve(NaturalResolver())
-            )
-            assert other.stats() == heap.stats()
-            assert trace_fingerprint(other) == trace_fingerprint(heap)
-        finally:
-            other.close()
-
-    @pytest.mark.parametrize("backend", ("shm", "mmap"))
-    def test_spill_chunk_size_does_not_change_the_trace(
-        self, backend, toy_workload, tmp_path
-    ):
-        small = _record(toy_workload, backend, tmp_path, spill=97)
-        large = _record(toy_workload, backend, tmp_path, spill=1 << 20)
-        try:
-            for left, right in zip(small.columns(), large.columns()):
-                np.testing.assert_array_equal(left, right)
-        finally:
-            small.close()
-            large.close()
+    def test_missing_file_is_not_attachable(self, tmp_path):
+        with pytest.raises(TraceError, match="not attachable"):
+            plane.MmapStorage(tmp_path / "absent.trace", 8, create=False)
 
 
 class TestChunkBoundaries:
-    """Chunked consumption at awkward event counts, on every backend."""
+    """Chunked consumption at awkward event counts, recorded and attached."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("form", FORMS)
     @pytest.mark.parametrize("chunk_events", (1, 7, 64, DEFAULT_CHUNK_EVENTS))
     def test_iter_resolved_covers_non_multiple_streams(
-        self, backend, chunk_events, toy_workload, tmp_path
+        self, form, chunk_events, toy_workload, in_form
     ):
-        trace = _record(toy_workload, backend, tmp_path)
-        try:
-            assert trace.events % chunk_events != 0 or chunk_events == 1
-            reference = trace.resolve(NaturalResolver())
-            spans = []
-            pieces = []
-            for start, end, addresses in trace.iter_resolved(
-                NaturalResolver(), chunk_events=chunk_events
-            ):
-                assert end - start <= chunk_events
-                spans.append((start, end))
-                pieces.append(addresses.copy())
-                trace.advise_done(start, end)
-            assert spans[0][0] == 0
-            assert spans[-1][1] == trace.events
-            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-            np.testing.assert_array_equal(np.concatenate(pieces), reference)
-        finally:
-            trace.close()
+        recorded = record_trace(toy_workload, "train")
+        reference = recorded.resolve(NaturalResolver())
+        trace = in_form(recorded, form)
+        assert trace.events % chunk_events != 0 or chunk_events == 1
+        spans = []
+        pieces = []
+        for start, end, addresses in trace.iter_resolved(
+            NaturalResolver(), chunk_events=chunk_events
+        ):
+            assert end - start <= chunk_events
+            spans.append((start, end))
+            pieces.append(addresses.copy())
+            trace.advise_done(start, end)
+        assert spans[0][0] == 0
+        assert spans[-1][1] == trace.events
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        np.testing.assert_array_equal(np.concatenate(pieces), reference)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_trace(self, backend, tmp_path):
-        recorder = TraceRecorder(
-            storage=backend, spill_chunk_events=TINY_SPILL, spill_dir=tmp_path
-        )
+    @pytest.mark.parametrize("form", FORMS)
+    def test_empty_trace(self, form, in_form):
+        recorder = TraceRecorder()
         recorder.on_end()
-        try:
-            assert recorder.events == 0
-            assert all(len(c) == 0 for c in recorder.columns())
-            assert list(recorder.iter_resolved(NaturalResolver())) == []
-            assert len(recorder.resolve(NaturalResolver())) == 0
-        finally:
-            recorder.close()
+        trace = in_form(recorder, form)
+        assert trace.events == 0
+        assert all(len(c) == 0 for c in trace.columns())
+        assert list(trace.iter_resolved(NaturalResolver())) == []
+        assert len(trace.resolve(NaturalResolver())) == 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_single_event_trace(self, backend, tmp_path):
-        from repro.trace.events import Category, ObjectInfo
-
-        recorder = TraceRecorder(
-            storage=backend, spill_chunk_events=TINY_SPILL, spill_dir=tmp_path
-        )
+    @pytest.mark.parametrize("form", FORMS)
+    def test_single_event_trace(self, form, in_form):
+        recorder = TraceRecorder()
         info = ObjectInfo(
             obj_id=1, category=Category.GLOBAL, size=64, symbol="g", decl_index=0
         )
         recorder.on_object(info)
         recorder.on_access(1, 8, 4, 0, int(Category.GLOBAL))
         recorder.on_end()
-        try:
-            assert recorder.events == 1
-            chunks = list(recorder.iter_resolved(NaturalResolver()))
-            assert len(chunks) == 1
-            start, end, addresses = chunks[0]
-            assert (start, end) == (0, 1)
-            assert len(addresses) == 1
-        finally:
-            recorder.close()
-
-    @pytest.mark.parametrize("backend", ("shm", "mmap"))
-    def test_exact_spill_multiple_has_no_ragged_tail(
-        self, backend, tmp_path
-    ):
-        from repro.trace.events import Category, ObjectInfo
-
-        recorder = TraceRecorder(
-            storage=backend, spill_chunk_events=8, spill_dir=tmp_path
-        )
-        info = ObjectInfo(
-            obj_id=1, category=Category.GLOBAL, size=4096, symbol="g", decl_index=0
-        )
-        recorder.on_object(info)
-        for index in range(32):  # exactly 4 spill chunks, empty staging tail
-            recorder.on_access(1, index * 4, 4, 0, int(Category.GLOBAL))
-        recorder.on_end()
-        try:
-            assert recorder.events == 32
-            np.testing.assert_array_equal(
-                recorder.columns()[1], np.arange(32, dtype=np.int64) * 4
-            )
-        finally:
-            recorder.close()
-
-
-class TestHandles:
-    @pytest.mark.parametrize("backend", ("shm", "mmap"))
-    def test_pickle_round_trip_and_attach(self, backend, toy_workload, tmp_path):
-        trace = _record(toy_workload, backend, tmp_path)
-        try:
-            handle = trace.handle()
-            # The whole point: the handle is small — columns never cross
-            # the process boundary (toy trace columns are ~100KB).
-            assert len(pickle.dumps(handle)) < 20_000
-            revived = pickle.loads(pickle.dumps(handle))
-            attached = TraceRecorder.attach(revived)
-            assert attached.events == trace.events
-            for left, right in zip(attached.columns(), trace.columns()):
-                np.testing.assert_array_equal(left, right)
-            attached.close()
-            # An attachment's close leaves the creator's storage alive.
-            assert trace.events == len(trace.columns()[0])
-        finally:
-            trace.close()
-
-    def test_heap_traces_are_not_attachable(self, toy_workload):
-        trace = record_trace(toy_workload, "train")
-        with pytest.raises(TraceError, match="not attachable"):
-            trace.handle()
+        trace = in_form(recorder, form)
+        assert trace.events == 1
+        chunks = list(trace.iter_resolved(NaturalResolver()))
+        assert len(chunks) == 1
+        start, end, addresses = chunks[0]
+        assert (start, end) == (0, 1)
+        assert len(addresses) == 1
 
 
 class TestTraceArtifacts:
@@ -330,7 +201,6 @@ class TestTraceArtifacts:
         assert path.is_file()
         loaded = store_traces.load_trace(store, toy_workload.name, "train")
         assert loaded is not None
-        assert loaded.backend == "mmap"
         for left, right in zip(loaded.columns(), trace.columns()):
             np.testing.assert_array_equal(left, right)
         np.testing.assert_array_equal(
@@ -389,66 +259,3 @@ class TestTraceArtifacts:
         store.clear()
         assert not store_traces.trace_data_path(store, fingerprint).exists()
         assert store.stats().trace_files == 0
-
-
-class TestScaleBench:
-    """The amplifier and arm grid behind ``repro bench --trace-scale``."""
-
-    def test_default_arms_grid(self):
-        from repro.runtime.scale import default_arms
-
-        assert default_arms((1, 10)) == [
-            ("heap", 1),
-            ("shm", 1),
-            ("mmap", 1),
-            ("mmap", 10),
-        ]
-        assert default_arms((1, 2), ("heap", "mmap")) == [
-            ("heap", 1),
-            ("heap", 2),
-            ("mmap", 1),
-            ("mmap", 2),
-        ]
-
-    def test_amplifier_tiles_columns_and_resolves_periodically(
-        self, toy_workload, tmp_path
-    ):
-        from repro.runtime.scale import amplify_trace
-
-        base = record_trace(toy_workload, "train")
-        amplified = amplify_trace(base, 3, "mmap", directory=tmp_path)
-        try:
-            events = base.events
-            assert amplified.events == events * 3
-            # Declarations and allocations keep their positions; the frees
-            # move to the end, so every copy touches only live objects.
-            frees = [op for op in base.ops if op[1] == _OP_FREE]
-            assert frees
-            assert amplified.ops == [
-                op for op in base.ops if op[1] != _OP_FREE
-            ] + [(events * 3, kind, obj_id) for _p, kind, obj_id in frees]
-            assert (
-                amplified.compute_instructions == base.compute_instructions * 3
-            )
-            base_obj = base.columns()[0]
-            amp_obj = amplified.columns()[0]
-            for copy in range(3):
-                np.testing.assert_array_equal(
-                    amp_obj[copy * events : (copy + 1) * events], base_obj
-                )
-            # Every copy resolves to the same addresses as the first: the
-            # lifetime ops replay once and no object dies before the end.
-            resolved = amplified.resolve(NaturalResolver())
-            for copy in range(1, 3):
-                np.testing.assert_array_equal(
-                    resolved[copy * events : (copy + 1) * events],
-                    resolved[:events],
-                )
-        finally:
-            amplified.close()
-
-    def test_scale_rejects_nonpositive_factors(self):
-        from repro.runtime.scale import run_scale_bench
-
-        with pytest.raises(ValueError, match=">= 1"):
-            run_scale_bench(quick=True, scales=(0,), output=None)
