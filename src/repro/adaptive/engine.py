@@ -203,8 +203,9 @@ def run_adaptive(
         The carried cache statistics plus per-window telemetry.
 
     Raises:
-        TraceError: An access touches an object outside its lifetime
-            (never declared, not yet allocated, or already freed).
+        TraceError: The recording is truncated, or an access touches an
+            object outside its lifetime (never declared, not yet
+            allocated, or already freed).
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {_POLICIES}")
@@ -240,11 +241,7 @@ def run_adaptive(
         initial_placement = placement
 
         profile, eid_map, entry_bytes = build_entity_map(
-            trace,
-            config,
-            chunk_size=chunk_size,
-            name_depth=name_depth,
-            queue_threshold=queue_threshold,
+            trace, chunk_size=chunk_size, name_depth=name_depth
         )
         entity_sizes = {
             eid: max(entity.size, 1)
@@ -276,11 +273,7 @@ def run_adaptive(
                 eids_w = eid_map[obj_w]
                 entity_base[eids_w] = resolved.bases[obj_w]
                 edges = window_trg(
-                    eids_w,
-                    offset_w // chunk_size,
-                    entry_bytes,
-                    threshold,
-                    chunk_size,
+                    eids_w, offset_w // chunk_size, entry_bytes, threshold
                 )
                 index.apply_edge_deltas(aggregator.push(edges))
 

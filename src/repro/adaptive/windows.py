@@ -1,18 +1,18 @@
 """Windowed trace views: per-window TRGs and the sliding-window deltas.
 
-Three pieces the streaming engine composes:
+Three pieces the streaming engine composes, each on the batched
+profiler's kernels (:mod:`repro.profiling.batch`):
 
-* :func:`window_profile` — an exact scalar profile of a trace prefix
-  (the training window), byte-for-byte what the live profiler would
-  produce on a run truncated there.  The adaptive engine's initial
-  placement and the static train-on-first-window baseline both come
-  from this, so "drift detection disabled" reproduces the static
+* :func:`window_profile` — the profile of a trace prefix (the training
+  window), exactly what the live profiler would produce on a run
+  truncated there.  The adaptive engine's initial placement and the
+  static train-on-first-window baseline both come from this, so "drift
+  detection disabled" reproduces the static
   :class:`~repro.core.algorithm.CCDPPlacer` placement exactly.
 * :func:`build_entity_map` + :func:`window_trg` — the full-trace
-  object -> entity map (one lifetime-op replay) and a vectorized
-  per-window TRG: consecutive-duplicate boundaries are extracted with
-  column ops and only the boundaries reach the scalar recency queue,
-  the same trick batched profiling uses.
+  object -> entity map (one lifetime-op replay) and a per-window TRG
+  from the same recency pass :func:`~repro.profiling.batch.profile_trace`
+  runs.
 * :class:`WindowAggregator` — turns a stream of per-window edge dicts
   into add/retire deltas for
   :meth:`~repro.core.cache_struct.TRGIndex.apply_edge_deltas`, keeping
@@ -27,17 +27,10 @@ import numpy as np
 
 from ..cache.config import CacheConfig
 from ..naming.xor import DEFAULT_NAME_DEPTH
-from ..profiling.profile_data import Profile, STACK_ENTITY_ID
-from ..profiling.profiler import ProfilerSink
-from ..profiling.trg import DEFAULT_CHUNK_SIZE, EdgeKey, TRGBuilder
-from ..trace.buffer import (
-    TraceRecorder,
-    _OP_ALLOC,
-    _OP_FREE,
-    _OP_OBJECT,
-    _OP_STACK_DEPTH,
-)
-from ..trace.events import STACK_OBJECT_ID
+from ..profiling.batch import _profile_prefix, replay_entities, trg_edges
+from ..profiling.profile_data import Profile
+from ..profiling.trg import DEFAULT_CHUNK_SIZE, EdgeKey
+from ..trace.buffer import TraceRecorder
 
 
 def window_profile(
@@ -50,83 +43,42 @@ def window_profile(
 ) -> Profile:
     """Profile the first ``end_event`` accesses of a recorded trace.
 
-    Lifetime ops are interleaved at their recorded positions (ops at or
-    before the cut are applied, later ones dropped), so the result is
-    exactly the profile of a run that stopped at the cut.
+    Lifetime ops at or before the cut are applied and later ones dropped,
+    so the result is exactly the profile of a run that stopped at the
+    cut.  Runs :func:`~repro.profiling.batch.profile_trace`'s body
+    without its counters, and never through the artifact store, which
+    keys profiles by the whole trace.
+
+    Raises:
+        TraceError: As :func:`~repro.profiling.batch.profile_trace`.
     """
-    sink = ProfilerSink(
-        cache_config=cache_config,
-        chunk_size=chunk_size,
-        name_depth=name_depth,
-        queue_threshold=queue_threshold,
+    end = min(max(0, end_event), trace.events)
+    profile, _trg = _profile_prefix(
+        trace, end, cache_config, chunk_size, name_depth, queue_threshold
     )
-    obj, offset, size, _cat, _store = trace.columns()
-    end = min(max(0, end_event), len(obj))
-    obj_l = obj[:end].tolist()
-    offset_l = offset[:end].tolist()
-    size_l = size[:end].tolist()
-    on_access = sink.on_access
-    position = 0
-    for op_position, kind, payload in trace.lifetime_ops:
-        if op_position > end:
-            break
-        while position < op_position:
-            on_access(obj_l[position], offset_l[position], size_l[position], False, None)
-            position += 1
-        TraceRecorder._replay_op(sink, kind, payload)
-    while position < end:
-        on_access(obj_l[position], offset_l[position], size_l[position], False, None)
-        position += 1
-    sink.on_end()
-    return sink.profile
+    return profile
 
 
 def build_entity_map(
     trace: TraceRecorder,
-    cache_config: CacheConfig | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     name_depth: int = DEFAULT_NAME_DEPTH,
-    queue_threshold: int | None = None,
 ) -> tuple[Profile, np.ndarray, np.ndarray]:
     """Full-trace entity universe from one lifetime-op replay.
 
     Returns ``(profile, eid_map, entry_bytes)``: a profile holding every
     entity the trace will ever declare (no access counters — the TRG is
     built per window), the object-id -> entity-id gather map, and the
-    per-entity recency-queue entry bytes (final entity sizes; chunk size
-    for anything chunk-sized or larger).
+    per-entity recency-queue entry bytes (the replay's last size update:
+    the final entity size, or the chunk size for anything chunk-sized or
+    larger).
     """
-    sink = ProfilerSink(
-        cache_config=cache_config,
-        chunk_size=chunk_size,
-        name_depth=name_depth,
-        queue_threshold=queue_threshold,
-    )
-    obj_col, _offset, _size, _cat, _store = trace.columns()
-    max_obj = int(obj_col.max()) if len(obj_col) else STACK_OBJECT_ID
-    eid_map = np.zeros(max(max_obj, STACK_OBJECT_ID) + 1, dtype=np.int64)
-    eid_map[STACK_OBJECT_ID] = STACK_ENTITY_ID
-    entity_of_object = sink._entity_of_object
-    for _position, kind, payload in trace.lifetime_ops:
-        if kind == _OP_OBJECT:
-            sink.on_object(payload)
-            if payload.obj_id <= max_obj:
-                eid_map[payload.obj_id] = entity_of_object[payload.obj_id]
-        elif kind == _OP_ALLOC:
-            info, return_addresses = payload
-            sink.on_alloc(info, return_addresses)
-            if info.obj_id <= max_obj:
-                eid_map[info.obj_id] = entity_of_object[info.obj_id]
-        elif kind == _OP_FREE:
-            sink.on_free(payload)
-        elif kind == _OP_STACK_DEPTH:
-            sink.on_stack_depth(payload)
-    profile = sink.profile
+    replay = replay_entities(trace, chunk_size=chunk_size, name_depth=name_depth)
+    profile = replay.profile
     entry_bytes = np.full(max(profile.entities) + 1, chunk_size, dtype=np.int64)
-    for eid, entity in profile.entities.items():
-        if entity.size and entity.size < chunk_size:
-            entry_bytes[eid] = entity.size
-    return profile, eid_map, entry_bytes
+    for _position, eid, entry in replay.size_updates:
+        entry_bytes[eid] = entry
+    return profile, replay.eid_map, entry_bytes
 
 
 def window_trg(
@@ -134,31 +86,13 @@ def window_trg(
     chunks: np.ndarray,
     entry_bytes: np.ndarray,
     queue_threshold: int,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> dict[EdgeKey, int]:
     """TRG edges of one window of (entity, chunk) references.
 
-    Only boundaries of consecutive-duplicate runs reach the scalar
-    recency queue — the front-of-queue fast path skips the rest — so
-    the Python loop is sized by locality changes, not events.
+    ``entry_bytes`` is indexed by entity.  Each window starts from an
+    empty recency queue.
     """
-    builder = TRGBuilder(queue_threshold, chunk_size)
-    total = len(eids)
-    if total:
-        span = int(chunks.max()) + 1
-        packed = eids * span + chunks
-        keep = np.empty(total, dtype=bool)
-        keep[0] = True
-        np.not_equal(packed[1:], packed[:-1], out=keep[1:])
-        kept_eids = eids[keep]
-        observe = builder.observe
-        for eid, chunk, entry in zip(
-            kept_eids.tolist(),
-            chunks[keep].tolist(),
-            entry_bytes[kept_eids].tolist(),
-        ):
-            observe(eid, chunk, entry)
-    return builder.edges
+    return trg_edges(eids, chunks, entry_bytes[eids], queue_threshold).edges
 
 
 class WindowAggregator:

@@ -239,6 +239,13 @@ class TraceRecorder(TraceSink):
             ]
         return self._lifetime_ops
 
+    def require_ended(self) -> None:
+        """Raise :class:`TraceError` unless the recording saw ``on_end``."""
+        if not self.ended:
+            raise TraceError(
+                "truncated trace: recording ended without its on_end marker"
+            )
+
     @property
     def nbytes(self) -> int:
         """Approximate memory/storage footprint of the access columns."""
@@ -303,34 +310,6 @@ class TraceRecorder(TraceSink):
         else:
             sink.on_compute(payload)
 
-    def iter_segments(
-        self,
-    ) -> Iterator[tuple[int, int, list[tuple[int, object]]]]:
-        """Yield ``(start, end, ops)`` segments of the access stream.
-
-        Each segment covers the accesses between two groups of lifetime
-        ops; ``ops`` lists the ``(kind, payload)`` events that fire at
-        position ``end`` (after the segment's accesses).  Batched
-        consumers process segment columns vectorized and apply the ops
-        scalar, preserving exact interleaving.
-        """
-        position = 0
-        pending: list[tuple[int, object]] = []
-        pending_position = 0
-        for op_position, kind, payload in self.ops:
-            if pending and op_position != pending_position:
-                yield (position, pending_position, pending)
-                position = pending_position
-                pending = []
-            pending_position = op_position
-            pending.append((kind, payload))
-        if pending:
-            yield (position, pending_position, pending)
-            position = pending_position
-        total = self.events
-        if position < total or total == 0:
-            yield (position, total, [])
-
     def resolve_bases(self, resolver) -> ResolvedBases:
         """Replay lifetime ops through ``resolver`` once; see :class:`ResolvedBases`.
 
@@ -384,10 +363,7 @@ class TraceRecorder(TraceSink):
         object outside its lifetime: never declared, not yet allocated,
         or already freed.
         """
-        if not self.ended:
-            raise TraceError(
-                "truncated trace: recording ended without its on_end marker"
-            )
+        self.require_ended()
         obj, offset, _size, _cat, _store = self.columns()
         resolved = self.resolve_bases(resolver)
         total = len(obj)

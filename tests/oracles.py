@@ -11,6 +11,12 @@ keeps the per-event twins those kernels must equal bit for bit:
 * :func:`scalar_measure` — the live run through :class:`ReplaySink` into
   the per-event :class:`CacheSimulator` (and :class:`PageTracker`);
 * :func:`scalar_profile` — the live run through :class:`ProfilerSink`;
+* :func:`scalar_window_profile` — a recorded trace cut after its first
+  accesses, replayed through :class:`ProfilerSink` (the twin of
+  :func:`~repro.adaptive.windows.window_profile`);
+* :func:`scalar_window_trg` — one window's references fed to
+  :class:`TRGBuilder` one by one (the twin of
+  :func:`~repro.adaptive.windows.window_trg`);
 * :class:`ScalarPlacer` — a :class:`CCDPPlacer` whose Phase 2 and
   Phase 6 run on :class:`CacheImage`, :func:`conflict_cost_scan` and
   :class:`CompoundMerger`.
@@ -34,10 +40,13 @@ from repro.core.cache_struct import (
 from repro.core.compound import CompoundMerger, CompoundNode
 from repro.memory.layout import TEXT_BASE
 from repro.memory.static_layout import layout_sequential
+from repro.naming.xor import DEFAULT_NAME_DEPTH
 from repro.profiling.profile_data import STACK_ENTITY_ID, Profile
 from repro.profiling.profiler import ProfilerSink
+from repro.profiling.trg import DEFAULT_CHUNK_SIZE, TRGBuilder
 from repro.runtime.driver import MeasureResult
 from repro.runtime.replay import ReplaySink
+from repro.trace.buffer import TraceRecorder
 from repro.trace.events import Category
 
 
@@ -62,6 +71,78 @@ def scalar_profile(workload, input_name: str, **profiler_kwargs) -> Profile:
     sink = ProfilerSink(**profiler_kwargs)
     workload.run(sink, input_name)
     return sink.profile
+
+
+def scalar_window_profile(
+    trace: TraceRecorder,
+    end_event: int,
+    cache_config: CacheConfig | None = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    name_depth: int = DEFAULT_NAME_DEPTH,
+    queue_threshold: int | None = None,
+) -> Profile:
+    """Profile a run truncated after ``end_event`` accesses, event by event.
+
+    Lifetime ops at or before the cut are interleaved at their recorded
+    positions; later ones are dropped.
+    """
+    sink = ProfilerSink(
+        cache_config=cache_config,
+        chunk_size=chunk_size,
+        name_depth=name_depth,
+        queue_threshold=queue_threshold,
+    )
+    obj, offset, size, _cat, _store = trace.columns()
+    end = min(max(0, end_event), len(obj))
+    accesses = list(zip(obj[:end].tolist(), offset[:end].tolist(), size[:end].tolist()))
+    position = 0
+    for op_position, kind, payload in trace.lifetime_ops:
+        if op_position > end:
+            break
+        while position < op_position:
+            sink.on_access(*accesses[position], False, None)
+            position += 1
+        TraceRecorder._replay_op(sink, kind, payload)
+    while position < end:
+        sink.on_access(*accesses[position], False, None)
+        position += 1
+    sink.on_end()
+    return sink.profile
+
+
+def scalar_window_trg(eids, chunks, entry_bytes, queue_threshold) -> TRGBuilder:
+    """A fresh :class:`TRGBuilder` fed one window reference by reference.
+
+    ``entry_bytes`` is indexed by entity, as in ``window_trg``.
+    """
+    builder = TRGBuilder(queue_threshold)
+    for eid, chunk in zip(eids.tolist(), chunks.tolist()):
+        builder.observe(eid, chunk, int(entry_bytes[eid]))
+    return builder
+
+
+def assert_same_profile(batched: Profile, scalar: Profile) -> None:
+    """Field-by-field profile equality, dict insertion orders included.
+
+    Downstream tie-breaking iterates the TRG and entity dicts, so their
+    order is part of the contract; popularity and affinity are
+    precomputed on the batched side and derived lazily on the scalar one.
+    """
+    assert list(batched.trg.items()) == list(scalar.trg.items())
+    assert batched.total_accesses == scalar.total_accesses
+    assert list(batched.alloc_adjacency.items()) == list(
+        scalar.alloc_adjacency.items()
+    )
+    assert list(batched.entities.items()) == list(scalar.entities.items())
+    assert (batched.chunk_size, batched.queue_threshold, batched.name_depth) == (
+        scalar.chunk_size,
+        scalar.queue_threshold,
+        scalar.name_depth,
+    )
+    assert list(batched.popularity().items()) == list(scalar.popularity().items())
+    assert list(batched.entity_affinity().items()) == list(
+        scalar.entity_affinity().items()
+    )
 
 
 class ScalarPlacer(CCDPPlacer):

@@ -116,18 +116,6 @@ def test_bad_policy_rejected(stationary_trace):
         run_adaptive(stationary_trace, CONFIG, policy="sometimes")
 
 
-def test_window_profile_matches_full_profile_at_end(stationary_trace):
-    """Cutting at the trace end reproduces the batched full profile."""
-    from repro.profiling.batch import profile_trace
-
-    trace = stationary_trace
-    full = profile_trace(trace, cache_config=CONFIG)
-    cut = window_profile(trace, trace.events, CONFIG)
-    assert cut.trg == full.trg
-    assert cut.total_accesses == full.total_accesses
-    assert set(cut.entities) == set(full.entities)
-
-
 def test_window_aggregator_retires_old_windows():
     key_a, key_b = ((1, 0), (2, 0)), ((2, 0), (3, 0))
     aggregator = WindowAggregator(history=2)

@@ -27,7 +27,7 @@ from repro.trace.buffer import record_trace
 from repro.trace.events import Category
 from repro.workloads import make_workload
 from repro.workloads.synthetic import SyntheticSpec, SyntheticWorkload
-from tests.oracles import scalar_measure, scalar_profile
+from tests.oracles import assert_same_profile, scalar_measure, scalar_profile
 
 GEOMETRIES = [
     pytest.param(CacheConfig(size=8192, line_size=32, associativity=1), id="8k-32B-direct"),
@@ -167,25 +167,7 @@ def test_batched_profile_equals_scalar_profile(name):
     trace = record_trace(workload, input_name)
     batched = profile_trace(trace)
     scalar = scalar_profile(workload_under_test(name), input_name)
-
-    # TRG edges: same weights AND same insertion order (downstream
-    # tie-breaking iterates the dict).
-    assert list(batched.trg.items()) == list(scalar.trg.items())
-    assert batched.total_accesses == scalar.total_accesses
-    assert batched.alloc_adjacency == scalar.alloc_adjacency
-    assert set(batched.entities) == set(scalar.entities)
-    for eid, scalar_entity in scalar.entities.items():
-        batched_entity = batched.entities[eid]
-        assert batched_entity.refs == scalar_entity.refs
-        assert batched_entity.first_access == scalar_entity.first_access
-        assert batched_entity.last_access == scalar_entity.last_access
-        assert batched_entity.size == scalar_entity.size
-        assert batched_entity.collided == scalar_entity.collided
-    # Derived reductions (precomputed on the batched side) match too.
-    assert list(batched.popularity().items()) == list(scalar.popularity().items())
-    assert list(batched.entity_affinity().items()) == list(
-        scalar.entity_affinity().items()
-    )
+    assert_same_profile(batched, scalar)
 
 
 @pytest.mark.parametrize("classify", [False, True])

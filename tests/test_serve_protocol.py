@@ -247,6 +247,29 @@ def test_use_after_free_upload_fails_the_adaptive_job_not_the_daemon(daemon):
     assert ServeClient(port=daemon.port).ready()
 
 
+def test_undeclared_id_upload_fails_the_profile_job_not_the_daemon(daemon):
+    """A trace that touches an id no op declared fails its profile job.
+
+    The batched profiler used to count the access on the stack entity
+    and return the profile.
+    """
+    from tests.test_trace_errors import undeclared_id_trace
+
+    client = ServeClient(port=daemon.port)
+    client.upload_trace("undeclprog", "train", undeclared_id_trace())
+    record = client.run(
+        "profile",
+        workload="undeclprog",
+        input="train",
+        cache=[1024, 32, 1],
+        timeout=60.0,
+    )
+    assert record["state"] == "failed"
+    assert "TraceError" in record["error"]
+    assert "access to unknown object id 5" in record["error"]
+    assert ServeClient(port=daemon.port).ready()
+
+
 def test_queue_full_answers_429(daemon):
     client = ServeClient(port=daemon.port)
     # One sleep occupies the dispatcher, two more fill the depth-2 queue;

@@ -85,19 +85,6 @@ class TestTraceRecorder:
         assert offset.dtype == np.int64
         assert trace.nbytes >= trace.events * (4 + 8 + 4 + 1 + 1)
 
-    def test_iter_segments_covers_stream(self):
-        workload = make_workload("deltablue")
-        trace = record_trace(workload, workload.train_input)
-        position = 0
-        op_count = 0
-        for start, end, ops in trace.iter_segments():
-            assert start == position
-            assert end >= start
-            position = end
-            op_count += len(ops)
-        assert position == trace.events
-        assert op_count == len(trace.ops)
-
     def test_default_chunk_is_power_of_two(self):
         assert DEFAULT_CHUNK_EVENTS & (DEFAULT_CHUNK_EVENTS - 1) == 0
 

@@ -1,26 +1,32 @@
 """Error paths of the trace layer: truncated and corrupt streams.
 
 Every consumer of a trace — :class:`RecordingSink.replay`, the live
-:class:`ReplaySink`, and the columnar :class:`TraceRecorder` resolver
-behind :func:`measure_trace` and :func:`run_adaptive` — must fail loudly
-with a :class:`TraceError` naming the offending object id, rather than
-silently simulating garbage addresses.  That includes an access outside
-its object's lifetime: before its allocation or after its free.
+:class:`ReplaySink`, the columnar :class:`TraceRecorder` resolver behind
+:func:`measure_trace` and :func:`run_adaptive`, and the batched profiler
+behind :func:`profile_trace` and :func:`window_profile` — must fail
+loudly with a :class:`TraceError` naming the offending object id, rather
+than silently simulating garbage addresses or counting the access on
+another entity.  For the simulators that includes an access outside its
+object's lifetime: before its allocation or after its free.  A profile
+names objects rather than resolving them, so the profilers accept a use
+after free, as the live :class:`ProfilerSink` does.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.adaptive import run_adaptive
+from repro.adaptive import run_adaptive, window_profile
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import CacheSimulator
+from repro.profiling.batch import profile_trace
 from repro.runtime.driver import measure_trace
 from repro.runtime.replay import ReplaySink
 from repro.runtime.resolvers import NaturalResolver
 from repro.trace.buffer import TraceRecorder, record_trace
 from repro.trace.events import Category, ObjectInfo, TraceError
 from repro.trace.sinks import RecordingSink, TraceSink
+from tests.oracles import assert_same_profile, scalar_window_profile
 
 
 def _global_info(obj_id: int = 1, size: int = 64) -> ObjectInfo:
@@ -155,6 +161,19 @@ class TestTraceRecorderErrors:
         with pytest.raises(TraceError, match="truncated trace"):
             recorder.resolve(NaturalResolver())
 
+    def test_truncated_recording_cannot_profile(self):
+        recorder = TraceRecorder()
+        recorder.on_object(_global_info(1))
+        recorder.on_access(1, 0, 4, False, Category.GLOBAL)
+        # no on_end(): the recording is truncated
+        for profile in (
+            lambda: profile_trace(recorder),
+            lambda: window_profile(recorder, 1),
+            lambda: run_adaptive(recorder, window_events=1),
+        ):
+            with pytest.raises(TraceError, match="truncated trace"):
+                profile()
+
     def test_corrupt_recording_names_the_bad_object(self):
         recorder = TraceRecorder()
         recorder.on_object(_global_info(1))
@@ -185,6 +204,48 @@ class TestLifetimeErrors:
             measure_trace(
                 access_before_alloc_trace(), NaturalResolver(), self.CONFIG
             )
+
+    @pytest.mark.parametrize(
+        "make_trace, bad",
+        [(access_before_alloc_trace, 9), (undeclared_id_trace, 5)],
+    )
+    def test_profile_trace_rejects_access_before_declaration(self, make_trace, bad):
+        with pytest.raises(TraceError, match=f"unknown object id {bad} "):
+            profile_trace(make_trace(), self.CONFIG)
+
+    @pytest.mark.parametrize(
+        "make_trace, bad, cut",
+        [(access_before_alloc_trace, 9, 2), (undeclared_id_trace, 5, 3)],
+    )
+    def test_window_profile_rejects_access_before_declaration(
+        self, make_trace, bad, cut
+    ):
+        trace = make_trace()
+        with pytest.raises(TraceError, match=f"unknown object id {bad} "):
+            window_profile(trace, cut, self.CONFIG)
+        # A cut before the bad access profiles the clean prefix.
+        assert_same_profile(
+            window_profile(trace, cut - 1, self.CONFIG),
+            scalar_window_profile(trace, cut - 1, self.CONFIG),
+        )
+
+    def test_profile_accepts_use_after_free(self):
+        """A profile names objects: a freed object keeps its entity."""
+        trace = use_after_free_trace()
+        profile = profile_trace(trace, self.CONFIG)
+        assert_same_profile(
+            profile, scalar_window_profile(trace, trace.events, self.CONFIG)
+        )
+        assert profile.entities[2].refs == 2  # the heap entity of object 9
+
+    def test_negative_object_id_is_rejected(self):
+        recorder = TraceRecorder()
+        recorder.on_object(_global_info(1))
+        recorder.on_access(1, 0, 4, False, Category.GLOBAL)
+        recorder.on_access(-3, 0, 4, False, Category.GLOBAL)
+        recorder.on_end()
+        with pytest.raises(TraceError, match="unknown object id -3 "):
+            profile_trace(recorder, self.CONFIG)
 
     def test_adaptive_rejects_use_after_free(self):
         with pytest.raises(TraceError, match="unknown object id 9"):
