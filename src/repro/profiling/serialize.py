@@ -5,7 +5,9 @@ the Name and TRG profiles to disk, and a later compile/link step reads
 them back to compute the placement (Section 3).  This module provides
 that boundary: JSON round-tripping for :class:`~repro.profiling.Profile`
 and :class:`~repro.core.PlacementMap`, so profiles can be archived,
-diffed, or produced and consumed by separate processes.
+diffed, or produced and consumed by separate processes.  The artifact
+store keeps profiles as :func:`profile_to_payload` output instead: the
+same fields, with the TRG edges as int64 columns.
 
 JSON was chosen over pickle deliberately: the files are inspectable,
 diffable, and loading one cannot execute code.
@@ -14,7 +16,10 @@ diffable, and loading one cannot execute code.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from ..cache.config import CacheConfig
 from ..core.placement_map import HeapDecision, PlacementMap, PlacementStats
@@ -32,8 +37,8 @@ class SerializationError(Exception):
 # -- profiles -------------------------------------------------------------
 
 
-def profile_to_dict(profile: Profile) -> dict:
-    """Encode a profile as JSON-compatible plain data."""
+def _profile_fields(profile: Profile, trg) -> dict:
+    """A profile's encoding with ``trg`` standing for its TRG edges."""
     return {
         "format": FORMAT_VERSION,
         "kind": "ccdp-profile",
@@ -57,11 +62,7 @@ def profile_to_dict(profile: Profile) -> dict:
             }
             for e in profile.entities.values()
         ],
-        # Edge keys are (eid, chunk) pairs; flatten for JSON.
-        "trg": [
-            [a_eid, a_chunk, b_eid, b_chunk, weight]
-            for ((a_eid, a_chunk), (b_eid, b_chunk)), weight in profile.trg.items()
-        ],
+        "trg": trg,
         "alloc_adjacency": [
             [name_a, name_b, count]
             for (name_a, name_b), count in profile.alloc_adjacency.items()
@@ -69,8 +70,8 @@ def profile_to_dict(profile: Profile) -> dict:
     }
 
 
-def profile_from_dict(data: dict) -> Profile:
-    """Decode a profile from plain data, validating the envelope."""
+def _profile_from_fields(data: dict) -> Profile:
+    """A profile from its encoding, TRG edges left out; checks the envelope."""
     if data.get("kind") != "ccdp-profile":
         raise SerializationError("not a CCDP profile file")
     if data.get("format") != FORMAT_VERSION:
@@ -98,10 +99,60 @@ def profile_from_dict(data: dict) -> Profile:
             collided=raw["collided"],
         )
         profile.entities[entity.eid] = entity
-    for a_eid, a_chunk, b_eid, b_chunk, weight in data["trg"]:
-        profile.trg[((a_eid, a_chunk), (b_eid, b_chunk))] = weight
     for name_a, name_b, count in data["alloc_adjacency"]:
         profile.alloc_adjacency[(name_a, name_b)] = count
+    return profile
+
+
+def profile_to_dict(profile: Profile) -> dict:
+    """Encode a profile as JSON-compatible plain data."""
+    # Edge keys are (eid, chunk) pairs; flatten for JSON.
+    trg = [
+        [a_eid, a_chunk, b_eid, b_chunk, weight]
+        for ((a_eid, a_chunk), (b_eid, b_chunk)), weight in profile.trg.items()
+    ]
+    return _profile_fields(profile, trg)
+
+
+def profile_from_dict(data: dict) -> Profile:
+    """Decode a profile from plain data, validating the envelope."""
+    profile = _profile_from_fields(data)
+    for a_eid, a_chunk, b_eid, b_chunk, weight in data["trg"]:
+        profile.trg[((a_eid, a_chunk), (b_eid, b_chunk))] = weight
+    return profile
+
+
+def profile_to_payload(profile: Profile) -> dict:
+    """A profile as an artifact-store payload.
+
+    The same fields as :func:`profile_to_dict`, but the TRG edges are
+    five int64 columns (``a_eid, a_chunk, b_eid, b_chunk, weight``) in
+    edge insertion order, which the store writes as array blocks.
+    """
+    count = len(profile.trg)
+    ends = np.fromiter(
+        chain.from_iterable(chain.from_iterable(profile.trg)),
+        np.int64,
+        4 * count,
+    ).reshape(count, 4)
+    weights = np.fromiter(profile.trg.values(), np.int64, count)
+    return _profile_fields(profile, [*np.ascontiguousarray(ends.T), weights])
+
+
+def profile_from_payload(data: dict) -> Profile:
+    """Decode :func:`profile_to_payload` output.
+
+    The edge dict is rebuilt in column order, so it iterates in the same
+    order as the profile that was encoded.
+    """
+    profile = _profile_from_fields(data)
+    a_eid, a_chunk, b_eid, b_chunk, weights = (
+        column.tolist() for column in data["trg"]
+    )
+    if not len(a_eid) == len(a_chunk) == len(b_eid) == len(b_chunk):
+        raise SerializationError("TRG edge columns differ in length")
+    ends = zip(zip(a_eid, a_chunk), zip(b_eid, b_chunk))
+    profile.trg = dict(zip(ends, weights, strict=True))
     return profile
 
 

@@ -34,11 +34,11 @@ from dataclasses import dataclass
 
 from ..cache.config import CacheConfig
 from ..obs import telemetry as obs
-from ..profiling.serialize import placement_from_dict, profile_from_dict
+from ..profiling.serialize import placement_from_dict, profile_from_payload
 from ..store import keys as store_keys
 from ..store import stages as store_stages
 from ..store import traces as store_traces
-from ..store.artifacts import measure_result_from_dict
+from ..store.artifacts import measure_result_from_payload
 from ..store.store import ArtifactStore
 from .costs import job_cost
 from .graph import SATISFIED, Job, JobGraph
@@ -294,7 +294,7 @@ def _load_artifact(store: ArtifactStore, job: Job, fingerprint: str):
             store,
             store_stages.KIND_PROFILE,
             store_stages._profile_fields(fingerprint, config, params),
-            profile_from_dict,
+            profile_from_payload,
         )
     if spec.kind == "place":
         return store_stages._load(
@@ -318,7 +318,7 @@ def _load_artifact(store: ArtifactStore, job: Job, fingerprint: str):
         store_stages._measure_fields(
             fingerprint, config, policy, spec.classify, spec.track_pages
         ),
-        measure_result_from_dict,
+        measure_result_from_payload,
     )
 
 

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 from ..obs import telemetry as obs
 from ..store import traces as store_traces
+from ..store.keys import decode_ops, trace_fingerprint
 from ..store.store import ArtifactStore, resolve_cache_dir
 from ..trace import plane
 from . import jobs as serve_jobs
@@ -436,25 +437,26 @@ class Daemon:
             raise serve_jobs.BadRequest(
                 "trace uploads need ?workload=<name>&input=<name>"
             )
-        meta, container = protocol.unpack_trace_upload(request.body)
+        meta, document, container = protocol.unpack_trace_upload(request.body)
         store = self.tenant_store(tenant)
         spool_dir = store.root / "uploads"
         spool_dir.mkdir(parents=True, exist_ok=True)
         spool = spool_dir / f".upload.{os.getpid()}.{id(request):x}.tmp"
         trace = None
         try:
+            # An upload is outside input: parse its ops document and
+            # re-derive the fingerprint from what was parsed.
+            ops = decode_ops(document)
             spool.write_bytes(container)
             storage = plane.MmapStorage(
                 spool, int(meta["events"]), create=False
             )
             trace = store_traces.TraceRecorder.from_storage(
                 storage,
-                ops=store_traces.decode_ops(meta.get("ops", [])),
-                compute_instructions=int(meta.get("compute_instructions", 0)),
-                max_stack_depth=int(meta.get("max_stack_depth", 0)),
+                ops=ops["ops"],
+                compute_instructions=ops["compute_instructions"],
+                max_stack_depth=ops["max_stack_depth"],
             )
-            from ..store.keys import trace_fingerprint
-
             actual = trace_fingerprint(trace)
             declared = meta.get("fingerprint")
             if declared is not None and declared != actual:

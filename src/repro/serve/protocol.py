@@ -14,10 +14,10 @@ requests and JSON responses:
 * :func:`json_response` / :func:`write_response` — JSON replies with
   correct ``Content-Length`` and keep-alive handling.
 * :func:`pack_trace_upload` / :func:`unpack_trace_upload` — the binary
-  trace-upload envelope: a JSON metadata block (ops, event count,
-  fingerprint) followed by the raw :mod:`repro.trace.plane` column
-  container, so uploaded columns can be attached zero-copy on the
-  server side.
+  trace-upload envelope: a JSON metadata block (event count, ops
+  document length, fingerprint), the trace's ops document, then the raw
+  :mod:`repro.trace.plane` column container, so uploaded columns can be
+  attached zero-copy on the server side.
 """
 
 from __future__ import annotations
@@ -202,14 +202,15 @@ def pack_trace_upload(trace) -> bytes:
     """Encode a sealed :class:`~repro.trace.buffer.TraceRecorder`.
 
     Layout: ``RTUP`` magic + u32 metadata length, the metadata JSON
-    (event count, lifetime ops, compute/stack counters, fingerprint),
-    then the raw column container exactly as
+    (event count, ops document length, fingerprint), the trace's ops
+    document (:func:`repro.store.keys.ops_document`, the bytes its
+    fingerprint hashes and its ``trace`` store entry holds), then the
+    raw column container exactly as
     :class:`~repro.trace.plane.MmapStorage` lays it out on disk — so
     the server can spool the container portion to a file and attach it
     without any per-event decoding.
     """
-    from ..store.keys import trace_fingerprint
-    from ..store.traces import encode_ops
+    from ..store.keys import ops_document, trace_fingerprint
     from ..trace import plane
 
     events = trace.events
@@ -219,25 +220,31 @@ def pack_trace_upload(trace) -> bytes:
     for offset, column in zip(offsets, trace.columns()):
         raw = column.tobytes()
         container[offset : offset + len(raw)] = raw
+    document = ops_document(trace)
     meta = {
         "events": events,
-        "compute_instructions": trace.compute_instructions,
-        "max_stack_depth": trace.max_stack_depth,
-        "ops": encode_ops(trace.ops),
-        "fingerprint": trace_fingerprint(trace),
+        "ops_bytes": len(document),
+        "fingerprint": trace_fingerprint(trace, document),
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    return _UPLOAD_HEADER.pack(UPLOAD_MAGIC, len(meta_bytes)) + meta_bytes + bytes(
-        container
+    return b"".join(
+        (
+            _UPLOAD_HEADER.pack(UPLOAD_MAGIC, len(meta_bytes)),
+            meta_bytes,
+            document,
+            container,
+        )
     )
 
 
-def unpack_trace_upload(body: bytes) -> tuple[dict, bytes]:
-    """Split an upload body into ``(metadata, container_bytes)``.
+def unpack_trace_upload(body: bytes) -> tuple[dict, bytes, bytes]:
+    """Split an upload body into ``(metadata, ops_document, container)``.
 
     Raises :class:`ProtocolError` on any framing or declaration
-    mismatch — bad magic, truncated metadata, or a container whose byte
-    length disagrees with the declared event count.
+    mismatch — bad magic, truncated metadata or ops document, or a
+    container whose byte length disagrees with the declared event
+    count.  The ops document is returned undecoded: the caller parses
+    it and re-derives the fingerprint from what it parsed.
     """
     from ..trace import plane
 
@@ -257,15 +264,19 @@ def unpack_trace_upload(body: bytes) -> tuple[dict, bytes]:
         raise ProtocolError("trace upload metadata lacks an event count")
     try:
         events = int(meta["events"])
+        ops_bytes = int(meta.get("ops_bytes", -1))
     except (TypeError, ValueError):
-        raise ProtocolError("trace upload event count is not an integer")
+        raise ProtocolError("trace upload counts are not integers")
     if events < 0:
         raise ProtocolError("trace upload event count is negative")
-    container = body[meta_end:]
+    ops_end = meta_end + ops_bytes
+    if ops_bytes < 0 or ops_end > len(body):
+        raise ProtocolError("trace upload ops document is missing or truncated")
+    container = body[ops_end:]
     _offsets, expected = plane.column_layout(events)
     if len(container) != expected:
         raise ProtocolError(
             f"trace upload container is {len(container):,} bytes; "
             f"{events:,} events require {expected:,}"
         )
-    return meta, container
+    return meta, body[meta_end:ops_end], container

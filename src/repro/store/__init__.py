@@ -3,11 +3,11 @@
 Profile-guided layout systems treat profiles as reusable artifacts
 across layout experiments; CCDP's pipeline stages — Name profile + TRG,
 placement map, per-placement miss statistics — are pure functions of
-their inputs and already serialize to JSON, so each stage output is
-persisted under a digest of its inputs (trace fingerprint, cache
-geometry, placer/profiler parameters, code-version salt) and reused on
-every later run.  A warm ``repro tables`` rerun reassembles its tables
-from JSON without executing a single workload.
+their inputs, so each stage output is persisted (a JSON document plus
+typed array blocks) under a digest of its inputs (trace fingerprint,
+cache geometry, placer/profiler parameters, code-version salt) and
+reused on every later run.  A warm ``repro tables`` rerun reassembles
+its tables from the store without executing a single workload.
 
 The store is *consultative*: library code asks :func:`current_store` and
 proceeds uncached when none is installed, so nothing changes for callers

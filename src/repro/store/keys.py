@@ -5,8 +5,10 @@ simulation statistics) is a pure function of its inputs, so each store
 entry is keyed by a SHA-256 digest over a *canonical JSON* rendering of
 those inputs:
 
-* the **trace fingerprint** — a digest of the recorded access columns
-  and lifetime ops, standing in for "which workload run";
+* the **trace fingerprint** — a sha256 over the recorded access columns
+  and the trace's *ops document* (:func:`ops_document`: the canonical
+  JSON of its ops, counters and end marker), standing in for "which
+  workload run";
 * the **cache geometry** — always the explicit ``(size, line_size,
   associativity)`` triple, never the config object itself (mirroring
   :func:`repro.experiments.common._config_key`);
@@ -17,7 +19,9 @@ those inputs:
 
 Canonical JSON sorts keys, forbids NaN, and coerces numpy scalars to
 their Python equivalents, so a key built from freshly computed values and
-one built from round-tripped JSON are byte-identical.
+one built from round-tripped JSON are byte-identical.  Entry payloads do
+not go through it: :meth:`~repro.store.store.ArtifactStore.put` encodes
+a payload once and its digest covers the bytes written.
 """
 
 from __future__ import annotations
@@ -30,9 +34,11 @@ from pathlib import Path
 import numpy as np
 
 from ..cache.config import CacheConfig
+from ..trace.buffer import _OP_ALLOC, _OP_OBJECT
+from ..trace.events import Category, ObjectInfo
 
 #: Bumped on breaking store-layout changes; folded into every salt.
-STORE_FORMAT = 1
+STORE_FORMAT = 2
 
 #: Environment override for the code-version salt (tests, pinned runs).
 SALT_ENV = "REPRO_CACHE_SALT"
@@ -62,14 +68,9 @@ def canonical_json(value) -> str:
     )
 
 
-def digest_bytes(data: bytes) -> str:
-    """Hex SHA-256 of raw bytes."""
-    return hashlib.sha256(data).hexdigest()
-
-
 def digest_json(value) -> str:
     """Hex SHA-256 of the canonical JSON rendering of ``value``."""
-    return digest_bytes(canonical_json(value).encode("utf-8"))
+    return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
 
 
 def code_salt() -> str:
@@ -116,60 +117,111 @@ def store_key(kind: str, fields: dict) -> str:
 # -- trace fingerprints -------------------------------------------------------
 
 
-def _encode_op(position: int, kind: int, payload) -> list:
-    """JSON-safe rendering of one recorded lifetime/compute op."""
-    from ..trace.events import ObjectInfo
-
-    if isinstance(payload, ObjectInfo):
-        payload = [
-            payload.obj_id,
-            int(payload.category),
-            payload.size,
-            payload.symbol,
-            payload.decl_index,
-            payload.alloc_name,
-        ]
-    elif isinstance(payload, tuple):  # alloc: (ObjectInfo, return_addresses)
-        info, return_addresses = payload
-        payload = [
-            [
-                info.obj_id,
-                int(info.category),
-                info.size,
-                info.symbol,
-                info.decl_index,
-                info.alloc_name,
-            ],
-            list(return_addresses),
-        ]
-    return [position, kind, payload]
+def _info_fields(info: ObjectInfo) -> list:
+    return [
+        info.obj_id,
+        int(info.category),
+        info.size,
+        info.symbol,
+        info.decl_index,
+        info.alloc_name,
+    ]
 
 
-def trace_fingerprint(trace) -> str:
-    """Content digest of one recorded trace (columns + lifetime ops).
+def ops_document(trace) -> bytes:
+    """Canonical JSON of a trace's ops, counters and end marker.
 
-    The fingerprint covers the five access columns byte-for-byte, every
-    recorded op (including compute batches), and the end marker, so two
-    runs fingerprint equal exactly when a consumer of the recording
-    could not tell them apart.  Memoized on the recorder.
+    The document is ``{"compute_instructions", "ended",
+    "max_stack_depth", "ops"}``, each op a ``[position, kind, payload]``
+    list.  Compute, free and stack-depth ops carry an int payload and go
+    to the encoder as recorded; only :class:`ObjectInfo` payloads are
+    converted, to ``[obj_id, category, size, symbol, decl_index,
+    alloc_name]``.  :func:`trace_fingerprint` hashes these bytes, the
+    ``trace`` store entry and the serve upload envelope ship them, and
+    :func:`decode_ops` parses them back.
     """
+    ops = []
+    append = ops.append
+    for op in trace.ops:
+        kind = op[1]
+        if kind == _OP_OBJECT:
+            op = (op[0], kind, _info_fields(op[2]))
+        elif kind == _OP_ALLOC:
+            info, return_addresses = op[2]
+            op = (op[0], kind, (_info_fields(info), return_addresses))
+        append(op)
+    return canonical_json(
+        {
+            "ops": ops,
+            "compute_instructions": trace.compute_instructions,
+            "max_stack_depth": trace.max_stack_depth,
+            "ended": trace.ended,
+        }
+    ).encode("utf-8")
+
+
+def _decode_info(raw: list) -> ObjectInfo:
+    obj_id, category, size, symbol, decl_index, alloc_name = raw
+    return ObjectInfo(
+        obj_id=obj_id,
+        category=Category(category),
+        size=size,
+        symbol=symbol,
+        decl_index=decl_index,
+        alloc_name=alloc_name,
+    )
+
+
+def decode_ops(document: bytes) -> dict:
+    """Parse an :func:`ops_document`.
+
+    Returns the document's fields with ``ops`` rebuilt as the recorder's
+    ``(position, kind, payload)`` tuples.  Raises :class:`ValueError`
+    when the bytes are not an ops document.
+    """
+    try:
+        data = json.loads(document)
+        ops: list[tuple[int, int, object]] = []
+        for position, kind, payload in data["ops"]:
+            if kind == _OP_OBJECT:
+                payload = _decode_info(payload)
+            elif kind == _OP_ALLOC:
+                info, return_addresses = payload
+                payload = (_decode_info(info), tuple(return_addresses))
+            ops.append((position, kind, payload))
+        data["ops"] = ops
+        data["compute_instructions"] = int(data["compute_instructions"])
+        data["max_stack_depth"] = int(data["max_stack_depth"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed ops document: {exc!r}") from exc
+    return data
+
+
+def memoized_fingerprint(trace) -> str | None:
+    """The fingerprint already computed for ``trace`` in full, if any."""
     cached = getattr(trace, "_fingerprint", None)
     if cached is not None and cached[0] == len(trace):
         return cached[1]
+    return None
+
+
+def trace_fingerprint(trace, document: bytes | None = None) -> str:
+    """Content digest of one recorded trace (columns + ops document).
+
+    The fingerprint covers the five access columns byte-for-byte and the
+    :func:`ops_document` (every recorded op, compute batches included,
+    and the end marker), so two runs fingerprint equal exactly when a
+    consumer of the recording could not tell them apart.  A caller that
+    has rendered the document passes it as ``document``.  Memoized on
+    the recorder.
+    """
+    fingerprint = memoized_fingerprint(trace)
+    if fingerprint is not None:
+        return fingerprint
     hasher = hashlib.sha256()
     for column in trace.columns():
-        hasher.update(np.ascontiguousarray(column).tobytes())
-    ops = [_encode_op(*op) for op in trace.ops]
-    hasher.update(
-        canonical_json(
-            {
-                "ops": ops,
-                "compute_instructions": trace.compute_instructions,
-                "max_stack_depth": trace.max_stack_depth,
-                "ended": trace.ended,
-            }
-        ).encode("utf-8")
-    )
+        hasher.update(np.ascontiguousarray(column))
+    hasher.update(ops_document(trace) if document is None else document)
     fingerprint = hasher.hexdigest()
     trace._fingerprint = (len(trace), fingerprint)
     return fingerprint

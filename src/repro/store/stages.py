@@ -17,8 +17,8 @@ Two families of helpers:
   :func:`try_load_experiment`) — called *before* any workload run.  They
   rely on the ``trace-meta`` entry that maps a (workload, input) pair to
   its last observed trace fingerprint; when every downstream entry hits,
-  the whole experiment is reassembled from JSON and the workload is
-  never executed.  Any miss returns ``None`` and the caller falls back
+  the whole experiment is reassembled from store entries and the
+  workload is never executed.  Any miss returns ``None`` and the caller falls back
   to the recording path (which rewrites the meta entry, healing stale
   fingerprints).
 
@@ -36,15 +36,15 @@ from ..cache.config import CacheConfig
 from ..profiling.serialize import (
     placement_from_dict,
     placement_to_dict,
-    profile_from_dict,
-    profile_to_dict,
+    profile_from_payload,
+    profile_to_payload,
 )
 from ..profiling.trg import QUEUE_THRESHOLD_CACHE_MULTIPLE
 from .artifacts import (
-    measure_result_from_dict,
-    measure_result_to_dict,
-    workload_stats_from_dict,
-    workload_stats_to_dict,
+    measure_result_from_payload,
+    measure_result_to_payload,
+    workload_stats_from_payload,
+    workload_stats_to_payload,
 )
 from .keys import config_fields, digest_json, trace_fingerprint
 from .store import ArtifactStore
@@ -211,8 +211,8 @@ def cached_profile(
     return store.get_or_compute(
         KIND_PROFILE,
         fields,
-        encode=profile_to_dict,
-        decode=profile_from_dict,
+        encode=profile_to_payload,
+        decode=profile_from_payload,
         compute=compute,
     )
 
@@ -263,8 +263,8 @@ def cached_measure(
     return store.get_or_compute(
         KIND_MEASURE,
         fields,
-        encode=measure_result_to_dict,
-        decode=measure_result_from_dict,
+        encode=measure_result_to_payload,
+        decode=measure_result_from_payload,
         compute=compute,
     )
 
@@ -275,8 +275,8 @@ def cached_workload_stats(store: ArtifactStore, trace, compute: Callable):
     return store.get_or_compute(
         KIND_STATS,
         fields,
-        encode=workload_stats_to_dict,
-        decode=workload_stats_from_dict,
+        encode=workload_stats_to_payload,
+        decode=workload_stats_from_payload,
         compute=compute,
     )
 
@@ -305,7 +305,7 @@ def try_load_workload_stats(
         store,
         KIND_STATS,
         {"trace": fingerprint},
-        workload_stats_from_dict,
+        workload_stats_from_payload,
     )
 
 
@@ -351,7 +351,7 @@ def try_load_placement_pair(
         store,
         KIND_PROFILE,
         _profile_fields(fingerprint, config, params),
-        profile_from_dict,
+        profile_from_payload,
     )
     if profile is None:
         return None
@@ -411,7 +411,7 @@ def try_load_measure(
         store,
         KIND_MEASURE,
         _measure_fields(fingerprint, config, policy, classify, track_pages),
-        measure_result_from_dict,
+        measure_result_from_payload,
     )
 
 

@@ -2,18 +2,33 @@
 
 Entries live under ``<root>/objects/<kind>/<digest[:2]>/<digest>.json``,
 where the digest is :func:`repro.store.keys.store_key` over the stage's
-key fields plus the code-version salt.  Each file is a small envelope::
+key fields plus the code-version salt.  Each file is one JSON header
+line followed by the payload bytes::
 
-    {"format": 1, "kind": "...", "salt": "...", "fields": {...},
-     "payload_sha256": "...", "payload": {...}}
+    {"format": 2, "kind": "...", "salt": "...", "fields": {...},
+     "length": N, "sha256": "...", "document": D,
+     "blocks": [["<i8", count], ...]}\n
+    <D bytes of compact JSON><array blocks, back to back>
 
-Writes are atomic (temp file + ``os.replace``), so a crashed run can
-leave at worst an orphaned temp file, never a half-written entry under
-its final name.  Reads are *defensive*: a truncated file, undecodable
-JSON, a payload that fails its embedded digest, or a salt from another
-code version are all treated as a miss — the entry is deleted and the
-caller recomputes and rewrites, mirroring how the trace layer degrades
-on :class:`~repro.trace.sinks.TraceError` rather than crashing a sweep.
+The payload is a compact JSON document followed by raw little-endian
+array blocks.  :meth:`ArtifactStore.put` encodes a payload once: any
+numpy array in it (dtype int8, int32, int64 or uint8) becomes the next
+block, and the document holds ``{"$block": i}`` in its place.  ``length``
+and ``sha256`` cover the payload bytes exactly as written, so
+:meth:`ArtifactStore.get` checks the bytes it read and never re-encodes.
+
+Writes are atomic (a temp file of their own + ``os.replace``), so a
+crashed run can leave at worst an orphaned temp file, never a
+half-written entry under its final name, and two writers of one entry
+never share a temp file.  Reads are *defensive*: a truncated file, an
+undecodable header or document, a payload that fails its length or
+digest, a block table that does not fit the body, a block dtype outside
+the allowed set, a placeholder naming no block, or a salt or format
+from another code version are all treated as a miss — the entry is
+deleted and the caller recomputes and rewrites, mirroring how the trace
+layer degrades on :class:`~repro.trace.sinks.TraceError` rather than
+crashing a sweep.  Maintenance (``stats``, ``gc``) reads header lines
+only.
 
 Every consultation is mirrored to the observability layer: ``store.hit``
 / ``store.miss`` / ``store.corrupt`` count lookups, ``store.write``
@@ -24,16 +39,20 @@ effectiveness even with no telemetry registry installed.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import tempfile
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from ..obs import telemetry as obs
-from .keys import STORE_FORMAT, canonical_json, code_salt, digest_bytes, store_key
+from .keys import STORE_FORMAT, code_salt, store_key
 
 #: Default store location when neither ``--cache-dir`` nor the
 #: ``REPRO_CACHE_DIR`` environment variable names one.
@@ -41,6 +60,12 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Environment variable naming the store root for CLI runs.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: Dtypes an array block may carry: int8, int32, int64, uint8.
+BLOCK_DTYPES = frozenset(np.dtype(dtype).str for dtype in ("<i1", "<i4", "<i8", "<u1"))
+
+#: Key of the document placeholder that stands for an array block.
+BLOCK_REF = "$block"
 
 
 class StoreEntryError(Exception):
@@ -70,6 +95,90 @@ class StoreStats:
     bytes_by_kind: dict[str, int] = field(default_factory=dict)
     trace_files: int = 0
     trace_bytes: int = 0
+
+
+def _encode_payload(payload) -> tuple[bytes, list[np.ndarray]]:
+    """The payload's compact JSON document and its array blocks."""
+    blocks: list[np.ndarray] = []
+
+    def to_block(value):
+        if not isinstance(value, np.ndarray) or value.ndim != 1:
+            raise TypeError(f"not storable in an entry: {value!r}")
+        block = np.ascontiguousarray(value, dtype=value.dtype.newbyteorder("<"))
+        if block.dtype.str not in BLOCK_DTYPES:
+            raise TypeError(f"array dtype {block.dtype} is not a block dtype")
+        blocks.append(block)
+        return {BLOCK_REF: len(blocks) - 1}
+
+    document = json.dumps(
+        payload, separators=(",", ":"), allow_nan=False, default=to_block
+    ).encode("utf-8")
+    return document, blocks
+
+
+def _decode_entry(raw: bytes, kind: str):
+    """Validate one entry's bytes and decode its payload.
+
+    Raises :class:`StoreEntryError` on any mismatch.  The payload is
+    checked by its length and a sha256 over the bytes read; blocks are
+    zero-copy views of ``raw``.
+    """
+    newline = raw.find(b"\n")
+    if newline < 0:
+        raise StoreEntryError("entry has no header line")
+    try:
+        header = json.loads(raw[:newline])
+    except ValueError as exc:
+        raise StoreEntryError(f"undecodable entry header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("kind") != kind:
+        raise StoreEntryError("entry kind mismatch")
+    if header.get("format") != STORE_FORMAT:
+        raise StoreEntryError("store format mismatch")
+    if header.get("salt") != code_salt():
+        raise StoreEntryError("code-version salt mismatch")
+    body = memoryview(raw)[newline + 1 :]
+    if header.get("length") != len(body):
+        raise StoreEntryError("payload length mismatch")
+    if hashlib.sha256(body).hexdigest() != header.get("sha256"):
+        raise StoreEntryError("payload digest mismatch")
+    size = header.get("document")
+    if type(size) is not int or size < 0:
+        raise StoreEntryError("bad document length")
+    cursor = size
+    try:
+        arrays = []
+        for dtype, count in header["blocks"]:
+            if dtype not in BLOCK_DTYPES or count < 0:
+                raise StoreEntryError(f"bad block ({dtype!r}, {count!r})")
+            dtype = np.dtype(dtype)
+            arrays.append(np.frombuffer(body, dtype, count, cursor))
+            cursor += dtype.itemsize * count
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreEntryError(f"bad block table: {exc}") from exc
+    if cursor != len(body):
+        raise StoreEntryError("block table does not match the payload length")
+
+    def resolve(obj: dict):
+        if BLOCK_REF not in obj:
+            return obj
+        index = obj[BLOCK_REF]
+        if len(obj) != 1 or type(index) is not int or not 0 <= index < len(arrays):
+            raise StoreEntryError(f"placeholder names no block: {obj!r}")
+        return arrays[index]
+
+    try:
+        return json.loads(raw[newline + 1 : newline + 1 + size], object_hook=resolve)
+    except ValueError as exc:
+        raise StoreEntryError(f"undecodable entry document: {exc}") from exc
+
+
+def _read_header(path: Path) -> dict:
+    """An entry's header line alone (raises ``OSError``/``ValueError``)."""
+    with open(path, "rb") as handle:
+        header = json.loads(handle.readline())
+    if not isinstance(header, dict):
+        raise ValueError("entry header is not an object")
+    return header
 
 
 class ProbeTally:
@@ -105,7 +214,7 @@ class ProbeTally:
 
 
 class ArtifactStore:
-    """Content-addressed JSON artifact store rooted at one directory."""
+    """Content-addressed artifact store rooted at one directory."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -142,29 +251,32 @@ class ArtifactStore:
         """Digest identifying the entry for ``fields`` under ``kind``."""
         return store_key(kind, fields)
 
-    def get(self, kind: str, digest: str):
+    def get(self, kind: str, digest: str, companions=()):
         """Payload for an entry, or ``None`` on miss/corruption.
 
-        Any validation failure — unreadable file, truncated or
-        undecodable JSON, wrong kind, a payload that fails its embedded
-        digest, or a salt from a different code version — deletes the
-        entry and reports a miss, so callers always fall back to
-        recompute-and-rewrite.
+        Any validation failure — unreadable file, a header or document
+        that does not decode, wrong kind, format or salt, a payload that
+        fails its length or digest, or a bad block table — deletes the
+        entry, and the ``companions`` paths with it, and reports a miss,
+        so callers always fall back to recompute-and-rewrite.  Array
+        blocks come back as read-only numpy views of the bytes read.
         """
         path = self.entry_path(kind, digest)
         try:
-            raw = path.read_text()
+            raw = path.read_bytes()
         except OSError:
             self._miss()
             return None
         try:
-            payload = self._validate(raw, kind)
+            payload = _decode_entry(raw, kind)
         except StoreEntryError:
             # Corruption is counted immediately even inside a probe: the
             # entry really was discarded, whatever the probe concludes.
             self.counters.corrupt += 1
             obs.count("store.corrupt")
             self._discard(path)
+            for companion in companions:
+                self._discard(companion)
             self._miss()
             return None
         if self._probes:
@@ -176,26 +288,6 @@ class ArtifactStore:
             os.utime(path)  # LRU recency for gc
         except OSError:
             pass
-        return payload
-
-    def _validate(self, raw: str, kind: str):
-        try:
-            envelope = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise StoreEntryError(f"undecodable entry: {exc}") from exc
-        if not isinstance(envelope, dict) or envelope.get("kind") != kind:
-            raise StoreEntryError("entry kind mismatch")
-        if envelope.get("format") != STORE_FORMAT:
-            raise StoreEntryError("store format mismatch")
-        if envelope.get("salt") != code_salt():
-            raise StoreEntryError("code-version salt mismatch")
-        if "payload" not in envelope:
-            raise StoreEntryError("entry has no payload")
-        payload = envelope["payload"]
-        recorded = envelope.get("payload_sha256")
-        actual = digest_bytes(canonical_json(payload).encode("utf-8"))
-        if recorded != actual:
-            raise StoreEntryError("payload digest mismatch")
         return payload
 
     def _miss(self) -> None:
@@ -221,40 +313,56 @@ class ArtifactStore:
         finally:
             self._probes.pop()
 
-    def _discard(self, path: Path) -> None:
+    def _discard(self, path: str | Path) -> None:
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass
 
     # -- inserts -------------------------------------------------------------
 
     def put(self, kind: str, digest: str, fields: dict, payload) -> None:
-        """Write one entry atomically (idempotent: last write wins)."""
-        envelope = {
+        """Write one entry atomically (idempotent: last write wins).
+
+        The payload is encoded once; the header's length and digest
+        cover exactly the bytes written.
+        """
+        document, blocks = _encode_payload(payload)
+        hasher = hashlib.sha256(document)
+        for block in blocks:
+            hasher.update(block)
+        length = len(document) + sum(block.nbytes for block in blocks)
+        header = {
             "format": STORE_FORMAT,
             "kind": kind,
             "salt": code_salt(),
             "fields": fields,
-            "payload_sha256": digest_bytes(
-                canonical_json(payload).encode("utf-8")
-            ),
-            "payload": payload,
+            "length": length,
+            "sha256": hasher.hexdigest(),
+            "document": len(document),
+            "blocks": [[block.dtype.str, block.size] for block in blocks],
         }
+        head = json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n"
         path = self.entry_path(kind, digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        data = json.dumps(envelope).encode("utf-8")
-        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        handle, temp = tempfile.mkstemp(
+            prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
+        )
         try:
-            temp.write_bytes(data)
+            with os.fdopen(handle, "wb") as out:
+                out.write(head)
+                out.write(document)
+                for block in blocks:
+                    out.write(block)
             os.replace(temp, path)
         finally:
-            if temp.exists():
+            if os.path.exists(temp):
                 self._discard(temp)
+        written = len(head) + length
         self.counters.writes += 1
-        self.counters.bytes_written += len(data)
+        self.counters.bytes_written += written
         obs.count("store.write")
-        obs.count("store.bytes", len(data))
+        obs.count("store.bytes", written)
 
     def get_or_compute(self, kind: str, fields: dict, *, encode, decode, compute):
         """Serve a decoded artifact, computing and persisting on miss.
@@ -313,10 +421,9 @@ class ArtifactStore:
                 summary.bytes_by_kind[kind] = (
                     summary.bytes_by_kind.get(kind, 0) + stat.st_size
                 )
-                with open(path) as handle:
-                    if json.load(handle).get("salt") != salt:
-                        summary.stale += 1
-            except (OSError, json.JSONDecodeError):
+                if _read_header(path).get("salt") != salt:
+                    summary.stale += 1
+            except (OSError, ValueError):
                 summary.stale += 1
         for path in self._trace_files():
             try:
@@ -406,16 +513,25 @@ class ArtifactStore:
         return pinned
 
     @staticmethod
-    def _entry_fingerprint(path: Path) -> str | None:
-        """The trace fingerprint an entry references, if it is trace-like."""
-        if path.parent.parent.name not in ("trace", "trace-meta"):
-            return None
+    def _entry_fingerprint(path: Path, header: dict) -> str | None:
+        """The trace fingerprint an entry references, if it is trace-like.
+
+        A ``trace`` entry is keyed by its fingerprint, so its header
+        names it.  A ``trace-meta`` entry holds it in its document, a
+        few dozen bytes right after the header, read only for pins.
+        """
+        kind = header.get("kind")
         try:
-            with open(path) as handle:
-                payload = json.load(handle).get("payload")
-            return payload["fingerprint"]
-        except (OSError, json.JSONDecodeError, TypeError, KeyError):
-            return None
+            if kind == "trace":
+                return header["fields"]["fingerprint"]
+            if kind == "trace-meta":
+                with open(path, "rb") as handle:
+                    handle.readline()
+                    document = handle.read(header["document"])
+                return json.loads(document)["fingerprint"]
+        except (OSError, ValueError, TypeError, KeyError):
+            pass
+        return None
 
     def gc(
         self, max_bytes: int | None = None, max_age_days: float | None = None
@@ -441,15 +557,15 @@ class ArtifactStore:
         for path in self._entries():
             try:
                 stat = path.stat()
-                with open(path) as handle:
-                    stale = json.load(handle).get("salt") != salt
-            except (OSError, json.JSONDecodeError):
+                header = _read_header(path)
+                stale = header.get("salt") != salt
+            except (OSError, ValueError):
                 stale = True
                 stat = None
             protected = (
                 not stale
                 and pinned
-                and self._entry_fingerprint(path) in pinned
+                and self._entry_fingerprint(path, header) in pinned
             )
             age_days = (now - stat.st_mtime) / 86400.0 if stat else 0.0
             expired = max_age_days is not None and age_days > max_age_days
@@ -487,10 +603,8 @@ class ArtifactStore:
                 if path.name.startswith("."):
                     continue
                 try:
-                    with open(path) as handle:
-                        payload = json.load(handle).get("payload")
-                    referenced.add(payload["fingerprint"])
-                except (OSError, json.JSONDecodeError, TypeError, KeyError):
+                    referenced.add(_read_header(path)["fields"]["fingerprint"])
+                except (OSError, ValueError, TypeError, KeyError):
                     continue
         removed = removed_bytes = 0
         for path in self._trace_files():

@@ -9,11 +9,12 @@ themselves:
 * The **data file** lives under ``<root>/traces/<fp[:2]>/<fp>.trace`` in
   the :mod:`repro.trace.plane` container format, written atomically
   (temp + ``os.replace``) by streaming the source columns chunk-wise.
-* The **store entry** (kind ``trace``) carries the event count, the
-  JSON-encoded lifetime ops, and the expected data-file byte size, keyed
-  by the fingerprint — so the usual envelope validation (salt, payload
-  digest) guards the metadata, and the byte-size + header check guards
-  the binary file.
+* The **store entry** (kind ``trace``) carries the event count and the
+  expected data-file byte size, keyed by the fingerprint, with the
+  trace's ops document (:func:`~repro.store.keys.ops_document`, the
+  bytes the fingerprint hashes) as its one ``uint8`` array block — so
+  the entry's length and digest check guards the ops, and the
+  byte-size + header check guards the binary file.
 
 Loading attaches the data file as a read-only memory map
 (:meth:`~repro.trace.buffer.TraceRecorder.from_storage`): no copy, no
@@ -27,18 +28,16 @@ rewrites.
 from __future__ import annotations
 
 import os
+import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from ..obs import telemetry as obs
 from ..trace import plane
-from ..trace.buffer import (
-    _OP_ALLOC,
-    _OP_OBJECT,
-    DEFAULT_CHUNK_EVENTS,
-    TraceRecorder,
-)
-from ..trace.events import Category, ObjectInfo, TraceError
-from .keys import _encode_op, trace_fingerprint
+from ..trace.buffer import DEFAULT_CHUNK_EVENTS, TraceRecorder
+from ..trace.events import TraceError
+from .keys import decode_ops, memoized_fingerprint, ops_document, trace_fingerprint
 from .store import ArtifactStore
 
 #: Entry kind for persisted trace columns (the ``objects/trace/`` dir).
@@ -46,36 +45,6 @@ KIND_TRACE = "trace"
 
 #: Suffix of trace data files under ``<root>/traces/``.
 TRACE_DATA_SUFFIX = ".trace"
-
-
-def encode_ops(ops) -> list:
-    """JSON-safe rendering of a recorder's op list (order-preserving)."""
-    return [_encode_op(*op) for op in ops]
-
-
-def _decode_info(raw: list) -> ObjectInfo:
-    obj_id, category, size, symbol, decl_index, alloc_name = raw
-    return ObjectInfo(
-        obj_id=obj_id,
-        category=Category(category),
-        size=size,
-        symbol=symbol,
-        decl_index=decl_index,
-        alloc_name=alloc_name,
-    )
-
-
-def decode_ops(raw: list) -> list[tuple[int, int, object]]:
-    """Inverse of :func:`encode_ops`, rebuilding payload dataclasses."""
-    ops: list[tuple[int, int, object]] = []
-    for position, kind, payload in raw:
-        if kind == _OP_OBJECT:
-            payload = _decode_info(payload)
-        elif kind == _OP_ALLOC:
-            info, return_addresses = payload
-            payload = (_decode_info(info), tuple(return_addresses))
-        ops.append((position, kind, payload))
-    return ops
 
 
 def trace_data_path(store: ArtifactStore, fingerprint: str) -> Path:
@@ -92,9 +61,9 @@ def _trace_fields(fingerprint: str) -> dict:
     return {"fingerprint": fingerprint}
 
 
-def _discard(path: Path) -> None:
+def _discard(path: str | Path) -> None:
     try:
-        path.unlink()
+        os.unlink(path)
     except OSError:
         pass
 
@@ -103,12 +72,18 @@ def save_trace(store: ArtifactStore, trace: TraceRecorder) -> str:
     """Persist a sealed trace's columns + ops; returns the fingerprint.
 
     Idempotent: when a valid entry and data file already exist, nothing
-    is written.  The data file is streamed chunk-wise from the source
-    columns (in-process or attached alike) into a temp file and moved
-    into place atomically, so a crashed writer never leaves a
+    is written.  The ops document is rendered once per save: it is both
+    what the fingerprint hashes and the entry's one array block.  The
+    data file is streamed chunk-wise from the source columns (in-process
+    or attached alike) into a temp file of its own and moved into place
+    atomically, so a crashed or concurrent writer never leaves a
     half-written artifact under its final name.
     """
-    fingerprint = trace_fingerprint(trace)
+    document = None
+    fingerprint = memoized_fingerprint(trace)
+    if fingerprint is None:
+        document = ops_document(trace)
+        fingerprint = trace_fingerprint(trace, document)
     fields = _trace_fields(fingerprint)
     digest = store.key(KIND_TRACE, fields)
     path = trace_data_path(store, fingerprint)
@@ -121,10 +96,15 @@ def save_trace(store: ArtifactStore, trace: TraceRecorder) -> str:
         except OSError:
             pass
         # Entry without a (valid) data file: fall through and rewrite.
+    if document is None:
+        document = ops_document(trace)
     path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    storage = plane.MmapStorage(temp, trace.events, create=True)
+    handle, temp = tempfile.mkstemp(
+        prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
+    )
+    os.close(handle)
     try:
+        storage = plane.MmapStorage(temp, trace.events, create=True)
         columns = trace.columns()
         position = 0
         for start in range(0, trace.events, DEFAULT_CHUNK_EVENTS):
@@ -143,10 +123,8 @@ def save_trace(store: ArtifactStore, trace: TraceRecorder) -> str:
         {
             "fingerprint": fingerprint,
             "events": trace.events,
-            "compute_instructions": trace.compute_instructions,
-            "max_stack_depth": trace.max_stack_depth,
             "data_bytes": expected_bytes,
-            "ops": encode_ops(trace.ops),
+            "ops": np.frombuffer(document, dtype=np.uint8),
         },
     )
     obs.count("trace.save")
@@ -159,22 +137,23 @@ def load_trace_by_fingerprint(
 ) -> TraceRecorder | None:
     """Attach the persisted trace for ``fingerprint``, or ``None``.
 
-    A missing entry is a plain miss.  A present entry whose data file is
-    missing, truncated, or fails its header check is treated as
-    corruption: the entry *and* the file are discarded (``store.corrupt``
-    counted) so the caller re-records and rewrites — the recompute-and-
-    rewrite discipline of :mod:`repro.store.store` extended to the
-    binary artifact.
+    A missing entry is a plain miss.  A corrupt entry, or one whose ops
+    document does not parse or whose data file is missing, truncated,
+    or fails its header check, is treated as corruption: the entry
+    *and* the file are discarded (``store.corrupt`` counted) so the
+    caller re-records and rewrites — the recompute-and-rewrite
+    discipline of :mod:`repro.store.store` extended to the binary
+    artifact.
     """
     fields = _trace_fields(fingerprint)
     digest = store.key(KIND_TRACE, fields)
-    payload = store.get(KIND_TRACE, digest)
+    path = trace_data_path(store, fingerprint)
+    payload = store.get(KIND_TRACE, digest, companions=(path,))
     if not isinstance(payload, dict) or "events" not in payload:
         return None
-    path = trace_data_path(store, fingerprint)
     try:
+        document = decode_ops(bytes(payload["ops"]))
         storage = plane.MmapStorage(path, int(payload["events"]), create=False)
-        ops = decode_ops(payload.get("ops", []))
     except (TraceError, ValueError, TypeError, KeyError):
         store.counters.corrupt += 1
         obs.count("store.corrupt")
@@ -183,9 +162,9 @@ def load_trace_by_fingerprint(
         return None
     trace = TraceRecorder.from_storage(
         storage,
-        ops=ops,
-        compute_instructions=int(payload.get("compute_instructions", 0)),
-        max_stack_depth=int(payload.get("max_stack_depth", 0)),
+        ops=document["ops"],
+        compute_instructions=document["compute_instructions"],
+        max_stack_depth=document["max_stack_depth"],
         fingerprint=fingerprint,
     )
     obs.count("trace.attach")
@@ -211,9 +190,14 @@ def load_trace(
 def remember_and_save(
     store: ArtifactStore, workload: str, input_name: str, trace: TraceRecorder
 ) -> str:
-    """Refresh the trace-meta entry and persist the columns in one step."""
+    """Persist the columns, then refresh the trace-meta entry.
+
+    Saving first fingerprints the trace from the ops document the save
+    renders, so the document is encoded once; and a trace-meta entry
+    never names a fingerprint whose trace was not saved.
+    """
     from .stages import remember_trace
 
-    fingerprint = remember_trace(store, workload, input_name, trace)
-    save_trace(store, trace)
+    fingerprint = save_trace(store, trace)
+    remember_trace(store, workload, input_name, trace)
     return fingerprint

@@ -222,6 +222,43 @@ def test_upload_fingerprint_mismatch_gets_400(daemon, toy_workload):
     assert ServeClient(port=daemon.port).ready()
 
 
+def test_upload_with_edited_ops_document_gets_400(daemon, toy_workload):
+    trace = record_trace(toy_workload, "train")
+    try:
+        body = protocol.pack_trace_upload(trace)
+    finally:
+        trace.close()
+    # Edit the ops document after packing; the declared fingerprint stays.
+    header = struct.Struct("<4sI")
+    _magic, meta_len = header.unpack_from(body)
+    meta_end = header.size + meta_len
+    meta = json.loads(body[header.size : meta_end])
+    ops_end = meta_end + meta["ops_bytes"]
+    document = json.loads(body[meta_end:ops_end])
+    document["compute_instructions"] += 1
+    edited = json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+    meta["ops_bytes"] = len(edited)
+    edited_meta = json.dumps(meta, sort_keys=True).encode()
+    forged = (
+        header.pack(protocol.UPLOAD_MAGIC, len(edited_meta))
+        + edited_meta
+        + edited
+        + body[ops_end:]
+    )
+    client = ServeClient(port=daemon.port)
+    status, payload = client.request(
+        "POST",
+        "/v1/traces?workload=toyprog&input=train",
+        body=forged,
+        content_type="application/octet-stream",
+    )
+    assert status == 400
+    assert "fingerprint mismatch" in payload["error"]
+    uploads = daemon.store.root / "uploads"
+    assert not uploads.exists() or list(uploads.iterdir()) == []
+    assert ServeClient(port=daemon.port).ready()
+
+
 def test_use_after_free_upload_fails_the_adaptive_job_not_the_daemon(daemon):
     """A trace that touches a freed object fails its job with TraceError.
 

@@ -9,11 +9,16 @@ degrades on :class:`~repro.trace.sinks.TraceError`).
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 
+import numpy as np
 import pytest
 
-from repro.store import ArtifactStore, use_store
+from repro.store import ArtifactStore, code_salt, use_store
+from repro.store import traces as store_traces
+from repro.trace.buffer import record_trace
 
 
 @pytest.fixture
@@ -49,9 +54,9 @@ class TestCorruptEntries:
 
     def test_tampered_payload_fails_digest(self, store):
         digest, path = put_entry(store, {"value": 1})
-        envelope = json.loads(path.read_text())
-        envelope["payload"]["value"] = 2  # digest no longer matches
-        path.write_text(json.dumps(envelope))
+        raw = path.read_bytes()
+        assert raw.endswith(b'{"value":1}')
+        path.write_bytes(raw[:-2] + b"2}")  # digest no longer matches
         assert store.get("profile", digest) is None
         assert store.counters.corrupt == 1
         assert not path.exists()
@@ -75,6 +80,184 @@ class TestCorruptEntries:
         assert store.get("profile", "0" * 64) is None
         assert store.counters.misses == 1
         assert store.counters.corrupt == 0
+
+
+BLOCK_PAYLOAD = {
+    "keys": np.arange(5, dtype=np.int64),
+    "flags": np.array([1, 0, 1], dtype=np.int8),
+}
+
+
+def split_entry(path):
+    """An entry's header (parsed), JSON document and block bytes."""
+    raw = path.read_bytes()
+    newline = raw.index(b"\n")
+    header = json.loads(raw[:newline])
+    body = raw[newline + 1 :]
+    return header, body[: header["document"]], body[header["document"] :]
+
+
+def write_entry(path, header, document, blocks, reseal=True):
+    """Write an entry back; ``reseal`` makes its length and digest match."""
+    body = document + blocks
+    if reseal:
+        header = dict(
+            header,
+            length=len(body),
+            document=len(document),
+            sha256=hashlib.sha256(body).hexdigest(),
+        )
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+
+def assert_discarded(store, digest, path):
+    assert store.get("profile", digest) is None
+    assert store.counters.corrupt == 1
+    assert not path.exists(), "corrupt entry must be deleted"
+
+
+class TestHostileEntries:
+    """Entries in the header + document + array-block layout."""
+
+    def test_block_round_trip(self, store):
+        digest, _path = put_entry(store, BLOCK_PAYLOAD)
+        payload = store.get("profile", digest)
+        assert payload.keys() == BLOCK_PAYLOAD.keys()
+        for name, array in BLOCK_PAYLOAD.items():
+            assert payload[name].dtype == array.dtype
+            np.testing.assert_array_equal(payload[name], array)
+
+    def test_flipped_byte_in_block(self, store):
+        digest, path = put_entry(store, BLOCK_PAYLOAD)
+        raw = bytearray(path.read_bytes())
+        raw[-10] ^= 0x01  # inside the int64 block
+        path.write_bytes(bytes(raw))
+        assert_discarded(store, digest, path)
+
+    def test_body_shorter_than_declared(self, store):
+        digest, path = put_entry(store, BLOCK_PAYLOAD)
+        os.truncate(path, path.stat().st_size - 3)
+        assert_discarded(store, digest, path)
+
+    def test_block_table_overruns_body(self, store):
+        digest, path = put_entry(store, BLOCK_PAYLOAD)
+        header, document, blocks = split_entry(path)
+        header["blocks"][0][1] += 1  # one int64 more than the body holds
+        write_entry(path, header, document, blocks)
+        assert_discarded(store, digest, path)
+
+    def test_block_dtype_outside_allowed_set(self, store):
+        digest, path = put_entry(store, BLOCK_PAYLOAD)
+        header, document, blocks = split_entry(path)
+        assert header["blocks"][0][0] == "<i8"
+        header["blocks"][0][0] = "|O"  # same width, but object pointers
+        write_entry(path, header, document, blocks)
+        assert_discarded(store, digest, path)
+
+    def test_placeholder_names_missing_block(self, store):
+        digest, path = put_entry(store, BLOCK_PAYLOAD)
+        header, document, blocks = split_entry(path)
+        assert b'{"$block":1}' in document
+        document = document.replace(b'{"$block":1}', b'{"$block":7}')
+        write_entry(path, header, document, blocks)
+        assert_discarded(store, digest, path)
+
+    @pytest.mark.parametrize("trailer", [b"", b"\n"])
+    def test_format_one_entry(self, store, trailer):
+        digest, path = put_entry(store)
+        header, _document, _blocks = split_entry(path)
+        payload = {"value": 1}
+        envelope = {
+            "format": 1,
+            "kind": "profile",
+            "salt": code_salt(),
+            "fields": header["fields"],
+            "payload_sha256": hashlib.sha256(
+                json.dumps(payload, separators=(",", ":")).encode()
+            ).hexdigest(),
+            "payload": payload,
+        }
+        path.write_bytes(json.dumps(envelope).encode() + trailer)
+        assert_discarded(store, digest, path)
+
+    def test_flipped_byte_in_trace_ops_document(self, store, toy_workload):
+        trace = record_trace(toy_workload, toy_workload.train_input)
+        fingerprint = store_traces.save_trace(store, trace)
+        entry = store.entry_path(
+            store_traces.KIND_TRACE,
+            store.key(store_traces.KIND_TRACE, {"fingerprint": fingerprint}),
+        )
+        data = store_traces.trace_data_path(store, fingerprint)
+        header, document, ops = split_entry(entry)
+        assert header["blocks"] == [["|u1", len(ops)]]
+        ops = bytearray(ops)
+        ops[len(ops) // 2] ^= 0x01
+        write_entry(entry, header, document, bytes(ops), reseal=False)
+        assert store_traces.load_trace_by_fingerprint(store, fingerprint) is None
+        assert store.counters.corrupt == 1
+        assert not entry.exists()
+        assert not data.exists()
+
+
+class TestConcurrentWriters:
+    """Two writers of one entry in one process never share a temp file.
+
+    ``repro serve`` writes one tenant store from its event loop (uploads)
+    and its dispatcher (jobs).  Each test runs a second write of the same
+    entry between the first writer's temp write and its rename.
+    """
+
+    @staticmethod
+    def nest_once(monkeypatch, second_write, on=lambda dst: True):
+        real_replace = os.replace
+        nested = []
+
+        def replace(src, dst):
+            if not nested and on(os.fspath(dst)):
+                nested.append(dst)
+                second_write()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        return nested
+
+    def test_nested_put_of_the_same_entry(self, store, monkeypatch):
+        fields = {"trace": "abc"}
+        digest = store.key("profile", fields)
+        nested = self.nest_once(
+            monkeypatch,
+            lambda: store.put("profile", digest, fields, {"value": 2}),
+        )
+        store.put("profile", digest, fields, {"value": 1})
+        assert nested
+        assert store.get("profile", digest) == {"value": 1}
+        assert store.counters.writes == 2
+
+    def test_nested_save_trace_of_the_same_trace(
+        self, store, toy_workload, monkeypatch
+    ):
+        trace = record_trace(toy_workload, toy_workload.train_input)
+        nested = self.nest_once(
+            monkeypatch,
+            lambda: store_traces.save_trace(store, trace),
+            on=lambda dst: dst.endswith(store_traces.TRACE_DATA_SUFFIX),
+        )
+        fingerprint = store_traces.save_trace(store, trace)
+        assert nested
+        loaded = store_traces.load_trace_by_fingerprint(store, fingerprint)
+        assert loaded is not None
+        try:
+            for left, right in zip(loaded.columns(), trace.columns()):
+                np.testing.assert_array_equal(left, right)
+            assert loaded.ops == trace.ops
+        finally:
+            loaded.close()
+        leftovers = [
+            path.name
+            for path in store.root.rglob("*")
+            if path.name.endswith(".tmp")
+        ]
+        assert leftovers == []
 
 
 class TestRecomputeAndRewrite:

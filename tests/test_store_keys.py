@@ -9,12 +9,16 @@ trace content, policy parameters — must land on a *different* digest
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cache.config import CacheConfig
+from repro.runtime.driver import collect_stats, measure_trace, profile_workload
 from repro.runtime.resolvers import CCDPResolver, NaturalResolver, RandomResolver
 from repro.store import ArtifactStore, use_store
 from repro.store import stages
+from repro.store.artifacts import cache_stats_to_dict
 from repro.store.keys import (
     canonical_json,
     code_salt,
@@ -23,6 +27,8 @@ from repro.store.keys import (
     trace_fingerprint,
 )
 from repro.trace.buffer import record_trace
+from repro.workloads import make_workload
+from tests.oracles import assert_same_profile
 
 
 @pytest.fixture
@@ -92,6 +98,31 @@ class TestTraceFingerprint:
 
     def test_fingerprint_memoized(self, toy_trace):
         assert trace_fingerprint(toy_trace) is trace_fingerprint(toy_trace)
+
+    @pytest.mark.parametrize(
+        "workload, input_name, expected",
+        [
+            (
+                "go",
+                "9x9-level5",
+                "bff4f625b526ca1d59b75aaa5958d864428c15cd18bbe7a8752018a648333db1",
+            ),
+            (
+                "deltablue",
+                "chain-900",
+                "601ac852b763bbbb932432cb7b2a579924c284c083d06796632b0e99c75b8c37",
+            ),
+            (
+                "gcc",
+                "1recog",
+                "416579d308c2f0c5b17402a68b8b395893dfd4ae44858e075eed141b843279ec",
+            ),
+        ],
+    )
+    def test_seed0_fingerprints_are_pinned(self, workload, input_name, expected):
+        """The values ``bench/expected_seed0.json`` pins for these traces."""
+        trace = record_trace(make_workload(workload), input_name)
+        assert trace_fingerprint(trace) == expected
 
 
 class TestResolverPolicy:
@@ -186,3 +217,53 @@ class TestStageRoundTrip:
             for trace in (train, test)
         }
         assert len(keys) == 2
+
+
+class TestTypedPayloadRoundTrip:
+    """Store entries decode to the computed artifacts, dict order included.
+
+    Profiles, stats and measurements travel through the store as array
+    blocks; downstream tie-breaking and the benchmark's stats digests
+    iterate their dicts, so a decoded artifact must iterate like the
+    computed one.
+    """
+
+    def test_deltablue_round_trip(self, tmp_path):
+        workload = make_workload("deltablue")
+        trace = record_trace(workload, workload.train_input)
+        config = CacheConfig(size=8192, line_size=32, associativity=1)
+
+        def run(store):
+            with use_store(store):
+                profile = profile_workload(
+                    workload, workload.train_input, config, trace=trace
+                )
+                stats = collect_stats(workload, workload.train_input, trace=trace)
+                measured = measure_trace(
+                    trace,
+                    NaturalResolver(),
+                    config,
+                    classify=True,
+                    track_pages=True,
+                )
+            return profile, stats, measured
+
+        computed = run(ArtifactStore(tmp_path / "store"))
+        rerun = ArtifactStore(tmp_path / "store")
+        profile, stats, measured = run(rerun)
+        assert rerun.counters.hits == 3
+        assert rerun.counters.misses == rerun.counters.writes == 0
+
+        assert_same_profile(profile, computed[0])
+        for name in ("refs_by_object", "object_sizes", "object_categories"):
+            decoded, fresh = getattr(stats, name), getattr(computed[1], name)
+            assert list(decoded.items()) == list(fresh.items()), name
+        assert stats == computed[1]
+        for name in ("accesses_by_object", "misses_by_object"):
+            decoded = getattr(measured.cache, name)
+            fresh = getattr(computed[2].cache, name)
+            assert list(decoded.items()) == list(fresh.items()), name
+        assert measured.paging == computed[2].paging
+        assert json.dumps(cache_stats_to_dict(measured.cache)) == json.dumps(
+            cache_stats_to_dict(computed[2].cache)
+        )
