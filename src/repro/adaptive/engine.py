@@ -38,7 +38,7 @@ from ..cache.config import CacheConfig
 from ..cache.simulator import CacheStats
 from ..core.algorithm import CCDPPlacer
 from ..core.cache_struct import TRGIndex
-from ..core.placement_engine import ArrayPlacementEngine, FIXED
+from ..core.placement_engine import ArrayPlacementEngine
 from ..core.placement_map import PlacementMap
 from ..naming.xor import DEFAULT_NAME_DEPTH
 from ..obs import telemetry as obs
@@ -150,20 +150,14 @@ def _drift_score(
     config: CacheConfig,
     chunk_size: int,
     entity_base: np.ndarray,
-    entity_sizes: dict[int, int],
+    entity_size: np.ndarray,
 ) -> float:
     """Window conflict cost of the live placement per unit edge weight."""
     total = index.total_weight()
     if total <= 0:
         return 0.0
     engine = ArrayPlacementEngine(index, config, chunk_size)
-    cache_size = config.size
-    for eid, size in entity_sizes.items():
-        base = int(entity_base[eid])
-        if base < 0:
-            continue
-        engine.set_entity_span(eid, base % cache_size, size)
-        engine.set_owner(index.pair_ids(eid), FIXED)
+    engine.fix_placed(entity_base, entity_size)
     return engine.total_conflict_cost() / total
 
 
@@ -205,7 +199,7 @@ def run_adaptive(
     Raises:
         TraceError: The recording is truncated, or an access touches an
             object outside its lifetime (never declared, not yet
-            allocated, or already freed).
+            allocated, or already freed) or at a negative offset.
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {_POLICIES}")
@@ -243,11 +237,10 @@ def run_adaptive(
         profile, eid_map, entry_bytes = build_entity_map(
             trace, chunk_size=chunk_size, name_depth=name_depth
         )
-        entity_sizes = {
-            eid: max(entity.size, 1)
-            for eid, entity in profile.entities.items()
-        }
         entity_base = np.full(max(profile.entities) + 1, -1, dtype=np.int64)
+        entity_size = np.ones(len(entity_base), dtype=np.int64)
+        for eid, entity in profile.entities.items():
+            entity_size[eid] = max(entity.size, 1)
 
         index = TRGIndex.from_edges({}, list(profile.entities))
         aggregator = WindowAggregator(history)
@@ -268,8 +261,8 @@ def run_adaptive(
             end = min(total, start + window_events)
             with obs.span("adapt.window", index=w, events=end - start):
                 obj_w = np.asarray(obj[start:end])
-                resolved.check(start, obj_w)
                 offset_w = np.asarray(offset_col[start:end])
+                resolved.check(start, obj_w, offset_w)
                 eids_w = eid_map[obj_w]
                 entity_base[eids_w] = resolved.bases[obj_w]
                 edges = window_trg(
@@ -302,7 +295,7 @@ def run_adaptive(
 
             if w >= 1 and (w + 1) % cadence == 0 and policy != "never":
                 score = _drift_score(
-                    index, config, chunk_size, entity_base, entity_sizes
+                    index, config, chunk_size, entity_base, entity_size
                 )
                 record.drift_score = score
                 obs.gauge("adapt.drift_score", score)
@@ -323,6 +316,7 @@ def run_adaptive(
                             config,
                             chunk_size,
                             entity_base,
+                            entity_size,
                             placement,
                             place_heap,
                         )

@@ -30,7 +30,7 @@ import numpy as np
 from ..cache.config import CacheConfig
 from ..core.cache_struct import TRGIndex
 from ..core.global_order import LayoutAtom, order_globals
-from ..core.placement_engine import ArrayPlacementEngine, FIXED
+from ..core.placement_engine import ArrayPlacementEngine
 from ..core.placement_map import HeapDecision, PlacementMap
 from ..memory.layout import DATA_BASE, STACK_BASE
 from ..profiling.profile_data import Profile, STACK_ENTITY_ID
@@ -70,6 +70,7 @@ def delta_replace(
     config: CacheConfig,
     chunk_size: int,
     entity_base: np.ndarray,
+    entity_size: np.ndarray,
     old_placement: PlacementMap,
     place_heap: bool,
 ) -> ReplaceResult:
@@ -82,25 +83,17 @@ def delta_replace(
         chunk_size: TRG chunk granularity.
         entity_base: Live base address per entity id (< 0 if the entity
             has not been referenced yet).
+        entity_size: Placement size (``max(size, 1)``) per entity id.
         old_placement: The placement currently being measured; clean
             entities and unmatched heap names carry over from it.
         place_heap: Whether heap decisions are emitted at all.
     """
     cache_size = config.size
     num_eids = max(profile.entities) + 1
-    entity_sizes = {
-        eid: max(entity.size, 1) for eid, entity in profile.entities.items()
-    }
 
     engine = ArrayPlacementEngine(index, config, chunk_size)
-    placed: list[int] = []
-    for eid in profile.entities:
-        base = int(entity_base[eid]) if eid < len(entity_base) else -1
-        if base < 0:
-            continue
-        engine.set_entity_span(eid, base % cache_size, entity_sizes[eid])
-        engine.set_owner(index.pair_ids(eid), FIXED)
-        placed.append(eid)
+    engine.fix_placed(entity_base, entity_size)
+    placed = np.flatnonzero(entity_base >= 0).tolist()
 
     pair_costs = engine.pair_conflict_costs()
     eid_costs = np.bincount(
@@ -116,7 +109,7 @@ def delta_replace(
         and (place_heap or profile.entities[eid].category is not Category.HEAP)
     ]
     dirty.sort(key=lambda eid: (-int(weights[eid]), eid))
-    fits = engine.refit(dirty, entity_sizes)
+    fits = engine.refit(dirty, entity_size)
     scan_cost = sum(cost for _offset, cost in fits.values())
 
     # Final cache offset per referenced entity: refit result for dirty,

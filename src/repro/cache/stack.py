@@ -10,14 +10,20 @@ previous touch lies before ``p`` (each such ``j`` is the first touch of
 its block inside the interval), so the hit test is a two-dimensional
 dominance count.
 
-:func:`capped_hits` answers all of a chunk's counts offline with a
-merge-sort tree over positions: level ``k`` holds the ``prev`` values
-sorted within each aligned block of ``2**k`` positions, one array per
-level, and a query interval decomposes bottom-up into at most two blocks
-per level, each counted with one ``searchsorted``.  A query is dropped
-once its count reaches ``cap`` (a miss) or its interval is used up (a
-hit), so a chunk of ``n`` touches costs at most ``log2(n) + 1`` rounds
-of NumPy passes whatever its reuse distances.
+:func:`capped_sums` answers such counts offline with a merge-sort
+tree over positions: level ``k`` holds the values sorted within each
+aligned block of ``2**k`` positions, one array per level, and a query
+interval decomposes bottom-up into at most two blocks per level, each
+counted with one ``searchsorted``.  Given per-position weights, a
+level also carries its weights in sorted order and their prefix sums,
+so a block yields the weight of its matching values instead of their
+count.  A query is dropped once its sum passes its limit or its
+interval is used up, so ``n`` positions cost at most ``log2(n) + 1``
+rounds of NumPy passes whatever the interval lengths.
+:func:`capped_hits` counts the distinct blocks (values ``prev + 1``);
+the TRG recency queue of :func:`repro.profiling.batch.trg_edges` sums
+the bytes queued in front of a key (values from the next touch,
+weighted by queue-entry bytes).
 
 :func:`lru_pass` wraps the counting for the simulator: touches are
 grouped (by cache set, or one group for the shadow) and time-ordered
@@ -61,9 +67,94 @@ def previous_touch(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prev, order
 
 
-def _block_counts(keys, blocks, lo, shift: int, width: int) -> np.ndarray:
-    """Values ``<= lo`` in each tree block (``keys`` offsets block b by b*width)."""
-    return np.searchsorted(keys, blocks * width + lo, side="right") - (blocks << shift)
+def _block_sums(keys, cum, blocks, bound, shift: int, width: int) -> np.ndarray:
+    """Weight of the values ``<= bound`` in each tree block.
+
+    ``keys`` offsets block b's values by ``b * width``; ``cum`` is the
+    level's exclusive weight prefix sum, or ``None`` for unit weights.
+    """
+    base = blocks << shift
+    count = np.searchsorted(keys, blocks * width + bound, side="right") - base
+    if cum is None:
+        return count
+    return cum[base + count] - cum[base]
+
+
+def capped_sums(
+    values: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    bound: np.ndarray,
+    limit: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """Whether each query's dominance sum stays within its limit.
+
+    Query ``k`` sums ``weights[j]`` (1 without weights) over the
+    positions ``lo[k] <= j < hi[k]`` with ``values[j] <= bound[k]``, and
+    is within when that sum is at most ``limit[k]``.  ``values`` lie in
+    ``[0, n]``, every ``bound`` is below ``n`` and weights are
+    non-negative.  An empty interval sums to 0.
+    """
+    n = len(values)
+    within = limit >= 0
+    query = np.flatnonzero(within & (lo < hi))
+    if not len(query):
+        return within
+    # left and right walk each interval up the levels.
+    left, right, bound, limit = lo[query], hi[query], bound[query], limit[query]
+    total = np.zeros(len(query), dtype=np.int64)
+    width = n + 1  # values are in [0, n]; n pads the tree's tail
+    level = values
+    level_weights = weights
+    cum = None
+    shift = 0
+    while True:
+        keys = level + (np.arange(len(level), dtype=np.int64) >> shift) * width
+        if level_weights is not None:
+            cum = np.zeros(len(level) + 1, dtype=np.int64)
+            np.cumsum(level_weights, out=cum[1:])
+        odd = (left & 1).astype(bool)
+        total[odd] += _block_sums(keys, cum, left[odd], bound[odd], shift, width)
+        left[odd] += 1
+        odd = (right & 1).astype(bool)
+        right[odd] -= 1
+        total[odd] += _block_sums(keys, cum, right[odd], bound[odd], shift, width)
+        left >>= 1
+        right >>= 1
+        over = total > limit
+        done = (left >= right) | over
+        if done.any():
+            within[query[done]] = ~over[done]
+            keep = ~done
+            query, bound, limit, left, right, total = (
+                query[keep],
+                bound[keep],
+                limit[keep],
+                left[keep],
+                right[keep],
+                total[keep],
+            )
+        if not len(query):
+            return within
+        # Next level: merge sibling blocks (two sorted runs per row).
+        span = 1 << shift
+        if len(level) % (2 * span):
+            level = np.concatenate([level, np.full(span, n, dtype=level.dtype)])
+            if level_weights is not None:
+                level_weights = np.concatenate(
+                    [level_weights, np.zeros(span, dtype=level_weights.dtype)]
+                )
+        shift += 1
+        rows = level.reshape(-1, 2 * span)
+        if level_weights is None:
+            level = np.sort(rows, axis=1, kind="stable").ravel()
+        else:
+            order = np.argsort(rows, axis=1, kind="stable")
+            order += np.arange(0, len(level), 2 * span, dtype=np.int64)[:, None]
+            order = order.ravel()
+            level = level[order]
+            level_weights = level_weights[order]
 
 
 def capped_hits(prev: np.ndarray, cap: int) -> np.ndarray:
@@ -78,42 +169,14 @@ def capped_hits(prev: np.ndarray, cap: int) -> np.ndarray:
     hit = prev >= 0
     gap = np.arange(n, dtype=np.int64) - prev - 1
     query = np.flatnonzero(hit & (gap >= cap))
-    if not len(query):
-        return hit
-    # Count the j in [lo, i) with prev[j] < lo, i.e. with tree value
-    # prev[j] + 1 <= lo; left and right walk the interval up the levels.
-    lo = prev[query] + 1
-    left = lo.copy()
-    right = query.copy()
-    count = np.zeros(len(query), dtype=np.int64)
-    width = n + 1  # values are in [0, n]; n pads the tree's tail
-    level = prev + 1
-    shift = 0
-    while True:
-        keys = level + (np.arange(len(level), dtype=np.int64) >> shift) * width
-        odd = (left & 1).astype(bool)
-        count[odd] += _block_counts(keys, left[odd], lo[odd], shift, width)
-        left[odd] += 1
-        odd = (right & 1).astype(bool)
-        right[odd] -= 1
-        count[odd] += _block_counts(keys, right[odd], lo[odd], shift, width)
-        left >>= 1
-        right >>= 1
-        done = (left >= right) | (count >= cap)
-        if done.any():
-            hit[query[done]] = count[done] < cap
-            keep = ~done
-            query, lo, left, right, count = (
-                query[keep], lo[keep], left[keep], right[keep], count[keep]
-            )
-        if not len(query):
-            return hit
-        # Next level: merge sibling blocks (two sorted runs per row).
-        span = 1 << shift
-        if len(level) % (2 * span):
-            level = np.concatenate([level, np.full(span, n, dtype=level.dtype)])
-        shift += 1
-        level = np.sort(level.reshape(-1, 2 * span), axis=1, kind="stable").ravel()
+    if len(query):
+        # Count the j in [lo, i) with prev[j] < lo, i.e. with tree value
+        # prev[j] + 1 <= lo.
+        lo = prev[query] + 1
+        hit[query] = capped_sums(
+            prev + 1, lo, query, lo, np.full(len(query), cap - 1, dtype=np.int64)
+        )
+    return hit
 
 
 @dataclass

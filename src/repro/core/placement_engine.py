@@ -110,21 +110,45 @@ class ArrayPlacementEngine:
 
     # -- span bookkeeping --------------------------------------------------
 
-    def set_entity_span(self, eid: int, cache_offset: int, size: int) -> None:
-        """(Re)compute the line spans of one entity's active chunks.
+    def _line_spans(self, cache_offset, size, chunks: np.ndarray):
+        """Start line and line count of each chunk at its entity's offset.
 
-        Vectorized :func:`~repro.core.cache_struct.chunk_line_span` over
-        the entity's contiguous pair range.
+        Vectorized :func:`~repro.core.cache_struct.chunk_line_span`;
+        ``cache_offset`` and ``size`` are scalars or per-chunk arrays.
         """
-        lo, hi = self.index.pair_range(eid)
-        chunks = self.index.pair_chunk[lo:hi]
         start_byte = cache_offset + chunks * self.chunk_size
         end_byte = cache_offset + np.minimum(size, (chunks + 1) * self.chunk_size) - 1
         np.maximum(end_byte, start_byte, out=end_byte)
         first = start_byte // self.config.line_size
         last = end_byte // self.config.line_size
-        self.start_line[lo:hi] = first % self.num_lines
-        self.span_len[lo:hi] = last - first + 1
+        return first % self.num_lines, last - first + 1
+
+    def set_entity_span(self, eid: int, cache_offset: int, size: int) -> None:
+        """(Re)compute the line spans of one entity's active chunks."""
+        lo, hi = self.index.pair_range(eid)
+        self.start_line[lo:hi], self.span_len[lo:hi] = self._line_spans(
+            cache_offset, size, self.index.pair_chunk[lo:hi]
+        )
+
+    def fix_placed(self, entity_base: np.ndarray, entity_size: np.ndarray) -> None:
+        """Fix every pair whose entity has a live base, in one gather.
+
+        ``entity_base`` and ``entity_size`` are indexed by entity id and
+        cover every entity of the index; a base below 0 means the entity
+        is not placed.  Each placed entity's pairs get their spans at
+        cache offset ``base % cache size`` and the :data:`FIXED` owner,
+        as :meth:`set_entity_span` and :meth:`set_owner` would set them
+        entity by entity.
+        """
+        pair_eid = self.index.pair_eid
+        base = entity_base[pair_eid]
+        pairs = np.flatnonzero(base >= 0)
+        self.start_line[pairs], self.span_len[pairs] = self._line_spans(
+            base[pairs] % self.config.size,
+            entity_size[pair_eid[pairs]],
+            self.index.pair_chunk[pairs],
+        )
+        self.owner[pairs] = FIXED
 
     def set_owner(self, pair_idx: np.ndarray, owner: int) -> None:
         """Assign ``owner`` to a batch of pair indices."""
@@ -198,18 +222,20 @@ class ArrayPlacementEngine:
     def refit(
         self,
         entities: list[int],
-        entity_sizes: dict[int, int],
+        entity_size: np.ndarray,
     ) -> dict[int, tuple[int, int]]:
         """Delta re-placement: re-scan only ``entities``, keep the rest.
 
-        Every placed pair must be marked :data:`FIXED` on entry.  The
-        listed (dirty) entities' pairs are released to
-        :data:`UNPLACED`, then re-fit in list order with a Figure 2
-        scan against everything else — each entity is re-frozen as
-        :data:`FIXED` once placed, so later refits see it.  The scan
-        prefers the entity's current start line, so a conflict-free
-        entity stays exactly where it is; unchanged compound placements
-        are reused rather than re-merged from scratch.
+        ``entity_size`` holds each entity's placement size, indexed by
+        entity id.  Every placed pair must be marked :data:`FIXED` on
+        entry (:meth:`fix_placed`).  The listed (dirty) entities' pairs
+        are released to :data:`UNPLACED`, then re-fit in list order with
+        a Figure 2 scan against everything else — each entity is
+        re-frozen as :data:`FIXED` once placed, so later refits see it.
+        The scan prefers the entity's current start line, so a
+        conflict-free entity stays exactly where it is; unchanged
+        compound placements are reused rather than re-merged from
+        scratch.
 
         Returns:
             Entity id -> ``(new cache offset, scan cost)``.
@@ -228,7 +254,7 @@ class ArrayPlacementEngine:
                 int(index.pair_chunk[lo]) * self.chunk_size
             ) // line_size
             preferred = (int(self.start_line[lo]) - chunk_lines) % self.num_lines
-            size = entity_sizes.get(eid, 1)
+            size = int(entity_size[eid])
             self.set_entity_span(eid, 0, size)
             start, cost = self.scan(pairs, None, preferred_start=preferred)
             offset = start * line_size

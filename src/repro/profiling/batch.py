@@ -16,18 +16,22 @@ TRG edges:
   is *write-once* (object ids are never reused and each is bound to
   exactly one entity at declaration/allocation), so the whole entity
   column is one vectorized gather with the final map.
-* :func:`trg_edges` runs the recency queue.  Its front-of-queue fast
-  path skips every reference whose (entity, chunk) pair equals the
-  previous reference's pair, so only the *boundaries* of
-  consecutive-duplicate runs ever touch the queue.  The queue itself
-  (insertion, move-to-front, byte-bounded eviction, and the walk over
-  entries in front of a hit) is inherently sequential and already
-  output-sized — one walk step per edge increment — so it stays a Python
-  loop, but each step shrinks to appending one packed (entity, chunk)
-  key.  The per-edge accounting is lifted out: ordering each increment's
-  endpoints, counting identical edges, and recovering the scalar
-  builder's dict — including its insertion order, which downstream
-  tie-breaking may observe — are all column operations.
+* :func:`trg_edges` runs the recency queue as array passes.  Only the
+  *boundaries* of consecutive-duplicate (entity, chunk) runs reach the
+  queue, as in the scalar builder's front-of-queue fast path.  A
+  reference hits when its key was not evicted since its previous
+  reference ``p``: the bytes queued in front of the key are those of
+  the keys referenced since ``p`` at their latest sizes, so the test is
+  a byte-weighted stack distance, answered for all references at once
+  by prefix sums and, for the long gaps, on the merge-sort tree of
+  :func:`repro.cache.stack.capped_sums`.  Evictions are the misses less
+  the keys still queued at the end.  Hit ``i`` walks the keys last
+  referenced between ``p`` and ``i``, newest first; those intervals are
+  scanned in chunks of :data:`SCAN_CHUNK` positions, and each chunk is
+  folded into per-edge weights and first-increment positions, which
+  recover the scalar builder's dict — including its insertion order,
+  which downstream tie-breaking may observe — without buffering the
+  whole walk.
 
 :func:`profile_trace` is the replay, per-entity counters from one stable
 sort, and the TRG pass; the adaptive engine runs the same body over its
@@ -37,14 +41,12 @@ is equal, dict for dict, to profiling the live run.
 
 from __future__ import annotations
 
-from array import array
-from collections import OrderedDict
-from itertools import takewhile
 from typing import NamedTuple
 
 import numpy as np
 
 from ..cache.config import CacheConfig
+from ..cache.stack import capped_sums, previous_touch
 from ..naming.xor import DEFAULT_NAME_DEPTH
 from ..obs import telemetry as obs
 from ..trace.buffer import (
@@ -53,6 +55,7 @@ from ..trace.buffer import (
     _OP_FREE,
     _OP_OBJECT,
     _OP_STACK_DEPTH,
+    check_offsets,
 )
 from ..trace.events import STACK_OBJECT_ID, TraceError
 from .profile_data import Profile, STACK_ENTITY_ID
@@ -60,6 +63,11 @@ from .profiler import ProfilerSink
 from .trg import DEFAULT_CHUNK_SIZE, EdgeKey
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: Hit-interval positions the TRG walk scans per chunk (:func:`trg_edges`).
+SCAN_CHUNK = 1 << 16
+#: Largest edge key space folded into dense arrays; larger ones sort.
+_DENSE_PAIRS = 1 << 24
 
 
 class EntityReplay(NamedTuple):
@@ -211,6 +219,78 @@ def _entry_bytes_column(
     return entry
 
 
+def _chunked_ranges(lengths: np.ndarray, chunk: int):
+    """Lay ranges end to end and yield them in pieces of ``chunk`` elements.
+
+    Range ``r`` holds ``lengths[r]`` elements, and a range may straddle
+    pieces.  Each piece yields ``(rows, counts, offset)``: the slice of
+    ranges it touches, how many of its elements each holds (spread a
+    per-range column over the piece with ``np.repeat(column[rows],
+    counts)``), and each element's offset inside its range.
+    """
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    total = int(ends[-1]) if len(ends) else 0
+    for a in range(0, total, chunk):
+        b = min(total, a + chunk)
+        rows = slice(
+            int(np.searchsorted(ends, a, side="right")),
+            int(np.searchsorted(ends, b, side="left")) + 1,
+        )
+        counts = np.minimum(ends[rows], b) - np.maximum(starts[rows], a)
+        offset = np.arange(a, b, dtype=np.int64) - np.repeat(starts[rows], counts)
+        yield rows, counts, offset
+
+
+def _queue_survival(
+    prev: np.ndarray, nxt: np.ndarray, entry: np.ndarray, threshold: int
+) -> np.ndarray:
+    """Whether each reference's key is still queued just before its next one.
+
+    ``nxt[p]`` is the next reference to ``p``'s key, ``n`` for none (the
+    key is then tested at the end of the stream).  After reference ``p``
+    its key holds ``entry[p]`` bytes at the queue front; at each later
+    step ``q`` the entries in front of it are the keys referenced in
+    ``(p, q]``, each at its latest size, so it survives step ``q``
+    exactly when ``S(q) = entry[p] + sum(entry[j] : p < j <= q,
+    nxt[j] > q)`` is at most ``threshold``.  ``S`` falls only at a
+    *shrink* ``c`` (``prev[c] > p`` and ``entry[c] < entry[prev[c]]``),
+    so the steps to test are ``nxt[p] - 1`` and ``c - 1`` for each
+    shrink in between.  The newest reference always survives: eviction
+    never empties the queue.
+    """
+    n = len(entry)
+    bytes_before = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(entry, out=bytes_before[1:])
+    room = threshold - entry
+    # Quick test: every byte referenced in between fits.
+    survives = bytes_before[nxt] - bytes_before[1:] <= room
+    survives[-1] = True
+    query = np.flatnonzero(~survives & (room >= 0))
+    if not len(query):
+        return survives
+    # Tree values n - nxt[j] <= n - hi select the j with nxt[j] >= hi.
+    values = n - nxt
+    ends = nxt[query]
+    survives[query] = capped_sums(
+        values, query + 1, ends, n - ends, room[query], weights=entry
+    )
+    shrinks = np.flatnonzero((prev >= 0) & (entry < entry[np.maximum(prev, 0)]))
+    query = query[survives[query]]
+    if not len(shrinks) or not len(query):
+        return survives
+    first = np.searchsorted(shrinks, query, side="right")
+    lengths = np.searchsorted(shrinks, nxt[query], side="left") - first
+    for rows, counts, offset in _chunked_ranges(lengths, SCAN_CHUNK):
+        p = np.repeat(query[rows], counts)
+        c = shrinks[np.repeat(first[rows], counts) + offset]
+        inside = prev[c] > p
+        p, c = p[inside], c[inside]
+        ok = capped_sums(values, p + 1, c, n - c, room[p], weights=entry)
+        survives[p[~ok]] = False
+    return survives
+
+
 def trg_edges(
     eids: np.ndarray,
     chunks: np.ndarray,
@@ -220,9 +300,10 @@ def trg_edges(
     """One recency-queue pass over a stream of (entity, chunk) references.
 
     ``entry_bytes[i]`` is the queue-entry size in effect at reference
-    ``i``.  The edges equal, weight for weight and in insertion order,
-    what :class:`~repro.profiling.trg.TRGBuilder` builds from the same
-    stream.  Emits no telemetry.
+    ``i``; chunks are non-negative.  The edges equal, weight for weight
+    and in insertion order, what :class:`~repro.profiling.trg.TRGBuilder`
+    builds from the same stream, and so does the eviction count.  Emits
+    no telemetry.
     """
     total = len(eids)
     if not total:
@@ -231,116 +312,101 @@ def trg_edges(
     # the queue — the scalar front-of-queue check skips the rest, and the
     # queue front is always the previous reference's pair, so the two
     # skip sets are identical.  Pairs are packed into single ints (chunk
-    # < span, so packed order == tuple order) so the recency pass and the
-    # edge columns stay cheap.
+    # < span, so packed order == tuple order).
     span = int(chunks.max()) + 1
     packed = eids * span + chunks
     keep = np.empty(total, dtype=bool)
     keep[0] = True
     np.not_equal(packed[1:], packed[:-1], out=keep[1:])
     stream = packed[keep]
-    kept = len(stream)
+    entry = entry_bytes[keep]
+    n = len(stream)
 
-    # Recency pass: the scalar queue's insert / move-to-front /
-    # byte-bounded eviction bookkeeping, with the edge walk reduced to
-    # appending each walked pair's packed key — the walk itself is
-    # output-sized (one step per edge increment), so only the per-edge
-    # dict accounting is worth lifting out; it is batched below as
-    # column operations.
-    walked = array("q")
-    walk_append = walked.append
-    walk_extend = walked.extend
-    queue: "OrderedDict[int, int]" = OrderedDict()
-    queue_get = queue.get
-    move_to_end = queue.move_to_end
-    popitem = queue.popitem
-    queued_bytes = 0
-    evictions = 0
-    # The walk consumes queue entries newer than the hit key;
-    # ``takewhile(key.__ne__, ...)`` into ``extend`` keeps the whole walk
-    # in C.  A hit never has the key at the front (consecutive duplicates
-    # were collapsed), and a hit implies at least two queued entries, so
-    # the pre-event invariant "bytes <= threshold unless a single entry
-    # overflows alone" lets unchanged-entry hits skip the byte accounting
-    # and the eviction check entirely.
-    for key, entry in zip(stream.tolist(), entry_bytes[keep].tolist()):
-        old = queue_get(key)
-        if old is not None:
-            # ~key < 0 marks the hit boundary inside the walk list.
-            walk_append(~key)
-            walk_extend(takewhile(key.__ne__, reversed(queue)))
-            move_to_end(key)
-            if entry == old:
-                continue
-        queue[key] = entry
-        queued_bytes += entry - (old or 0)
-        while queued_bytes > queue_threshold and len(queue) > 1:
-            _evicted, evicted_bytes = popitem(last=False)
-            queued_bytes -= evicted_bytes
-            evictions += 1
-    if not walked:
-        return TRGPass({}, evictions, kept, _EMPTY, _EMPTY, _EMPTY)
-
-    # One edge increment per walked pair.  Append order is the scalar
-    # builder's increment order, so first occurrence per distinct edge
-    # reproduces its dict insertion order exactly.
-    arr = np.frombuffer(walked, dtype=np.int64)
-    boundary = arr < 0
-    hit_pos = np.flatnonzero(boundary)
-    counts = np.diff(np.concatenate((hit_pos, [len(arr)]))) - 1
-    # Rank-compress the packed keys (every walked key appears in
-    # ``stream``) so the pair key space shrinks to (#distinct keys)^2 —
-    # usually small enough for dense accumulation.  searchsorted is
-    # monotone, so min/max of ranks == min/max of keys, and
-    # ``uniq_keys[rank]`` recovers the original key.  Only the hit
-    # endpoints (pre-repeat) need ranking; the walked endpoints are ranked
-    # in one pass.
-    uniq_keys = np.unique(stream)
-    a_r = np.searchsorted(uniq_keys, arr[~boundary])
-    b_r = np.repeat(np.searchsorted(uniq_keys, ~arr[hit_pos]), counts)
-    lo_r = np.minimum(a_r, b_r)
-    hi_r = np.maximum(a_r, b_r)
+    # Rank-compress the keys, so the edge key space is (#keys)^2.
+    prev, order = previous_touch(stream)
+    sorted_keys = stream[order]
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+    uniq_keys = sorted_keys[head]
     num_keys = len(uniq_keys)
-    pair = lo_r * num_keys + hi_r
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.cumsum(head) - 1
+    # Free the sort temporaries before the survival pass peaks.
+    del packed, keep, stream, order, sorted_keys, head
+    hits = np.flatnonzero(prev >= 0)
+    nxt = np.full(n, n, dtype=np.int64)
+    nxt[prev[hits]] = hits
+
+    # A reference hits when its key survived since its previous
+    # reference.  Every miss inserts a key, which is later evicted or
+    # still queued at the end.
+    survives = _queue_survival(prev, nxt, entry, queue_threshold)
+    hits = hits[survives[prev[hits]]]
+    evictions = n - len(hits) - int(np.count_nonzero(survives[nxt == n]))
+    if not len(hits):
+        return TRGPass({}, evictions, n, _EMPTY, _EMPTY, _EMPTY)
+
+    # Hit i walks the queue entries in front of its key: the keys last
+    # referenced at j in (prev[i], i), newest first.  Scanning each
+    # interval in descending j follows the scalar builder's increment
+    # order, so the first position of each edge gives its dict insertion
+    # order.  Each scanned piece folds into per-edge weights over the
+    # (#keys)^2 pair ids; pair id key_space collects the scanned j that
+    # are not walked (their key is referenced again before i).
     key_space = num_keys * num_keys
-    if key_space <= 1 << 24:
-        # Dense accumulation: weights by bincount, first occurrence by a
-        # reversed scatter (last write wins, so writing in reverse keeps
-        # the earliest row) — two linear passes instead of sorting
-        # millions of increments.
-        dense_w = np.bincount(pair, minlength=key_space)
-        first = np.full(key_space, -1, dtype=np.int64)
-        first[pair[::-1]] = np.arange(len(pair) - 1, -1, -1)
-        pids = np.flatnonzero(dense_w)
-        pids = pids[np.argsort(first[pids])]
-        rows = first[pids]
-        weights = dense_w[pids]
+    dense = key_space <= _DENSE_PAIRS
+    if dense:
+        weights = np.zeros(key_space + 1, dtype=np.int64)
+        first = np.full(key_space + 1, -1, dtype=np.int64)
     else:
-        # Sparse key space: sort-based grouping on the narrowest dtype
-        # the pair key fits.
-        if key_space <= np.iinfo(np.uint32).max:
-            pair = pair.astype(np.uint32)
-        _uniq, first_idx, pair_counts = np.unique(
-            pair, return_index=True, return_counts=True
-        )
-        insert_order = np.argsort(first_idx)
-        rows = first_idx[insert_order]
-        weights = pair_counts[insert_order]
-    lo = uniq_keys[lo_r[rows]]
-    hi = uniq_keys[hi_r[rows]]
-    lo_eid = lo // span
-    hi_eid = hi // span
-    edge_cols = zip(
-        lo_eid.tolist(),
-        (lo % span).tolist(),
-        hi_eid.tolist(),
-        (hi % span).tolist(),
-        weights.tolist(),
+        partial: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    hit_rank = rank[hits]
+    scanned = 0
+    for rows, counts, offset in _chunked_ranges(hits - prev[hits] - 1, SCAN_CHUNK):
+        at = np.repeat(hits[rows], counts)
+        j = at - 1 - offset
+        a = rank[j]
+        b = np.repeat(hit_rank[rows], counts)
+        pair = np.minimum(a, b) * num_keys + np.maximum(a, b)
+        pair[nxt[j] < at] = key_space
+        if dense:
+            np.add.at(weights, pair, 1)
+            fresh = np.flatnonzero(first[pair] < 0)[::-1]
+            # Reversed scatter: the last write, the earliest position, wins.
+            first[pair[fresh]] = scanned + fresh
+        else:
+            uniq, row, pair_counts = np.unique(
+                pair, return_index=True, return_counts=True
+            )
+            partial.append((uniq, scanned + row, pair_counts))
+        scanned += len(pair)
+    if dense:
+        pids = np.flatnonzero(weights[:key_space])
+        pids = pids[np.argsort(first[pids])]
+        weights = weights[pids]
+    else:
+        pair, row, pair_counts = (np.concatenate(column) for column in zip(*partial))
+        by_pair = np.lexsort((row, pair))
+        pair = pair[by_pair]
+        heads = np.flatnonzero(np.concatenate(([True], pair[1:] != pair[:-1])))
+        weights = np.add.reduceat(pair_counts[by_pair], heads)
+        pids = pair[heads]
+        walked = pids < key_space
+        insert_order = np.argsort(row[by_pair][heads][walked])
+        pids = pids[walked][insert_order]
+        weights = weights[walked][insert_order]
+    # One (entity, chunk) tuple per key, shared by all of its edges.
+    key_eid = uniq_keys // span
+    pair_keys = list(zip(key_eid.tolist(), (uniq_keys % span).tolist()))
+    lo_r = pids // num_keys
+    hi_r = pids % num_keys
+    edge_keys = zip(
+        map(pair_keys.__getitem__, lo_r.tolist()),
+        map(pair_keys.__getitem__, hi_r.tolist()),
     )
-    edges: dict[EdgeKey, int] = {}
-    for eid_a, chunk_a, eid_b, chunk_b, weight in edge_cols:
-        edges[((eid_a, chunk_a), (eid_b, chunk_b))] = weight
-    return TRGPass(edges, evictions, kept, lo_eid, hi_eid, weights)
+    edges: dict[EdgeKey, int] = dict(zip(edge_keys, weights.tolist()))
+    return TRGPass(edges, evictions, n, key_eid[lo_r], key_eid[hi_r], weights)
 
 
 def _profile_prefix(
@@ -378,6 +444,8 @@ def _profile_prefix(
             f"corrupt trace: access to unknown object id {int(obj[bad])} "
             f"at position {bad} (not declared or allocated before it)"
         )
+    offset = offset_col[:end]
+    check_offsets(0, obj, offset)
     eid_col = replay.eid_map[obj]
 
     if end:
@@ -409,7 +477,7 @@ def _profile_prefix(
 
     trg = trg_edges(
         eid_col,
-        offset_col[:end] // chunk_size,
+        offset // chunk_size,
         _entry_bytes_column(eid_col, replay.size_updates, chunk_size),
         profile.queue_threshold,
     )
@@ -463,10 +531,11 @@ def profile_trace(
     same stream.
 
     Raises:
-        TraceError: The recording is truncated (no ``on_end`` marker), or
-            an access touches an object before its declaration or an id
-            no op declared.  A use after free passes, as in the live
-            profiler: a profile names objects, it does not resolve them.
+        TraceError: The recording is truncated (no ``on_end`` marker), an
+            access touches an object before its declaration or an id no
+            op declared, or an access has a negative offset.  A use after
+            free passes, as in the live profiler: a profile names
+            objects, it does not resolve them.
     """
     profile, trg = _profile_prefix(
         trace, trace.events, cache_config, chunk_size, name_depth, queue_threshold

@@ -61,7 +61,8 @@ class ResolvedBases:
     ``p``, so object ``i`` is live at the access positions
     ``born[i] <= p < died[i]``; an id no op declared is never live.
     :meth:`check` is where every batched consumer rejects an access
-    outside its object's lifetime, as the per-event replay sinks do.
+    outside its object's lifetime, as the per-event replay sinks do, or
+    at a negative offset, which no recorder emits.
     """
 
     def __init__(self, bases: np.ndarray, born: np.ndarray, died: np.ndarray):
@@ -69,8 +70,12 @@ class ResolvedBases:
         self.born = born
         self.died = died
 
-    def check(self, start: int, obj: np.ndarray) -> None:
-        """Raise :class:`TraceError` unless accesses ``start..`` hit live objects."""
+    def check(self, start: int, obj: np.ndarray, offset: np.ndarray) -> None:
+        """Raise :class:`TraceError` unless accesses ``start..`` hit live objects.
+
+        ``obj`` and ``offset`` are the accesses' object-id and offset
+        columns; every offset must be non-negative.
+        """
         if not len(obj):
             return
         in_range = (obj >= 0) & (obj < len(self.bases))
@@ -83,6 +88,23 @@ class ResolvedBases:
                 f"corrupt trace: access to unknown object id {bad} "
                 "(never declared or allocated)"
             )
+        check_offsets(start, obj, offset)
+
+
+def check_offsets(start: int, obj: np.ndarray, offset: np.ndarray) -> None:
+    """Raise :class:`TraceError` if an access has a negative offset.
+
+    ``obj`` and ``offset`` are the columns of the accesses from position
+    ``start`` on.  An access reaches its object at ``offset >= 0``; a
+    negative offset would name a chunk of another object once chunks
+    are packed per entity.
+    """
+    if len(offset) and int(offset.min()) < 0:
+        bad = int(np.argmax(offset < 0))
+        raise TraceError(
+            f"corrupt trace: negative offset {int(offset[bad])} into object id "
+            f"{int(obj[bad])} at position {start + bad}"
+        )
 
 
 class TraceRecorder(TraceSink):
@@ -360,8 +382,8 @@ class TraceRecorder(TraceSink):
 
         Raises :class:`~repro.trace.sinks.TraceError` when the recording
         is truncated (no ``on_end`` marker) or an access touches an
-        object outside its lifetime: never declared, not yet allocated,
-        or already freed.
+        object outside its lifetime (never declared, not yet allocated,
+        or already freed) or at a negative offset.
         """
         self.require_ended()
         obj, offset, _size, _cat, _store = self.columns()
@@ -370,8 +392,9 @@ class TraceRecorder(TraceSink):
         for start in range(0, total, chunk_events):
             end = min(start + chunk_events, total)
             obj_chunk = np.asarray(obj[start:end])
-            resolved.check(start, obj_chunk)
-            yield start, end, resolved.bases[obj_chunk] + np.asarray(offset[start:end])
+            offset_chunk = np.asarray(offset[start:end])
+            resolved.check(start, obj_chunk, offset_chunk)
+            yield start, end, resolved.bases[obj_chunk] + offset_chunk
 
     def resolve(self, resolver) -> np.ndarray:
         """Replay lifetime ops through ``resolver`` and resolve all addresses.

@@ -19,13 +19,19 @@ keeps the per-event twins those kernels must equal bit for bit:
   :func:`~repro.adaptive.windows.window_trg`);
 * :class:`ScalarPlacer` — a :class:`CCDPPlacer` whose Phase 2 and
   Phase 6 run on :class:`CacheImage`, :func:`conflict_cost_scan` and
-  :class:`CompoundMerger`.
+  :class:`CompoundMerger`;
+* :func:`scalar_fix_placed` and :func:`scalar_drift_score` — the
+  adaptive engine's live spans fixed entity by entity (the twins of
+  :meth:`~repro.core.placement_engine.ArrayPlacementEngine.fix_placed`
+  and the engine's drift score).
 
 pytest does not collect this module (no ``test_`` prefix); tests import
 it as ``tests.oracles``.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.analysis.paging import PageTracker, PagingSummary
 from repro.cache.config import CacheConfig
@@ -38,6 +44,7 @@ from repro.core.cache_struct import (
     conflict_cost_scan,
 )
 from repro.core.compound import CompoundMerger, CompoundNode
+from repro.core.placement_engine import FIXED, ArrayPlacementEngine
 from repro.memory.layout import TEXT_BASE
 from repro.memory.static_layout import layout_sequential
 from repro.naming.xor import DEFAULT_NAME_DEPTH
@@ -203,3 +210,31 @@ class ScalarPlacer(CCDPPlacer):
 
     def _conflict_scans(self) -> int:
         return 1 + self._merger.scan_count
+
+
+def scalar_fix_placed(engine, entity_base, entity_size) -> None:
+    """Fix each placed entity's pairs with one span fill per entity.
+
+    The per-entity twin of ``ArrayPlacementEngine.fix_placed`` (same
+    arguments, with the engine first).
+    """
+    cache_size = engine.config.size
+    for eid in np.unique(engine.index.pair_eid).tolist():
+        base = int(entity_base[eid])
+        if base < 0:
+            continue
+        engine.set_entity_span(eid, base % cache_size, int(entity_size[eid]))
+        engine.set_owner(engine.index.pair_ids(eid), FIXED)
+
+
+def scalar_drift_score(index, config, chunk_size, entity_base, entity_size) -> float:
+    """The adaptive drift score with the per-entity span fill.
+
+    Same arguments as ``repro.adaptive.engine._drift_score``.
+    """
+    total = index.total_weight()
+    if total <= 0:
+        return 0.0
+    engine = ArrayPlacementEngine(index, config, chunk_size)
+    scalar_fix_placed(engine, entity_base, entity_size)
+    return engine.total_conflict_cost() / total

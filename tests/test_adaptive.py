@@ -15,13 +15,21 @@ from __future__ import annotations
 import pytest
 
 from repro.adaptive import WindowAggregator, run_adaptive, window_profile
+from repro.adaptive import engine as engine_module
 from repro.adaptive.bench import render_adaptive_bench, run_adaptive_bench
 from repro.cache.config import CacheConfig
 from repro.core.algorithm import CCDPPlacer
+from repro.core.placement_engine import ArrayPlacementEngine
 from repro.runtime.driver import measure_trace
 from repro.runtime.resolvers import CCDPResolver
 from repro.trace.buffer import record_trace
-from repro.workloads.drift import drift_workload, phase_change, stationary
+from repro.workloads.drift import (
+    drift_workload,
+    drift_workload_names,
+    phase_change,
+    stationary,
+)
+from tests.oracles import scalar_drift_score, scalar_fix_placed
 
 CONFIG = CacheConfig()
 WINDOW = 1024
@@ -35,6 +43,52 @@ def stationary_trace():
 @pytest.fixture(scope="module")
 def phase_change_trace():
     return record_trace(phase_change(iterations=2500), "test")
+
+
+@pytest.mark.parametrize("window", [512, 2048])
+def test_drift_score_and_delta_replace_match_per_entity_fill(window, monkeypatch):
+    """The one-gather span fill equals the per-entity loop at every check.
+
+    Every drift score of the three drift traces equals
+    :func:`tests.oracles.scalar_drift_score` as a float, and every
+    re-placement gives the same placement map from either span fill.
+    """
+    real_score = engine_module._drift_score
+    real_replace = engine_module.delta_replace
+    scores: list[float] = []
+    steps = []
+
+    def checked_score(*args):
+        score = real_score(*args)
+        assert score == scalar_drift_score(*args)
+        scores.append(score)
+        return score
+
+    def checked_replace(*args):
+        step = real_replace(*args)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ArrayPlacementEngine, "fix_placed", scalar_fix_placed)
+            scalar = real_replace(*args)
+        assert step.placement == scalar.placement
+        assert list(step.placement.global_offsets.items()) == list(
+            scalar.placement.global_offsets.items()
+        )
+        assert list(step.placement.heap_table.items()) == list(
+            scalar.placement.heap_table.items()
+        )
+        assert (step.dirty_entities, step.scan_cost) == (
+            scalar.dirty_entities,
+            scalar.scan_cost,
+        )
+        steps.append(step)
+        return step
+
+    monkeypatch.setattr(engine_module, "_drift_score", checked_score)
+    monkeypatch.setattr(engine_module, "delta_replace", checked_replace)
+    for name in drift_workload_names():
+        run_adaptive(record_trace(drift_workload(name), "test"), window_events=window)
+    assert len(set(scores)) > 1
+    assert steps
 
 
 def test_never_policy_reproduces_static_pipeline(stationary_trace):

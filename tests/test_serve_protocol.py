@@ -307,6 +307,29 @@ def test_undeclared_id_upload_fails_the_profile_job_not_the_daemon(daemon):
     assert ServeClient(port=daemon.port).ready()
 
 
+def test_negative_offset_upload_fails_the_profile_job_not_the_daemon(daemon):
+    """A trace with a negative access offset fails its profile job.
+
+    Uploads are not checked for offsets, so the profiler is what must
+    refuse the access rather than count it on another entity's chunk.
+    """
+    from tests.test_trace_errors import negative_offset_trace
+
+    client = ServeClient(port=daemon.port)
+    client.upload_trace("negprog", "train", negative_offset_trace())
+    record = client.run(
+        "profile",
+        workload="negprog",
+        input="train",
+        cache=[1024, 32, 1],
+        timeout=60.0,
+    )
+    assert record["state"] == "failed"
+    assert "TraceError" in record["error"]
+    assert "negative offset -256 into object id 2" in record["error"]
+    assert ServeClient(port=daemon.port).ready()
+
+
 def test_queue_full_answers_429(daemon):
     client = ServeClient(port=daemon.port)
     # One sleep occupies the dispatcher, two more fill the depth-2 queue;

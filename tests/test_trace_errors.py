@@ -78,6 +78,23 @@ def undeclared_id_trace() -> TraceRecorder:
     return recorder
 
 
+def negative_offset_trace() -> TraceRecorder:
+    """Global ``b`` (id 2) is read at offset -256, twice between reads of ``a``.
+
+    Packing (entity, chunk) pairs as ``eid * span + chunk`` would alias
+    chunk -1 of ``b`` onto chunk 1 of ``a`` (id 1), which is read last.
+    """
+    recorder = TraceRecorder()
+    recorder.on_object(_global_info(1, size=512))
+    recorder.on_object(_global_info(2))
+    for _ in range(2):
+        recorder.on_access(1, 0, 4, False, Category.GLOBAL)
+        recorder.on_access(2, -256, 4, False, Category.GLOBAL)
+    recorder.on_access(1, 256, 4, False, Category.GLOBAL)
+    recorder.on_end()
+    return recorder
+
+
 class TestRecordingSinkReplay:
     def _recording_with_access(self, obj_id: int) -> RecordingSink:
         sink = RecordingSink()
@@ -254,6 +271,35 @@ class TestLifetimeErrors:
     def test_adaptive_rejects_undeclared_id(self):
         with pytest.raises(TraceError, match="unknown object id 5"):
             run_adaptive(undeclared_id_trace(), self.CONFIG, window_events=2)
+
+    def test_profile_trace_rejects_negative_offset(self):
+        """Packed per entity, b's chunk -1 would count as a's chunk 1."""
+        with pytest.raises(
+            TraceError, match="negative offset -256 into object id 2 at position 1"
+        ):
+            profile_trace(negative_offset_trace(), self.CONFIG)
+
+    def test_window_profile_rejects_negative_offset(self):
+        trace = negative_offset_trace()
+        with pytest.raises(TraceError, match="negative offset -256 .* position 1"):
+            window_profile(trace, 2, self.CONFIG)
+        # A cut before the bad access profiles the clean prefix.
+        assert_same_profile(
+            window_profile(trace, 1, self.CONFIG),
+            scalar_window_profile(trace, 1, self.CONFIG),
+        )
+
+    def test_measure_trace_rejects_negative_offset(self):
+        with pytest.raises(TraceError, match="negative offset -256 .* position 1"):
+            measure_trace(negative_offset_trace(), NaturalResolver(), self.CONFIG)
+
+    @pytest.mark.parametrize("window_events", [1, 2])
+    def test_adaptive_rejects_negative_offset(self, window_events):
+        """Caught by the training profile (2) or the window check (1)."""
+        with pytest.raises(TraceError, match="negative offset -256 .* position 1"):
+            run_adaptive(
+                negative_offset_trace(), self.CONFIG, window_events=window_events
+            )
 
     def test_per_event_replay_agrees(self):
         """The per-event sink rejects the same accesses with the same text."""

@@ -18,8 +18,13 @@ from hypothesis import strategies as st
 
 from repro.adaptive import build_entity_map, window_profile, window_trg
 from repro.cache.config import CacheConfig
+from repro.profiling import batch
 from repro.profiling.batch import profile_trace, trg_edges
-from repro.profiling.trg import DEFAULT_CHUNK_SIZE, QUEUE_THRESHOLD_CACHE_MULTIPLE
+from repro.profiling.trg import (
+    DEFAULT_CHUNK_SIZE,
+    QUEUE_THRESHOLD_CACHE_MULTIPLE,
+    TRGBuilder,
+)
 from repro.trace.buffer import record_trace
 from repro.workloads import make_workload
 from repro.workloads.drift import drift_workload, drift_workload_names
@@ -82,6 +87,46 @@ def test_trg_pass_matches_builder_on_random_streams(refs, sizes, threshold):
     assert list(window_trg(eids, chunks, entry_bytes, threshold).items()) == list(
         scalar.edges.items()
     )
+
+
+@given(
+    refs=st.lists(
+        st.tuples(
+            st.integers(0, 5),
+            st.integers(0, 3),
+            st.sampled_from([1, 8, 64, 200, 256]),
+        ),
+        min_size=0,
+        max_size=300,
+    ),
+    threshold=st.integers(1, 2048),
+    scan_chunk=st.sampled_from([1, 7]),
+    sparse=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_trg_pass_matches_builder_with_per_reference_entries(
+    refs, threshold, scan_chunk, sparse
+):
+    """Entries that shrink between two references of a key, and tiny queues.
+
+    Entity sizes only grow in the paper traces, so their queue entries
+    never shrink; here every reference draws its own entry size, the
+    threshold may hold less than one entry, the walk is scanned a few
+    positions at a time, and the edge fold may take the sparse path.
+    """
+    eids = np.array([eid for eid, _chunk, _entry in refs], dtype=np.int64)
+    chunks = np.array([chunk for _eid, chunk, _entry in refs], dtype=np.int64)
+    entries = np.array([entry for _eid, _chunk, entry in refs], dtype=np.int64)
+    builder = TRGBuilder(threshold)
+    for eid, chunk, entry in refs:
+        builder.observe(eid, chunk, entry)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batch, "SCAN_CHUNK", scan_chunk)
+        if sparse:
+            patch.setattr(batch, "_DENSE_PAIRS", 0)
+        result = trg_edges(eids, chunks, entries, threshold)
+    assert list(result.edges.items()) == list(builder.edges.items())
+    assert result.evictions == builder.evictions
 
 
 def _cuts(trace) -> list[int]:
