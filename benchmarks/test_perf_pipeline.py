@@ -1,9 +1,10 @@
 """Bench: the table pipeline, cold into a fresh store and then warm.
 
 Runs :func:`repro.runtime.bench.run_bench` in quick mode (two programs)
-under the benchmark timer and writes ``BENCH_pipeline.json``: Tables 1,
-2 and 4 run as one job graph into an empty temporary store (cold), then
-again over that store (warm).
+under the benchmark timer and writes ``bench_pipeline_quick.json`` (not
+the committed nine-program ``BENCH_pipeline.json``): Tables 1, 2 and 4
+run as one job graph into an empty temporary store (cold), then again
+over that store (warm).
 
 Shapes asserted:
 
@@ -26,7 +27,7 @@ from conftest import run_once
 
 from repro.runtime.bench import run_bench
 
-OUTPUT = os.path.join(os.path.dirname(__file__), "..", "BENCH_pipeline.json")
+OUTPUT = os.path.join(os.path.dirname(__file__), "..", "bench_pipeline_quick.json")
 
 
 def test_perf_pipeline(benchmark):

@@ -28,7 +28,7 @@ import numpy as np
 from ..cache.config import CacheConfig
 from ..naming.xor import DEFAULT_NAME_DEPTH
 from ..profiling.batch import _profile_prefix, replay_entities, trg_edges
-from ..profiling.profile_data import Profile
+from ..profiling.profile_data import Profile, edge_dict
 from ..profiling.trg import DEFAULT_CHUNK_SIZE, EdgeKey
 from ..trace.buffer import TraceRecorder
 
@@ -90,9 +90,11 @@ def window_trg(
     """TRG edges of one window of (entity, chunk) references.
 
     ``entry_bytes`` is indexed by entity.  Each window starts from an
-    empty recency queue.
+    empty recency queue.  The dict is built from the pass's columns for
+    :class:`WindowAggregator`.
     """
-    return trg_edges(eids, chunks, entry_bytes[eids], queue_threshold).edges
+    trg = trg_edges(eids, chunks, entry_bytes[eids], queue_threshold)
+    return edge_dict(trg.columns)
 
 
 class WindowAggregator:

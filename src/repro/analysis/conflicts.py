@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from ..cache.simulator import CacheSimulator
 from ..profiling.profile_data import Profile
-from ..profiling.trg import entity_affinity
 from ..reporting.tables import render_table
 
 
@@ -33,7 +32,7 @@ class ConflictPair:
 
 def predicted_conflicts(profile: Profile, top: int = 10) -> list[ConflictPair]:
     """Top entity pairs by TRG affinity (the placement's priorities)."""
-    affinity = entity_affinity(profile.trg)
+    affinity = profile.entity_affinity()
     ranked = sorted(affinity.items(), key=lambda item: item[1], reverse=True)
     pairs = []
     for (eid_a, eid_b), weight in ranked[:top]:

@@ -19,23 +19,26 @@ therefore contributes just four signed deltas to a second-difference
 array; two cumulative sums and a circular fold then yield the whole cost
 vector exactly, in O(edges + lines) per scan instead of
 O(edges x span^2).
+
+:class:`TRGIndex` compiles a profile's TRG columns
+(:attr:`~repro.profiling.profile_data.Profile.trg_columns`) into CSR
+arrays, so placing a profile never builds its edge dict.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import chain
 
 import numpy as np
 
 from ..cache.config import CacheConfig
-from ..profiling.profile_data import Profile
+from ..profiling.profile_data import Profile, TRGColumns, edge_columns
 
 PairKey = tuple[int, int]
 EdgeKey = tuple[PairKey, PairKey]
 
 #: Bit width of the chunk field in a packed (entity, chunk) pair key.
-_CHUNK_BITS = 32
+CHUNK_BITS = 32
 
 
 def chunk_line_span(
@@ -146,7 +149,9 @@ class TRGIndex:
     self-loops in one — but laid out as three flat arrays (``indptr``,
     ``nbr``, ``wt``), so one placement builds it once with vectorized
     passes and every conflict scan gathers edge slices without touching a
-    Python-level dict.
+    Python-level dict.  The profile constructor compiles the profile's
+    :attr:`~repro.profiling.profile_data.Profile.trg_columns`, and its
+    :attr:`edges` reads the profile's dict only when called.
 
     Indexes built with :meth:`from_edges` own their edge dict and support
     :meth:`apply_edge_deltas` — the adaptive engine's incremental
@@ -156,14 +161,15 @@ class TRGIndex:
     """
 
     def __init__(self, profile: Profile):
-        self._edges: dict[EdgeKey, int] = profile.trg
-        self._owns_edges = False
+        # None while the edges are the profile's (copied on first change).
+        self._edges: dict[EdgeKey, int] | None = None
+        self._profile: Profile | None = profile
         self._entity_ids = np.fromiter(
             profile.entities, dtype=np.int64, count=len(profile.entities)
         )
         self.inplace_updates = 0
         self.rebuilds = 0
-        self._build()
+        self._build(profile.trg_columns)
 
     @classmethod
     def from_edges(
@@ -179,35 +185,26 @@ class TRGIndex:
         """
         index = cls.__new__(cls)
         index._edges = dict(edges)
-        index._owns_edges = True
+        index._profile = None
         index._entity_ids = np.fromiter(entity_ids, dtype=np.int64)
         index.inplace_updates = 0
         index.rebuilds = 0
-        index._build()
+        index._build(edge_columns(index._edges))
         return index
 
-    def _build(self) -> None:
-        edges = self._edges
-        num_edges = len(edges)
+    def _build(self, columns: TRGColumns) -> None:
+        a_eid, a_chunk, b_eid, b_chunk, weights = columns
+        num_edges = len(weights)
         entity_ids = self._entity_ids
         num_entities = len(entity_ids)
-        # Flatten the ((eid, chunk), (eid, chunk)) keys with C-level
-        # iterators; a Python generator here dominates the build time.
-        flat = np.fromiter(
-            chain.from_iterable(chain.from_iterable(edges)),
-            dtype=np.int64,
-            count=4 * num_edges,
-        ).reshape(num_edges, 4)
-        weights = np.fromiter(edges.values(), dtype=np.int64, count=num_edges)
-
-        packed_a = (flat[:, 0] << _CHUNK_BITS) | flat[:, 1]
-        packed_b = (flat[:, 2] << _CHUNK_BITS) | flat[:, 3]
+        packed_a = (a_eid << CHUNK_BITS) | a_chunk
+        packed_b = (b_eid << CHUNK_BITS) | b_chunk
         universe, inverse = np.unique(
-            np.concatenate((entity_ids << _CHUNK_BITS, packed_a, packed_b)),
+            np.concatenate((entity_ids << CHUNK_BITS, packed_a, packed_b)),
             return_inverse=True,
         )
-        self.pair_eid = universe >> _CHUNK_BITS
-        self.pair_chunk = universe & ((1 << _CHUNK_BITS) - 1)
+        self.pair_eid = universe >> CHUNK_BITS
+        self.pair_chunk = universe & ((1 << CHUNK_BITS) - 1)
         self.num_pairs = len(universe)
 
         # Entity id -> contiguous [lo, hi) pair-index range.
@@ -245,12 +242,19 @@ class TRGIndex:
 
     @property
     def edges(self) -> dict[EdgeKey, int]:
-        """The backing TRG edge dict (treat as read-only)."""
+        """The backing TRG edge dict (treat as read-only).
+
+        For an index built from a profile this is the profile's
+        :attr:`~repro.profiling.profile_data.Profile.trg`, read (and so
+        built, if the profile holds columns) on this call.
+        """
+        if self._edges is None:
+            return self._profile.trg
         return self._edges
 
     def total_weight(self) -> int:
         """Sum of all edge weights, each undirected edge counted once."""
-        return sum(self._edges.values())
+        return int(self.wt[self._slot_fwd].sum())
 
     def apply_edge_deltas(self, deltas: dict[EdgeKey, int]) -> None:
         """Add/retire edge weight incrementally (sliding-window updates).
@@ -267,9 +271,9 @@ class TRGIndex:
         """
         if not deltas:
             return
-        if not self._owns_edges:
-            self._edges = dict(self._edges)
-            self._owns_edges = True
+        if self._edges is None:
+            self._edges = dict(self._profile.trg)
+            self._profile = None
         edges = self._edges
         structural = False
         for key, delta in deltas.items():
@@ -305,16 +309,18 @@ class TRGIndex:
             elif key in edges:
                 del edges[key]
         self.rebuilds += 1
-        self._build()
+        self._build(edge_columns(edges))
 
     @classmethod
     def for_profile(cls, profile: Profile) -> "TRGIndex":
         """The profile's index, built once and memoized on the profile.
 
         The index is a pure function of the (immutable-after-profiling)
-        TRG edge dict and entity set — it does not depend on cache
-        geometry — so experiment sweeps that place one profile under
-        several geometries share a single build.
+        TRG and entity set — it does not depend on cache geometry — so
+        experiment sweeps that place one profile under several
+        geometries share a single build.  Assigning the profile's TRG
+        drops it (see
+        :meth:`~repro.profiling.profile_data.Profile.invalidate_derived`).
         """
         index = getattr(profile, "_trg_index", None)
         if index is None:

@@ -29,14 +29,18 @@ TRG edges:
   referenced between ``p`` and ``i``, newest first; those intervals are
   scanned in chunks of :data:`SCAN_CHUNK` positions, and each chunk is
   folded into per-edge weights and first-increment positions, which
-  recover the scalar builder's dict — including its insertion order,
+  recover the scalar builder's edges — including their insertion order,
   which downstream tie-breaking may observe — without buffering the
-  whole walk.
+  whole walk.  The edges come out as
+  :class:`~repro.profiling.profile_data.TRGColumns`; no edge dict is
+  built.
 
 :func:`profile_trace` is the replay, per-entity counters from one stable
-sort, and the TRG pass; the adaptive engine runs the same body over its
-training prefix and calls :func:`trg_edges` once per window.  The result
-is equal, dict for dict, to profiling the live run.
+sort, and the TRG pass; the profile keeps the pass's columns, so its
+edge dict is built only if :attr:`Profile.trg` is read.  The adaptive
+engine runs the same body over its training prefix and calls
+:func:`trg_edges` once per window.  The result is equal, dict for dict,
+to profiling the live run.
 """
 
 from __future__ import annotations
@@ -58,11 +62,12 @@ from ..trace.buffer import (
     check_offsets,
 )
 from ..trace.events import STACK_OBJECT_ID, TraceError
-from .profile_data import Profile, STACK_ENTITY_ID
+from .profile_data import Profile, STACK_ENTITY_ID, TRGColumns
 from .profiler import ProfilerSink
-from .trg import DEFAULT_CHUNK_SIZE, EdgeKey
+from .trg import DEFAULT_CHUNK_SIZE
 
 _EMPTY = np.empty(0, dtype=np.int64)
+_NO_EDGES = TRGColumns(_EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
 
 #: Hit-interval positions the TRG walk scans per chunk (:func:`trg_edges`).
 SCAN_CHUNK = 1 << 16
@@ -89,17 +94,14 @@ class EntityReplay(NamedTuple):
 class TRGPass(NamedTuple):
     """One recency-queue pass (:func:`trg_edges`).
 
-    ``edges`` is in first-increment order, and ``lo_eid``, ``hi_eid`` and
-    ``weights`` are its columns in that order.  ``kept`` counts the
-    references that reached the queue.
+    ``columns`` holds the edges in first-increment order, each with its
+    lower (entity, chunk) endpoint first.  ``kept`` counts the references
+    that reached the queue.
     """
 
-    edges: dict[EdgeKey, int]
+    columns: TRGColumns
     evictions: int
     kept: int
-    lo_eid: np.ndarray
-    hi_eid: np.ndarray
-    weights: np.ndarray
 
 
 def replay_entities(
@@ -300,14 +302,14 @@ def trg_edges(
     """One recency-queue pass over a stream of (entity, chunk) references.
 
     ``entry_bytes[i]`` is the queue-entry size in effect at reference
-    ``i``; chunks are non-negative.  The edges equal, weight for weight
-    and in insertion order, what :class:`~repro.profiling.trg.TRGBuilder`
-    builds from the same stream, and so does the eviction count.  Emits
-    no telemetry.
+    ``i``; chunks are non-negative.  The edge columns equal, weight for
+    weight and in insertion order, the dict
+    :class:`~repro.profiling.trg.TRGBuilder` builds from the same
+    stream, and so does the eviction count.  Emits no telemetry.
     """
     total = len(eids)
     if not total:
-        return TRGPass({}, 0, 0, _EMPTY, _EMPTY, _EMPTY)
+        return TRGPass(_NO_EDGES, 0, 0)
     # Only boundaries of consecutive-duplicate (entity, chunk) runs reach
     # the queue — the scalar front-of-queue check skips the rest, and the
     # queue front is always the previous reference's pair, so the two
@@ -345,7 +347,7 @@ def trg_edges(
     hits = hits[survives[prev[hits]]]
     evictions = n - len(hits) - int(np.count_nonzero(survives[nxt == n]))
     if not len(hits):
-        return TRGPass({}, evictions, n, _EMPTY, _EMPTY, _EMPTY)
+        return TRGPass(_NO_EDGES, evictions, n)
 
     # Hit i walks the queue entries in front of its key: the keys last
     # referenced at j in (prev[i], i), newest first.  Scanning each
@@ -396,17 +398,12 @@ def trg_edges(
         insert_order = np.argsort(row[by_pair][heads][walked])
         pids = pids[walked][insert_order]
         weights = weights[walked][insert_order]
-    # One (entity, chunk) tuple per key, shared by all of its edges.
-    key_eid = uniq_keys // span
-    pair_keys = list(zip(key_eid.tolist(), (uniq_keys % span).tolist()))
-    lo_r = pids // num_keys
-    hi_r = pids % num_keys
-    edge_keys = zip(
-        map(pair_keys.__getitem__, lo_r.tolist()),
-        map(pair_keys.__getitem__, hi_r.tolist()),
+    key_eid, key_chunk = np.divmod(uniq_keys, span)
+    lo_r, hi_r = np.divmod(pids, num_keys)
+    columns = TRGColumns(
+        key_eid[lo_r], key_chunk[lo_r], key_eid[hi_r], key_chunk[hi_r], weights
     )
-    edges: dict[EdgeKey, int] = dict(zip(edge_keys, weights.tolist()))
-    return TRGPass(edges, evictions, n, key_eid[lo_r], key_eid[hi_r], weights)
+    return TRGPass(columns, evictions, n)
 
 
 def _profile_prefix(
@@ -481,37 +478,8 @@ def _profile_prefix(
         _entry_bytes_column(eid_col, replay.size_updates, chunk_size),
         profile.queue_threshold,
     )
-    profile.trg = trg.edges
+    profile.trg_columns = trg.columns
     profile.total_accesses = end
-
-    # Popularity and entity affinity are pure edge reductions; precompute
-    # them here so the placer never re-scans the edge dict.  Both
-    # reproduce the scalar derivations exactly: popularity keys follow
-    # entity order (the scalar dict is pre-seeded with every entity),
-    # affinity keys follow first occurrence of each entity pair in edge
-    # insertion order, and lo <= hi implies lo_eid <= hi_eid so the
-    # packed endpoints are already the canonical pair.
-    lo_eid, hi_eid, w = trg.lo_eid, trg.hi_eid, trg.weights
-    num_eids = max(entities) + 1
-    pop = np.zeros(num_eids, dtype=np.int64)
-    np.add.at(pop, lo_eid, w)
-    cross = lo_eid != hi_eid
-    np.add.at(pop, hi_eid[cross], w[cross])
-    pop_list = pop.tolist()
-    profile._popularity = {eid: pop_list[eid] for eid in entities}
-    lo_x, hi_x, w_x = lo_eid[cross], hi_eid[cross], w[cross]
-    _u, pair_first, inverse = np.unique(
-        lo_x * np.int64(num_eids) + hi_x, return_index=True, return_inverse=True
-    )
-    sums = np.bincount(inverse, weights=w_x).astype(np.int64)
-    pair_order = np.argsort(pair_first)
-    pair_rows = pair_first[pair_order]
-    profile._affinity = dict(
-        zip(
-            zip(lo_x[pair_rows].tolist(), hi_x[pair_rows].tolist()),
-            sums[pair_order].tolist(),
-        )
-    )
     return profile, trg
 
 
@@ -542,6 +510,6 @@ def profile_trace(
     )
     obs.count("profile.kept_boundaries", trg.kept)
     obs.count("profile.events", profile.total_accesses)
-    obs.count("profile.trg_edges", len(profile.trg))
+    obs.count("profile.trg_edges", len(trg.columns.weight))
     obs.count("profile.queue_evictions", trg.evictions)
     return profile

@@ -11,10 +11,12 @@ entity and concurrent-liveness collisions are detected.
 
 from __future__ import annotations
 
+from typing import NoReturn
+
 from ..cache.config import CacheConfig
 from ..naming.xor import DEFAULT_NAME_DEPTH, NameUniverse
 from ..obs import telemetry as obs
-from ..trace.events import Category, ObjectInfo, STACK_OBJECT_ID
+from ..trace.events import Category, ObjectInfo, STACK_OBJECT_ID, TraceError
 from ..trace.sinks import TraceSink
 from .profile_data import Entity, Profile, STACK_ENTITY_ID
 from .trg import (
@@ -122,6 +124,8 @@ class ProfilerSink(TraceSink):
                 entity.collided = self.names.records[entity.heap_name].collided
 
     def on_access(self, obj_id, offset, size, is_store, category) -> None:
+        if offset < 0:
+            self._reject_offset(obj_id, offset)
         eid = self._entity_of_object[obj_id]
         entity = self._profile.entities[eid]
         self._clock += 1
@@ -131,6 +135,17 @@ class ProfilerSink(TraceSink):
         if entity.size and entity.size < self.chunk_size:
             entry_bytes = entity.size
         self._trg.observe(eid, chunk, entry_bytes)
+
+    def _reject_offset(self, obj_id: int, offset: int) -> NoReturn:
+        """Raise as the recorded path does (``trace.buffer.check_offsets``).
+
+        A negative offset names no byte of its object; packed per entity,
+        its chunk would alias a chunk of another entity.
+        """
+        raise TraceError(
+            f"corrupt trace: negative offset {offset} into object id "
+            f"{obj_id} at position {self._clock}"
+        )
 
     def on_stack_depth(self, depth: int) -> None:
         stack = self._profile.entities[STACK_ENTITY_ID]

@@ -70,6 +70,8 @@ class SamplingProfilerSink(ProfilerSink):
             return
         # Outside the window: keep the (cheap) Name profile exact, skip
         # the TRG queue entirely.
+        if offset < 0:
+            self._reject_offset(obj_id, offset)
         eid = self._entity_of_object[obj_id]
         entity = self._profile.entities[eid]
         self._clock += 1

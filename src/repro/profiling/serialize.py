@@ -7,7 +7,11 @@ that boundary: JSON round-tripping for :class:`~repro.profiling.Profile`
 and :class:`~repro.core.PlacementMap`, so profiles can be archived,
 diffed, or produced and consumed by separate processes.  The artifact
 store keeps profiles as :func:`profile_to_payload` output instead: the
-same fields, with the TRG edges as int64 columns.
+same fields, with the TRG edges as the profile's five int64 columns
+(:attr:`~repro.profiling.profile_data.Profile.trg_columns`), written
+as they are.  :func:`profile_from_payload` validates the columns and
+the decoded profile keeps them, so a profile that is loaded and placed
+never builds its edge dict.
 
 JSON was chosen over pickle deliberately: the files are inspectable,
 diffable, and loading one cannot execute code.
@@ -16,15 +20,15 @@ diffable, and loading one cannot execute code.
 from __future__ import annotations
 
 import json
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from ..cache.config import CacheConfig
+from ..core.cache_struct import CHUNK_BITS
 from ..core.placement_map import HeapDecision, PlacementMap, PlacementStats
 from ..trace.events import Category
-from .profile_data import Entity, Profile
+from .profile_data import Entity, Profile, TRGColumns
 
 #: Format version stamped into every file; bumped on breaking changes.
 FORMAT_VERSION = 1
@@ -106,11 +110,8 @@ def _profile_from_fields(data: dict) -> Profile:
 
 def profile_to_dict(profile: Profile) -> dict:
     """Encode a profile as JSON-compatible plain data."""
-    # Edge keys are (eid, chunk) pairs; flatten for JSON.
-    trg = [
-        [a_eid, a_chunk, b_eid, b_chunk, weight]
-        for ((a_eid, a_chunk), (b_eid, b_chunk)), weight in profile.trg.items()
-    ]
+    # One [a_eid, a_chunk, b_eid, b_chunk, weight] row per edge.
+    trg = np.stack(profile.trg_columns, axis=1).tolist()
     return _profile_fields(profile, trg)
 
 
@@ -126,33 +127,53 @@ def profile_to_payload(profile: Profile) -> dict:
     """A profile as an artifact-store payload.
 
     The same fields as :func:`profile_to_dict`, but the TRG edges are
-    five int64 columns (``a_eid, a_chunk, b_eid, b_chunk, weight``) in
-    edge insertion order, which the store writes as array blocks.
+    the five int64 :attr:`~repro.profiling.profile_data.Profile.trg_columns`
+    (``a_eid, a_chunk, b_eid, b_chunk, weight``) in edge insertion
+    order, which the store writes as array blocks.
     """
-    count = len(profile.trg)
-    ends = np.fromiter(
-        chain.from_iterable(chain.from_iterable(profile.trg)),
-        np.int64,
-        4 * count,
-    ).reshape(count, 4)
-    weights = np.fromiter(profile.trg.values(), np.int64, count)
-    return _profile_fields(profile, [*np.ascontiguousarray(ends.T), weights])
+    return _profile_fields(profile, list(profile.trg_columns))
+
+
+def _trg_columns_from_payload(columns, entities: dict) -> TRGColumns:
+    """The payload's TRG columns, checked before a profile keeps them.
+
+    Requires five equal-length 1-D integer columns, chunks that fit the
+    placement index's packed pair key (non-negative, below
+    ``2**CHUNK_BITS``) and endpoints that are declared entities.  A
+    check that failed later, at a ``trg`` read or a placement, would
+    escape the store's recompute-on-bad-entry path.
+    """
+    if not isinstance(columns, list) or len(columns) != len(TRGColumns._fields):
+        raise SerializationError("TRG is not five edge columns")
+    for column in columns:
+        if not isinstance(column, np.ndarray) or column.ndim != 1:
+            raise SerializationError("TRG edge column is not a 1-D array")
+        if column.dtype.kind not in "iu":
+            raise SerializationError(f"TRG edge column of dtype {column.dtype}")
+    if len({len(column) for column in columns}) > 1:
+        raise SerializationError("TRG edge columns differ in length")
+    trg = TRGColumns(*(column.astype(np.int64, copy=False) for column in columns))
+    for chunk in (trg.a_chunk, trg.b_chunk):
+        if len(chunk) and (chunk.min() < 0 or chunk.max() >> CHUNK_BITS):
+            raise SerializationError("TRG edge chunk out of range")
+    declared = np.fromiter(entities, np.int64, len(entities))
+    if not np.isin(np.concatenate((trg.a_eid, trg.b_eid)), declared).all():
+        raise SerializationError("TRG edge names an undeclared entity")
+    return trg
 
 
 def profile_from_payload(data: dict) -> Profile:
     """Decode :func:`profile_to_payload` output.
 
-    The edge dict is rebuilt in column order, so it iterates in the same
-    order as the profile that was encoded.
+    The profile keeps the validated columns, so it builds its edge dict
+    (in column order, the encoded profile's order) only if
+    :attr:`~repro.profiling.profile_data.Profile.trg` is read.
+
+    Raises:
+        SerializationError: A malformed envelope or TRG columns.
     """
     profile = _profile_from_fields(data)
-    a_eid, a_chunk, b_eid, b_chunk, weights = (
-        column.tolist() for column in data["trg"]
-    )
-    if not len(a_eid) == len(a_chunk) == len(b_eid) == len(b_chunk):
-        raise SerializationError("TRG edge columns differ in length")
-    ends = zip(zip(a_eid, a_chunk), zip(b_eid, b_chunk))
-    profile.trg = dict(zip(ends, weights, strict=True))
+    profile.trg_columns = _trg_columns_from_payload(data["trg"], profile.entities)
     return profile
 
 

@@ -11,10 +11,10 @@ arms produce the same tables and placements.
 Each arm runs under its own :class:`~repro.obs.Telemetry` registry, and
 every number in the report is read from that registry: wall-clock from
 the arm's root span, per-layer jobs and seconds from the ``sched.job``
-spans, simulated events from the ``sim.events`` counter, store tallies
-from the ``store.*`` counters, and peak RSS from the ``mem.peak_rss``
-gauge.  The report is written as JSON, by default to
-``BENCH_pipeline.json``.
+spans, warm-load probe seconds from the ``sched.probe`` spans, simulated
+events from the ``sim.events`` counter, store tallies from the
+``store.*`` counters, and peak RSS from the ``mem.peak_rss`` gauge.
+The report is written as JSON, by default to ``BENCH_pipeline.json``.
 """
 
 from __future__ import annotations
@@ -111,9 +111,13 @@ def _run_arm(programs: list[str], jobs: int, root: str) -> tuple[dict, dict, flo
         }
     summary = last_summary()
     layers = _layers(telemetry)
+    spans = _walk(telemetry.roots)
+    probe_s = sum(span.seconds for span in spans if span.name == "sched.probe")
+    busy_s = sum(layers[kind]["s"] for kind in LAYERS) + probe_s
     arm = {
         "wall_s": arm_span.seconds,
-        "residual_s": arm_span.seconds - sum(layers[kind]["s"] for kind in LAYERS),
+        "probe_s": probe_s,
+        "residual_s": arm_span.seconds - busy_s,
         "layers": layers,
         "sched": {
             "total": summary.total,
@@ -147,10 +151,12 @@ def run_bench(
     * ``layers.{trace,profile,place,measure}`` — ``jobs``, busy seconds
       ``s`` and ``per_program_s`` summed from the ``sched.job`` spans,
       plus ``layers.measure.events`` from the ``sim.events`` counter;
-    * ``residual_s`` — ``wall_s`` minus the layer seconds: planning,
-      store probes, warm decoding, Table 1 statistics and table
-      assembly.  Above one job the workers' busy seconds overlap, so the
-      residual can go negative;
+    * ``probe_s`` — the ``sched.probe`` spans: the job graph's warm-load
+      probes, which read and decode the stored artifacts;
+    * ``residual_s`` — ``wall_s`` minus the layer and probe seconds:
+      planning, Table 1 statistics and table assembly.  Above one job
+      the workers' busy seconds overlap, so the residual can go
+      negative;
     * ``sched`` — the job graph's summary; ``store`` — store tallies.
 
     Top level: ``identical`` (both arms rendered the same tables and
@@ -196,7 +202,8 @@ def run_bench(
 
 def render_bench(result: dict[str, object]) -> str:
     """Human-readable summary of a :func:`run_bench` result."""
-    columns = "".join(f"{name:>9}" for name in ("wall", *LAYERS, "residual"))
+    names = ("wall", *LAYERS, "probe", "residual")
+    columns = "".join(f"{name:>9}" for name in names)
     lines = [
         f"table pipeline ({', '.join(result['programs'])}; "
         f"--jobs {result['jobs']}, {result['effective_cpus']} effective cpu(s)):",
@@ -206,6 +213,7 @@ def render_bench(result: dict[str, object]) -> str:
         seconds = (
             arm["wall_s"],
             *(arm["layers"][kind]["s"] for kind in LAYERS),
+            arm["probe_s"],
             arm["residual_s"],
         )
         row = "".join(f"{value:8.2f}s" for value in seconds)

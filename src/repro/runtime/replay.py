@@ -47,6 +47,10 @@ class ReplaySink(TraceSink):
                 f"corrupt trace: access to unknown object id {obj_id} "
                 "(never declared or allocated)"
             ) from None
+        if offset < 0:
+            raise TraceError(
+                f"corrupt trace: negative offset {offset} into object id {obj_id}"
+            )
         self.cache.access(addr, size, obj_id, category, is_store)
         if self.pages is not None:
             self.pages.touch(addr, size)

@@ -271,7 +271,8 @@ def _run_graph(
     store = None if scratch else current_store()
     bag: dict = {}
     if store is not None:
-        sched_jobs.probe_graph(store, graph, bag)
+        with obs.span("sched.probe"):
+            sched_jobs.probe_graph(store, graph, bag)
     critical_path = graph.critical_path_seconds()
     obs.gauge("sched.critical_path_seconds", critical_path)
     report = _dispatch(graph, jobs, policy, bag)

@@ -453,7 +453,7 @@ def _run_profile(record: JobRecord, store: ArtifactStore) -> dict:
         "input": input_name,
         "cache": params.get("cache"),
         "entities": len(profile.entities),
-        "trg_edges": len(profile.trg),
+        "trg_edges": len(encoded["trg"]),
         "digest": store_keys.digest_json(encoded),
     }
 

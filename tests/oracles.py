@@ -17,6 +17,10 @@ keeps the per-event twins those kernels must equal bit for bit:
 * :func:`scalar_window_trg` — one window's references fed to
   :class:`TRGBuilder` one by one (the twin of
   :func:`~repro.adaptive.windows.window_trg`);
+* :func:`scalar_popularity` — Phase 0 popularity by one loop over the
+  edge dict (the twin of the column reduction behind
+  :meth:`~repro.profiling.profile_data.Profile.popularity`; the affinity
+  twin is :func:`repro.profiling.trg.entity_affinity`);
 * :class:`ScalarPlacer` — a :class:`CCDPPlacer` whose Phase 2 and
   Phase 6 run on :class:`CacheImage`, :func:`conflict_cost_scan` and
   :class:`CompoundMerger`;
@@ -50,7 +54,7 @@ from repro.memory.static_layout import layout_sequential
 from repro.naming.xor import DEFAULT_NAME_DEPTH
 from repro.profiling.profile_data import STACK_ENTITY_ID, Profile
 from repro.profiling.profiler import ProfilerSink
-from repro.profiling.trg import DEFAULT_CHUNK_SIZE, TRGBuilder
+from repro.profiling.trg import DEFAULT_CHUNK_SIZE, TRGBuilder, entity_affinity
 from repro.runtime.driver import MeasureResult
 from repro.runtime.replay import ReplaySink
 from repro.trace.buffer import TraceRecorder
@@ -128,12 +132,27 @@ def scalar_window_trg(eids, chunks, entry_bytes, queue_threshold) -> TRGBuilder:
     return builder
 
 
+def scalar_popularity(profile: Profile) -> dict[int, int]:
+    """Per-entity sums of incident edge weights, one loop over the dict.
+
+    Every entity in entity order is a key, then any edge endpoint the
+    profile does not declare, in order of first appearance.
+    """
+    totals = {eid: 0 for eid in profile.entities}
+    for ((eid_a, _ca), (eid_b, _cb)), weight in profile.trg.items():
+        totals[eid_a] = totals.get(eid_a, 0) + weight
+        if eid_b != eid_a:
+            totals[eid_b] = totals.get(eid_b, 0) + weight
+    return totals
+
+
 def assert_same_profile(batched: Profile, scalar: Profile) -> None:
     """Field-by-field profile equality, dict insertion orders included.
 
     Downstream tie-breaking iterates the TRG and entity dicts, so their
-    order is part of the contract; popularity and affinity are
-    precomputed on the batched side and derived lazily on the scalar one.
+    order is part of the contract; the batched side's popularity and
+    affinity (column reductions) are checked against the dict loops over
+    the scalar side's edges.
     """
     assert list(batched.trg.items()) == list(scalar.trg.items())
     assert batched.total_accesses == scalar.total_accesses
@@ -146,9 +165,11 @@ def assert_same_profile(batched: Profile, scalar: Profile) -> None:
         scalar.queue_threshold,
         scalar.name_depth,
     )
-    assert list(batched.popularity().items()) == list(scalar.popularity().items())
+    assert list(batched.popularity().items()) == list(
+        scalar_popularity(scalar).items()
+    )
     assert list(batched.entity_affinity().items()) == list(
-        scalar.entity_affinity().items()
+        entity_affinity(scalar.trg).items()
     )
 
 

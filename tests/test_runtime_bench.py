@@ -44,11 +44,15 @@ def test_cold_arm_splits_into_the_four_layers(result):
 
 
 def test_cold_residual_is_inside_the_wall(result):
-    # At one job every sched.job span nests inside the arm's root span.
+    # At one job every sched.job and sched.probe span nests inside the
+    # arm's root span.
     cold = result["arms"]["cold"]
     assert 0.0 <= cold["residual_s"] < cold["wall_s"]
+    assert cold["probe_s"] > 0.0
     assert cold["residual_s"] == pytest.approx(
-        cold["wall_s"] - sum(cold["layers"][kind]["s"] for kind in LAYERS)
+        cold["wall_s"]
+        - sum(cold["layers"][kind]["s"] for kind in LAYERS)
+        - cold["probe_s"]
     )
 
 
@@ -63,7 +67,8 @@ def test_warm_arm_runs_nothing(result):
     warm = result["arms"]["warm"]
     assert all(warm["layers"][kind]["jobs"] == 0 for kind in LAYERS)
     assert warm["layers"]["measure"]["events"] == 0
-    assert warm["residual_s"] == warm["wall_s"]
+    assert warm["probe_s"] > 0.0
+    assert warm["residual_s"] == warm["wall_s"] - warm["probe_s"]
     assert warm["sched"]["executed"] == 0
     assert warm["sched"]["pruned"] > 0
     assert result["warm_executed"] == 0

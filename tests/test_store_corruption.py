@@ -16,6 +16,12 @@ import os
 import numpy as np
 import pytest
 
+from repro.profiling.batch import profile_trace
+from repro.profiling.serialize import (
+    SerializationError,
+    profile_from_payload,
+    profile_to_payload,
+)
 from repro.store import ArtifactStore, code_salt, use_store
 from repro.store import traces as store_traces
 from repro.trace.buffer import record_trace
@@ -116,6 +122,32 @@ def assert_discarded(store, digest, path):
     assert not path.exists(), "corrupt entry must be deleted"
 
 
+def _first_chunk(value):
+    def tamper(columns, _profile):
+        a_chunk = columns[1].copy()
+        a_chunk[0] = value
+        return [columns[0], a_chunk, *columns[2:]]
+
+    return tamper
+
+
+def _undeclared_entity(columns, profile):
+    b_eid = columns[2].copy()
+    b_eid[0] = max(profile.entities) + 1
+    return [*columns[:2], b_eid, *columns[3:]]
+
+
+#: Well-sealed profile entries whose TRG columns a placement must not see.
+HOSTILE_TRG = {
+    "negative_chunk": _first_chunk(-1),
+    # The placement index packs (eid << 32) | chunk.
+    "chunk_past_key_width": _first_chunk(1 << 32),
+    "short_weight_column": lambda columns, _p: [*columns[:4], columns[4][:-1]],
+    "four_columns": lambda columns, _p: columns[:4],
+    "undeclared_entity": _undeclared_entity,
+}
+
+
 class TestHostileEntries:
     """Entries in the header + document + array-block layout."""
 
@@ -161,6 +193,34 @@ class TestHostileEntries:
         document = document.replace(b'{"$block":1}', b'{"$block":7}')
         write_entry(path, header, document, blocks)
         assert_discarded(store, digest, path)
+
+    @pytest.mark.parametrize("tamper", sorted(HOSTILE_TRG))
+    def test_hostile_profile_columns_are_recomputed(self, store, toy_workload, tamper):
+        """Decode rejects the columns, so the store recomputes the profile.
+
+        The entry's length and digest match: only the decoder's checks
+        stand between these columns and the placement index, which packs
+        (entity, chunk) keys and would alias a negative chunk.
+        """
+        profile = profile_trace(record_trace(toy_workload, toy_workload.train_input))
+        payload = profile_to_payload(profile)
+        payload["trg"] = HOSTILE_TRG[tamper](payload["trg"], profile)
+        fields = {"trace": "abc"}
+        digest = store.key("profile", fields)
+        store.put("profile", digest, fields, payload)
+        with pytest.raises(SerializationError):
+            profile_from_payload(store.get("profile", digest))
+        loaded = store.get_or_compute(
+            "profile",
+            fields,
+            encode=profile_to_payload,
+            decode=profile_from_payload,
+            compute=lambda: profile,
+        )
+        assert loaded is profile
+        assert store.counters.corrupt == 1
+        rewritten = profile_from_payload(store.get("profile", digest))
+        assert list(rewritten.trg.items()) == list(profile.trg.items())
 
     @pytest.mark.parametrize("trailer", [b"", b"\n"])
     def test_format_one_entry(self, store, trailer):

@@ -20,6 +20,7 @@ from repro.adaptive import run_adaptive, window_profile
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import CacheSimulator
 from repro.profiling.batch import profile_trace
+from repro.profiling.sampling import SamplingProfilerSink
 from repro.runtime.driver import measure_trace
 from repro.runtime.replay import ReplaySink
 from repro.runtime.resolvers import NaturalResolver
@@ -303,14 +304,28 @@ class TestLifetimeErrors:
 
     def test_per_event_replay_agrees(self):
         """The per-event sink rejects the same accesses with the same text."""
-        for trace, bad in (
-            (use_after_free_trace(), 9),
-            (access_before_alloc_trace(), 9),
-            (undeclared_id_trace(), 5),
+        for trace, message in (
+            (use_after_free_trace(), "unknown object id 9"),
+            (access_before_alloc_trace(), "unknown object id 9"),
+            (undeclared_id_trace(), "unknown object id 5"),
+            (negative_offset_trace(), "negative offset -256 into object id 2"),
         ):
             sink = ReplaySink(NaturalResolver(), CacheSimulator(self.CONFIG))
-            with pytest.raises(TraceError, match=f"unknown object id {bad}"):
+            with pytest.raises(TraceError, match=message):
                 trace.replay(sink)
+
+    def test_profiler_sink_rejects_negative_offset(self):
+        """The live profilers reject what profile_trace rejects, same text.
+
+        The sampling sink's window covers positions 0, 2 and 4 only, so
+        the bad accesses take its path outside the window.
+        """
+        trace = negative_offset_trace()
+        message = "negative offset -256 into object id 2 at position 1"
+        with pytest.raises(TraceError, match=message):
+            scalar_window_profile(trace, trace.events, self.CONFIG)
+        with pytest.raises(TraceError, match=message):
+            trace.replay(SamplingProfilerSink(window=1, period=2))
 
     def test_free_then_realloc_of_a_fresh_id_is_valid(self):
         """Heap churn with fresh ids resolves cleanly, frees included."""

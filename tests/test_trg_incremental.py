@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cache_struct import TRGIndex
+from repro.profiling.profile_data import Profile, edge_columns
 
 ENTITIES = [1, 2, 3, 5, 8]
 
@@ -122,14 +123,18 @@ def test_from_edges_matches_profile_construction():
 
 
 def test_copy_on_write_leaves_profile_edges_untouched():
-    """An index seeded from a profile must not mutate profile.trg."""
+    """An index seeded from a profile must not mutate profile.trg.
+
+    Checked for a profile holding a dict and for one holding columns.
+    """
     initial = {((1, 0), (2, 0)): 5}
-
-    class FakeProfile:
-        trg = dict(initial)
-        entities = {eid: None for eid in ENTITIES}
-
-    index = TRGIndex(FakeProfile())
-    index.apply_edge_deltas({((1, 0), (2, 0)): 3})
-    assert FakeProfile.trg == initial
-    assert index.edges == {((1, 0), (2, 0)): 8}
+    for columns in (False, True):
+        profile = Profile(entities={eid: None for eid in ENTITIES})
+        if columns:
+            profile.trg_columns = edge_columns(initial)
+        else:
+            profile.trg = dict(initial)
+        index = TRGIndex(profile)
+        index.apply_edge_deltas({((1, 0), (2, 0)): 3})
+        assert profile.trg == initial
+        assert index.edges == {((1, 0), (2, 0)): 8}

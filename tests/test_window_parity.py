@@ -20,6 +20,7 @@ from repro.adaptive import build_entity_map, window_profile, window_trg
 from repro.cache.config import CacheConfig
 from repro.profiling import batch
 from repro.profiling.batch import profile_trace, trg_edges
+from repro.profiling.profile_data import edge_dict
 from repro.profiling.trg import (
     DEFAULT_CHUNK_SIZE,
     QUEUE_THRESHOLD_CACHE_MULTIPLE,
@@ -82,7 +83,7 @@ def test_trg_pass_matches_builder_on_random_streams(refs, sizes, threshold):
     )
     scalar = scalar_window_trg(eids, chunks, entry_bytes, threshold)
     batched = trg_edges(eids, chunks, entry_bytes[eids], threshold)
-    assert list(batched.edges.items()) == list(scalar.edges.items())
+    assert list(edge_dict(batched.columns).items()) == list(scalar.edges.items())
     assert batched.evictions == scalar.evictions
     assert list(window_trg(eids, chunks, entry_bytes, threshold).items()) == list(
         scalar.edges.items()
@@ -125,7 +126,7 @@ def test_trg_pass_matches_builder_with_per_reference_entries(
         if sparse:
             patch.setattr(batch, "_DENSE_PAIRS", 0)
         result = trg_edges(eids, chunks, entries, threshold)
-    assert list(result.edges.items()) == list(builder.edges.items())
+    assert list(edge_dict(result.columns).items()) == list(builder.edges.items())
     assert result.evictions == builder.evictions
 
 
