@@ -29,7 +29,7 @@ Quickstart::
 from .cache import CacheConfig, CacheSimulator, CacheStats, PAPER_CACHE
 from .core import CCDPPlacer, HeapDecision, PlacementMap
 from .obs import InvariantError, RunReport, Telemetry, run_report
-from .profiling import Profile, ProfilerSink
+from .profiling import Profile
 from .runtime import (
     CCDPResolver,
     ExperimentResult,
@@ -41,7 +41,7 @@ from .runtime import (
     profile_workload,
     run_experiment,
 )
-from .trace import Category, StatsSink, TraceError, TraceSink, WorkloadStats
+from .trace import Category, TraceError, TraceSink, WorkloadStats
 from .vm import Program, Ref
 from .workloads import Workload, WorkloadInput, make_workload, workload_names
 
@@ -61,12 +61,10 @@ __all__ = [
     "PAPER_CACHE",
     "PlacementMap",
     "Profile",
-    "ProfilerSink",
     "Program",
     "RandomResolver",
     "Ref",
     "RunReport",
-    "StatsSink",
     "Telemetry",
     "TraceError",
     "TraceSink",

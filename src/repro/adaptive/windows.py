@@ -4,8 +4,8 @@ Three pieces the streaming engine composes, each on the batched
 profiler's kernels (:mod:`repro.profiling.batch`):
 
 * :func:`window_profile` — the profile of a trace prefix (the training
-  window), exactly what the live profiler would produce on a run
-  truncated there.  The adaptive engine's initial placement and the
+  window), exactly what profiling a run truncated there would
+  produce.  The adaptive engine's initial placement and the
   static train-on-first-window baseline both come from this, so "drift
   detection disabled" reproduces the static
   :class:`~repro.core.algorithm.CCDPPlacer` placement exactly.
@@ -27,7 +27,7 @@ import numpy as np
 
 from ..cache.config import CacheConfig
 from ..naming.xor import DEFAULT_NAME_DEPTH
-from ..profiling.batch import _profile_prefix, replay_entities, trg_edges
+from ..profiling.batch import name_profile, replay_entities, trg_edges
 from ..profiling.profile_data import Profile, edge_dict
 from ..profiling.trg import DEFAULT_CHUNK_SIZE, EdgeKey
 from ..trace.buffer import TraceRecorder
@@ -53,9 +53,14 @@ def window_profile(
         TraceError: As :func:`~repro.profiling.batch.profile_trace`.
     """
     end = min(max(0, end_event), trace.events)
-    profile, _trg = _profile_prefix(
+    named = name_profile(
         trace, end, cache_config, chunk_size, name_depth, queue_threshold
     )
+    profile = named.profile
+    trg = trg_edges(
+        named.eids, named.chunks, named.entry_bytes, profile.queue_threshold
+    )
+    profile.trg_columns = trg.columns
     return profile
 
 

@@ -16,6 +16,9 @@ from ..trace.events import Category
 from .config import CacheConfig
 from .simulator import CacheSimulator, CacheStats
 
+#: ``Category`` members indexed by value, for int -> enum conversion.
+_CATEGORIES = tuple(Category)
+
 #: A typical late-90s off-chip L2 to pair with the paper's 8 KB L1.
 DEFAULT_L2 = CacheConfig(size=262144, line_size=32, associativity=1)
 
@@ -85,6 +88,37 @@ class TwoLevelCache:
             self.l2.access(addr, size, obj_id, category, is_store)
         return missed
 
+    def replay(self, trace, resolver, max_events: int | None = None) -> int:
+        """Simulate a recorded trace's accesses under ``resolver``'s placement.
+
+        Replays the first ``max_events`` accesses (default: all) and
+        returns how many it replayed.  Raises
+        :class:`~repro.trace.events.TraceError` as
+        :meth:`~repro.trace.buffer.TraceRecorder.iter_resolved` does.
+        """
+        from ..trace.buffer import DEFAULT_CHUNK_EVENTS
+
+        obj, _offset, size, cat, store = trace.columns()
+        stop = trace.events if max_events is None else min(max_events, trace.events)
+        access = self.access
+        replayed = 0
+        for start, end, addresses in trace.iter_resolved(
+            resolver, DEFAULT_CHUNK_EVENTS
+        ):
+            end = min(end, stop)
+            for addr, nbytes, obj_id, category, is_store in zip(
+                addresses[: end - start].tolist(),
+                size[start:end].tolist(),
+                obj[start:end].tolist(),
+                cat[start:end].tolist(),
+                store[start:end].tolist(),
+            ):
+                access(addr, nbytes, obj_id, _CATEGORIES[category], bool(is_store))
+            replayed = end
+            if replayed >= stop:
+                break
+        return replayed
+
     @property
     def stats(self) -> HierarchyStats:
         """Current per-level statistics."""
@@ -128,26 +162,9 @@ entity_penalties`, keeping the gated scans exact.
     """
     from ..profiling.batch import trace_entity_map
     from ..runtime.resolvers import NaturalResolver
-    from ..trace.buffer import DEFAULT_CHUNK_EVENTS
 
     hierarchy = TwoLevelCache(l1_config, l2_config)
-    obj_col, _offset, size_col, cat_col, store_col = trace.columns()
-    replayed = 0
-    for start, end, addresses in trace.iter_resolved(
-        NaturalResolver(), DEFAULT_CHUNK_EVENTS
-    ):
-        stop = min(end, max_events)
-        for i in range(start, stop):
-            hierarchy.access(
-                int(addresses[i - start]),
-                int(size_col[i]),
-                int(obj_col[i]),
-                Category(int(cat_col[i])),
-                bool(store_col[i]),
-            )
-        replayed = stop
-        if replayed >= max_events:
-            break
+    replayed = hierarchy.replay(trace, NaturalResolver(), max_events)
 
     base = max(1, round(l2_time))
     if not replayed:

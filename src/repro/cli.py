@@ -54,7 +54,12 @@ import sys
 
 from .cache.config import CacheConfig
 from .core.algorithm import CCDPPlacer
-from .profiling.sampling import SamplingProfilerSink
+from .profiling.sampling import (
+    DEFAULT_PERIOD,
+    DEFAULT_WINDOW,
+    sampled_profile,
+    sampling_ratio,
+)
 from .profiling.serialize import (
     load_profile,
     save_placement,
@@ -120,17 +125,18 @@ def cmd_profile(args) -> int:
     workload = make_workload(args.workload)
     input_name = args.input or workload.train_input
     if args.sample:
-        sink = SamplingProfilerSink(cache_config=args.cache)
-        workload.run(sink, input_name)
-        profile = sink.profile
-        print(f"sampled {sink.sampling_ratio * 100:.1f}% of references")
+        profile = sampled_profile(workload, input_name, cache_config=args.cache)
+        ratio = sampling_ratio(
+            profile.total_accesses, DEFAULT_WINDOW, DEFAULT_PERIOD
+        )
+        print(f"sampled {ratio * 100:.1f}% of references")
     else:
         profile = profile_workload(workload, input_name, args.cache)
     save_profile(profile, args.output)
     print(
         f"profiled {workload.name}/{input_name}: "
-        f"{len(profile.entities)} entities, {len(profile.trg)} TRG edges "
-        f"-> {args.output}"
+        f"{len(profile.entities)} entities, "
+        f"{len(profile.trg_columns.weight)} TRG edges -> {args.output}"
     )
     return 0
 

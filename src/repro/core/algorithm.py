@@ -60,7 +60,7 @@ class CCDPPlacer:
     """Run the full placement pipeline over one training profile.
 
     Args:
-        profile: Output of a :class:`~repro.profiling.ProfilerSink` run.
+        profile: A profiling run's output (:func:`~repro.profiling.profile_trace`).
         cache_config: Target cache geometry (the paper stresses choosing
             the smallest geometry you want to perform well on).
         popularity_cutoff: Phase 0 cumulative share, default 0.99.

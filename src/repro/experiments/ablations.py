@@ -16,6 +16,11 @@ cross-input miss rate for a program:
 * **heap placement on/off** — the paper only applies heap placement to
   four programs; this ablation quantifies what it adds over
   stack/global/constant placement alone.
+
+Every setting of a study profiles the same recorded training trace and
+measures the same recorded test trace
+(:func:`~repro.experiments.common.cached_trace`), so each (workload,
+input) runs once per process.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from ..reporting.tables import render_table
 from ..runtime.driver import measure, profile_workload
 from ..runtime.resolvers import CCDPResolver, NaturalResolver
 from ..workloads import make_workload
+from .common import cached_trace
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,11 @@ def _measure_ccdp(
     placer_kwargs: dict,
 ) -> float:
     profile = profile_workload(
-        workload, workload.train_input, cache_config, **profiler_kwargs
+        workload,
+        workload.train_input,
+        cache_config,
+        trace=cached_trace(workload.name, workload.train_input),
+        **profiler_kwargs,
     )
     placer = CCDPPlacer(
         profile,
@@ -92,7 +102,11 @@ def _measure_ccdp(
     )
     placement = placer.place()
     result = measure(
-        workload, workload.test_input, CCDPResolver(placement), cache_config
+        workload,
+        workload.test_input,
+        CCDPResolver(placement),
+        cache_config,
+        trace=cached_trace(workload.name, workload.test_input),
     )
     return result.cache.miss_rate
 
@@ -107,7 +121,11 @@ def _sweep(
     config = cache_config or CacheConfig()
     workload = make_workload(program)
     natural = measure(
-        workload, workload.test_input, NaturalResolver(), config
+        workload,
+        workload.test_input,
+        NaturalResolver(),
+        config,
+        trace=cached_trace(program, workload.test_input),
     ).cache.miss_rate
     points = []
     for setting in settings:
@@ -217,11 +235,13 @@ def naming_depth_study(
     from ..trace.events import Category
 
     config = cache_config or CacheConfig()
+    workload = make_workload(program)
+    train = cached_trace(program, workload.train_input)
+    test = cached_trace(program, workload.test_input)
     rows = []
     for depth in depths:
-        workload = make_workload(program)
         profile = profile_workload(
-            workload, workload.train_input, config, name_depth=depth
+            workload, workload.train_input, config, name_depth=depth, trace=train
         )
         heap_entities = profile.entities_of(Category.HEAP)
         collided = sum(1 for e in heap_entities if e.collided)
@@ -233,7 +253,7 @@ def naming_depth_study(
             if decision.preferred_offset is not None
         )
         miss = measure(
-            workload, workload.test_input, CCDPResolver(placement), config
+            workload, workload.test_input, CCDPResolver(placement), config, trace=test
         ).cache.miss_rate
         rows.append(
             NamingDepthRow(
@@ -315,7 +335,13 @@ def sweep_heap_discipline(
     """
     config = cache_config or CacheConfig()
     workload = make_workload(program)
-    profile = profile_workload(workload, workload.train_input, config)
+    profile = profile_workload(
+        workload,
+        workload.train_input,
+        config,
+        trace=cached_trace(program, workload.train_input),
+    )
+    test = cached_trace(program, workload.test_input)
     placer = CCDPPlacer(
         profile, cache_config=config, place_heap=workload.place_heap
     )
@@ -327,7 +353,12 @@ def sweep_heap_discipline(
         ("ccdp-compact", CCDPResolver(placement, compact_heap=True)),
     ):
         result = measure(
-            workload, workload.test_input, resolver, config, track_pages=True
+            workload,
+            workload.test_input,
+            resolver,
+            config,
+            track_pages=True,
+            trace=test,
         )
         rows.append(
             HeapDisciplineRow(

@@ -23,12 +23,12 @@ from ..reporting.tables import render_table
 from ..runtime.driver import measure
 from ..runtime.overhead import OverheadEstimate, OverheadReport, estimate_overhead
 from ..runtime.resolvers import CCDPResolver, NaturalResolver
-from ..trace.sinks import TraceSink
 from ..workloads import make_workload
 from .common import (
     all_programs,
     cached_experiment,
     cached_stats,
+    cached_trace,
     prefetch_experiments,
 )
 
@@ -58,27 +58,6 @@ def run_overhead_report(
 
 
 # -- two-level hierarchy -------------------------------------------------------
-
-
-class _HierarchySink(TraceSink):
-    """Replay sink variant driving a two-level cache."""
-
-    def __init__(self, resolver, hierarchy: TwoLevelCache):
-        self.resolver = resolver
-        self.hierarchy = hierarchy
-
-    def on_object(self, info) -> None:
-        self.resolver.on_object(info)
-
-    def on_alloc(self, info, return_addresses) -> None:
-        self.resolver.on_alloc(info, return_addresses)
-
-    def on_free(self, obj_id) -> None:
-        self.resolver.on_free(obj_id)
-
-    def on_access(self, obj_id, offset, size, is_store, category) -> None:
-        addr = self.resolver.base_of[obj_id] + offset
-        self.hierarchy.access(addr, size, obj_id, category, is_store)
 
 
 @dataclass(frozen=True)
@@ -136,21 +115,23 @@ def run_hierarchy_study(
     l1_config: CacheConfig | None = None,
     l2_config: CacheConfig | None = None,
 ) -> HierarchyStudyResult:
-    """Measure an L1-targeted placement on an L1+L2 hierarchy."""
+    """Measure an L1-targeted placement on an L1+L2 hierarchy.
+
+    Both placements replay the experiment's recorded test trace.
+    """
     l1 = l1_config or CacheConfig()
     l2 = l2_config or DEFAULT_L2
     rows = []
     for name in programs:
-        workload = make_workload(name)
         result = cached_experiment(name, same_input=False, cache_config=l1)
+        trace = cached_trace(name, result.test_input)
         stats_by_placement = {}
         for label, resolver in (
             ("natural", NaturalResolver()),
             ("ccdp", CCDPResolver(result.placement)),
         ):
             hierarchy = TwoLevelCache(l1, l2)
-            sink = _HierarchySink(resolver, hierarchy)
-            workload.run(sink, workload.test_input)
+            hierarchy.replay(trace, resolver)
             stats_by_placement[label] = hierarchy.stats
         rows.append(
             HierarchyRow(
@@ -219,22 +200,27 @@ def run_sampling_study(
     ),
     cache_config: CacheConfig | None = None,
 ) -> SamplingStudyResult:
-    """Placement quality as the TRG sampling ratio shrinks."""
+    """Placement quality as the TRG sampling ratio shrinks.
+
+    The training and test inputs are each recorded once for the study.
+    """
     config = cache_config or CacheConfig()
     workload = make_workload(program)
+    train = cached_trace(program, workload.train_input)
+    test = cached_trace(program, workload.test_input)
     natural = measure(
-        workload, workload.test_input, NaturalResolver(), config
+        workload, workload.test_input, NaturalResolver(), config, trace=test
     ).cache.miss_rate
     rows = []
     for window, period in patterns:
         profile = sampled_profile(
-            workload, window=window, period=period, cache_config=config
+            workload, window=window, period=period, cache_config=config, trace=train
         )
         placement = CCDPPlacer(
             profile, cache_config=config, place_heap=workload.place_heap
         ).place()
         miss = measure(
-            workload, workload.test_input, CCDPResolver(placement), config
+            workload, workload.test_input, CCDPResolver(placement), config, trace=test
         ).cache.miss_rate
         rows.append(
             SamplingRow(

@@ -2,8 +2,8 @@
 
 from .profile_data import Entity, Profile, STACK_ENTITY_ID
 from .batch import profile_trace
-from .profiler import ProfilerSink
-from .sampling import SamplingProfilerSink, sampled_profile
+from .profiler import EntityNamer
+from .sampling import sampled_profile, sampling_ratio
 from .serialize import (
     SerializationError,
     load_placement,
@@ -14,7 +14,6 @@ from .serialize import (
 from .trg import (
     DEFAULT_CHUNK_SIZE,
     QUEUE_THRESHOLD_CACHE_MULTIPLE,
-    TRGBuilder,
     entity_affinity,
 )
 
@@ -22,17 +21,16 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "Entity",
     "entity_affinity",
+    "EntityNamer",
     "load_placement",
     "load_profile",
     "Profile",
     "profile_trace",
-    "ProfilerSink",
     "QUEUE_THRESHOLD_CACHE_MULTIPLE",
     "sampled_profile",
-    "SamplingProfilerSink",
+    "sampling_ratio",
     "save_placement",
     "save_profile",
     "SerializationError",
     "STACK_ENTITY_ID",
-    "TRGBuilder",
 ]

@@ -1,24 +1,24 @@
 """Batched profiling: build a Profile from a recorded trace, vectorized.
 
-The live :class:`~repro.profiling.profiler.ProfilerSink` does four things
-per memory reference: map the object to its placement entity, tick the
-entity's reference/lifetime counters, compute the TRG chunk, and feed the
-recency queue.  Over a recorded trace
-(:class:`~repro.trace.buffer.TraceRecorder`) the same work splits into
-two kernels, which are the only way a recorded trace becomes entities and
-TRG edges:
+Profiling does four things per memory reference: map the object to its
+placement entity, tick the entity's reference/lifetime counters,
+compute the TRG chunk, and feed the recency queue.  Over a recorded
+trace (:class:`~repro.trace.buffer.TraceRecorder`) that work splits into
+two kernels, which are the only way a trace becomes entities and TRG
+edges; a caller without a trace records one first:
 
-* :func:`replay_entities` walks the (rare) lifetime ops once through the
-  sink's lifetime hooks.  That reproduces the op side of the profile
-  exactly (entity creation, heap naming, collision flags, allocation
-  adjacency) and yields the object -> entity map, each object's
-  declaration position, and the timeline of queue-entry sizes.  The map
-  is *write-once* (object ids are never reused and each is bound to
-  exactly one entity at declaration/allocation), so the whole entity
-  column is one vectorized gather with the final map.
+* :func:`replay_entities` walks the (rare) lifetime ops once through an
+  :class:`~repro.profiling.profiler.EntityNamer`.  That reproduces the
+  op side of the profile exactly (entity creation, heap naming,
+  collision flags, allocation adjacency) and yields the object -> entity
+  map, each object's declaration position, and the timeline of
+  queue-entry sizes.  The map is *write-once* (object ids are never
+  reused and each is bound to exactly one entity at
+  declaration/allocation), so the whole entity column is one vectorized
+  gather with the final map.
 * :func:`trg_edges` runs the recency queue as array passes.  Only the
   *boundaries* of consecutive-duplicate (entity, chunk) runs reach the
-  queue, as in the scalar builder's front-of-queue fast path.  A
+  queue: a repeated reference to the queue front moves nothing.  A
   reference hits when its key was not evicted since its previous
   reference ``p``: the bytes queued in front of the key are those of
   the keys referenced since ``p`` at their latest sizes, so the test is
@@ -29,18 +29,21 @@ TRG edges:
   referenced between ``p`` and ``i``, newest first; those intervals are
   scanned in chunks of :data:`SCAN_CHUNK` positions, and each chunk is
   folded into per-edge weights and first-increment positions, which
-  recover the scalar builder's edges — including their insertion order,
-  which downstream tie-breaking may observe — without buffering the
-  whole walk.  The edges come out as
+  recover the per-reference queue's edges — including their insertion
+  order, which downstream tie-breaking may observe — without buffering
+  the whole walk.  The edges come out as
   :class:`~repro.profiling.profile_data.TRGColumns`; no edge dict is
   built.
 
-:func:`profile_trace` is the replay, per-entity counters from one stable
-sort, and the TRG pass; the profile keeps the pass's columns, so its
-edge dict is built only if :attr:`Profile.trg` is read.  The adaptive
-engine runs the same body over its training prefix and calls
-:func:`trg_edges` once per window.  The result is equal, dict for dict,
-to profiling the live run.
+:func:`name_profile` is the replay plus per-entity counters from one
+stable sort, and returns the per-access entity, chunk and entry-bytes
+columns; each caller picks the references it hands to
+:func:`trg_edges`.  :func:`profile_trace` hands it all of them, the
+adaptive engine its training prefix (and one window at a time), and
+:func:`~repro.profiling.sampling.sampled_profile` its sampling windows.
+A profile keeps the pass's columns, so its edge dict is built only if
+:attr:`Profile.trg` is read.  ``tests/oracles.py`` keeps the per-event
+profiler these kernels must equal, dict for dict.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from ..trace.buffer import (
 )
 from ..trace.events import STACK_OBJECT_ID, TraceError
 from .profile_data import Profile, STACK_ENTITY_ID, TRGColumns
-from .profiler import ProfilerSink
+from .profiler import EntityNamer
 from .trg import DEFAULT_CHUNK_SIZE
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -116,14 +119,17 @@ def replay_entities(
     """Replay the lifetime ops at or before ``end_event`` (default: all).
 
     The one walk of ``trace.lifetime_ops`` through a fresh
-    :class:`ProfilerSink`'s lifetime hooks, reproducing the
-    deterministic entity numbering a live profile of the same run
-    assigns.  The access columns are read only for their largest object
-    id among the first ``end_event`` accesses, which sizes the maps.
+    :class:`EntityNamer`, reproducing the deterministic entity
+    numbering a per-event profile of the same run assigns.  The access
+    columns are read only for their largest object id among the first
+    ``end_event`` accesses, which sizes the maps.
     ``cache_config`` and ``queue_threshold`` only set the returned
     profile's queue threshold.
+
+    Raises:
+        ValueError: A non-positive chunk size or queue threshold.
     """
-    sink = ProfilerSink(
+    sink = EntityNamer(
         cache_config=cache_config,
         chunk_size=chunk_size,
         name_depth=name_depth,
@@ -155,7 +161,7 @@ def replay_entities(
             if 0 <= obj_id < size:
                 eid_map[obj_id] = eid
                 declared_at[obj_id] = position
-        # The live profiler's entry size for this entity from here on.
+        # The queue-entry size of this entity's references from here on.
         entity_size = entities[eid].size
         entry = entity_size if entity_size and entity_size < chunk_size else chunk_size
         size_updates.append((position, eid, entry))
@@ -303,8 +309,8 @@ def trg_edges(
 
     ``entry_bytes[i]`` is the queue-entry size in effect at reference
     ``i``; chunks are non-negative.  The edge columns equal, weight for
-    weight and in insertion order, the dict
-    :class:`~repro.profiling.trg.TRGBuilder` builds from the same
+    weight and in insertion order, the dict the per-reference queue
+    (``TRGBuilder`` in ``tests/oracles.py``) builds from the same
     stream, and so does the eviction count.  Emits no telemetry.
     """
     total = len(eids)
@@ -406,18 +412,38 @@ def trg_edges(
     return TRGPass(columns, evictions, n)
 
 
-def _profile_prefix(
+class NamedAccesses(NamedTuple):
+    """A Name profile and its per-access columns (:func:`name_profile`).
+
+    ``profile`` holds the entities with their access counters and
+    ``total_accesses``, and no TRG yet.  Access ``i`` references chunk
+    ``chunks[i]`` of entity ``eids[i]``, whose queue entry accounts for
+    ``entry_bytes[i]`` bytes at that point.
+    """
+
+    profile: Profile
+    eids: np.ndarray
+    chunks: np.ndarray
+    entry_bytes: np.ndarray
+
+
+def name_profile(
     trace: TraceRecorder,
     end: int,
-    cache_config: CacheConfig | None,
-    chunk_size: int,
-    name_depth: int,
-    queue_threshold: int | None,
-) -> tuple[Profile, TRGPass]:
-    """Profile accesses ``0..end-1`` and the lifetime ops at or before ``end``.
+    cache_config: CacheConfig | None = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    name_depth: int = DEFAULT_NAME_DEPTH,
+    queue_threshold: int | None = None,
+) -> NamedAccesses:
+    """Name-profile accesses ``0..end-1`` and the lifetime ops up to ``end``.
 
-    The body of :func:`profile_trace` (``end`` is the trace length) and
-    of the adaptive training window.  Emits no telemetry.
+    The body every profile shares: the entity replay, the per-entity
+    reference counts and first/last access clocks, and the columns a
+    :func:`trg_edges` pass reads.  Emits no telemetry.
+
+    Raises:
+        TraceError: As :func:`profile_trace`.
+        ValueError: A non-positive chunk size or queue threshold.
     """
     trace.require_ended()
     replay = replay_entities(
@@ -472,15 +498,21 @@ def _profile_prefix(
             entity.first_access = first
             entity.last_access = last
 
-    trg = trg_edges(
+    profile.total_accesses = end
+    return NamedAccesses(
+        profile,
         eid_col,
         offset // chunk_size,
         _entry_bytes_column(eid_col, replay.size_updates, chunk_size),
-        profile.queue_threshold,
     )
-    profile.trg_columns = trg.columns
-    profile.total_accesses = end
-    return profile, trg
+
+
+def count_profile(profile: Profile, trg: TRGPass) -> None:
+    """Report one finished profile's event, edge and queue counters."""
+    obs.count("profile.kept_boundaries", trg.kept)
+    obs.count("profile.events", profile.total_accesses)
+    obs.count("profile.trg_edges", len(trg.columns.weight))
+    obs.count("profile.queue_evictions", trg.evictions)
 
 
 def profile_trace(
@@ -490,26 +522,29 @@ def profile_trace(
     name_depth: int = DEFAULT_NAME_DEPTH,
     queue_threshold: int | None = None,
 ) -> Profile:
-    """Profile a recorded trace; equal to profiling the live run.
+    """Profile a recorded trace: its Name profile and the TRG of every access.
 
     Accepts the same knobs as
-    :func:`~repro.runtime.driver.profile_workload` and produces a
-    :class:`~repro.profiling.profile_data.Profile` identical to what the
-    scalar :class:`~repro.profiling.profiler.ProfilerSink` yields on the
+    :func:`~repro.runtime.driver.profile_workload` and produces the
+    :class:`~repro.profiling.profile_data.Profile` the per-event
+    profiler (``ProfilerSink`` in ``tests/oracles.py``) yields on the
     same stream.
 
     Raises:
         TraceError: The recording is truncated (no ``on_end`` marker), an
             access touches an object before its declaration or an id no
             op declared, or an access has a negative offset.  A use after
-            free passes, as in the live profiler: a profile names
-            objects, it does not resolve them.
+            free passes: a profile names objects, it does not resolve
+            them.
+        ValueError: A non-positive chunk size or queue threshold.
     """
-    profile, trg = _profile_prefix(
+    named = name_profile(
         trace, trace.events, cache_config, chunk_size, name_depth, queue_threshold
     )
-    obs.count("profile.kept_boundaries", trg.kept)
-    obs.count("profile.events", profile.total_accesses)
-    obs.count("profile.trg_edges", len(trg.columns.weight))
-    obs.count("profile.queue_evictions", trg.evictions)
+    profile = named.profile
+    trg = trg_edges(
+        named.eids, named.chunks, named.entry_bytes, profile.queue_threshold
+    )
+    profile.trg_columns = trg.columns
+    count_profile(profile, trg)
     return profile

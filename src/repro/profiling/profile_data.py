@@ -13,10 +13,11 @@ The *Name profile* of the paper (Section 3) — object id, reference count,
 size, lifetime — lives on the entities themselves.
 
 The TRG lives on the profile in one of two forms: five int64 columns
-(:class:`TRGColumns`, what the batched profiler emits and the artifact
-store reads) or a dict keyed by ``((eid, chunk), (eid, chunk))`` (what
-the live profiler builds).  :attr:`Profile.trg` is the dict, built from
-the columns the first time it is read; :attr:`Profile.trg_columns`, the
+(:class:`TRGColumns`, what the profiler emits, the artifact store and
+the JSON loader read) or a dict keyed by ``((eid, chunk), (eid,
+chunk))`` (what callers that edit a TRG assign, such as the per-event
+test oracles).  :attr:`Profile.trg` is the dict, built from the columns
+the first time it is read; :attr:`Profile.trg_columns`, the
 placement index and the Phase 0/4 reductions read the columns, so a
 profile that is only stored, loaded and placed never builds the dict.
 :func:`edge_columns` and :func:`edge_dict` are the only conversions
@@ -60,13 +61,6 @@ class Entity:
         if self.first_access is None or self.last_access is None:
             return 0
         return self.last_access - self.first_access
-
-    def note_access(self, timestamp: int) -> None:
-        """Update reference count and lifetime for one access."""
-        self.refs += 1
-        if self.first_access is None:
-            self.first_access = timestamp
-        self.last_access = timestamp
 
 
 class TRGColumns(NamedTuple):

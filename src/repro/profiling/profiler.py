@@ -1,33 +1,30 @@
-"""The profiler sink: one pass producing the Name profile and the TRG.
+"""Entity naming: the lifetime half of the paper's profiling stage.
 
-This implements the paper's profiling stage (Section 3): running the
-program once under instrumentation yields (1) the *Name* profile — for
+The profiling stage (Section 3) yields (1) the *Name* profile — for
 every placement entity its name, reference count, size, and lifetime —
 and (2) the *TRGplace* graph of temporal relationships between
-(entity, chunk) pairs.  Heap allocations are simultaneously run through
-the XOR naming scheme so that same-named allocations merge into one
-entity and concurrent-liveness collisions are detected.
+(entity, chunk) pairs.  :class:`EntityNamer` does the naming: it turns
+the declarations, allocations and frees of one run into placement
+entities, running heap allocations through the XOR naming scheme so
+that same-named allocations merge into one entity and
+concurrent-liveness collisions are detected.  It sees no accesses:
+:func:`~repro.profiling.batch.replay_entities` drives it over a
+recorded trace's lifetime ops, and the batched kernels count the
+references and build the TRG from the access columns.
 """
 
 from __future__ import annotations
 
-from typing import NoReturn
-
 from ..cache.config import CacheConfig
 from ..naming.xor import DEFAULT_NAME_DEPTH, NameUniverse
-from ..obs import telemetry as obs
-from ..trace.events import Category, ObjectInfo, STACK_OBJECT_ID, TraceError
+from ..trace.events import Category, ObjectInfo, STACK_OBJECT_ID
 from ..trace.sinks import TraceSink
 from .profile_data import Entity, Profile, STACK_ENTITY_ID
-from .trg import (
-    DEFAULT_CHUNK_SIZE,
-    QUEUE_THRESHOLD_CACHE_MULTIPLE,
-    TRGBuilder,
-)
+from .trg import DEFAULT_CHUNK_SIZE, QUEUE_THRESHOLD_CACHE_MULTIPLE
 
 
-class ProfilerSink(TraceSink):
-    """Build a :class:`~repro.profiling.profile_data.Profile` from a trace.
+class EntityNamer(TraceSink):
+    """Name a run's objects as placement entities, lifetime hooks only.
 
     Args:
         cache_config: Target cache; sets the default queue threshold to
@@ -35,6 +32,9 @@ class ProfilerSink(TraceSink):
         chunk_size: TRG placement granularity (paper: 256 bytes).
         name_depth: XOR fold depth for heap names (paper: 4).
         queue_threshold: Override for the recency-queue byte bound.
+
+    Raises:
+        ValueError: A non-positive queue threshold or chunk size.
     """
 
     def __init__(
@@ -47,9 +47,12 @@ class ProfilerSink(TraceSink):
         config = cache_config or CacheConfig()
         if queue_threshold is None:
             queue_threshold = QUEUE_THRESHOLD_CACHE_MULTIPLE * config.size
+        if queue_threshold <= 0:
+            raise ValueError(f"queue threshold must be positive: {queue_threshold}")
+        if chunk_size <= 0:
+            raise ValueError(f"chunk size must be positive: {chunk_size}")
         self.chunk_size = chunk_size
         self.names = NameUniverse(depth=name_depth)
-        self._trg = TRGBuilder(queue_threshold, chunk_size)
         self._profile = Profile(
             chunk_size=chunk_size,
             queue_threshold=queue_threshold,
@@ -58,7 +61,6 @@ class ProfilerSink(TraceSink):
         self._entity_of_object: dict[int, int] = {}
         self._entity_by_key: dict[str, int] = {}
         self._next_eid = STACK_ENTITY_ID + 1
-        self._clock = 0
         self._prev_alloc_name: int | None = None
         stack = Entity(
             eid=STACK_ENTITY_ID, category=Category.STACK, key="stack", size=0
@@ -123,46 +125,13 @@ class ProfilerSink(TraceSink):
             if entity.heap_name is not None:
                 entity.collided = self.names.records[entity.heap_name].collided
 
-    def on_access(self, obj_id, offset, size, is_store, category) -> None:
-        if offset < 0:
-            self._reject_offset(obj_id, offset)
-        eid = self._entity_of_object[obj_id]
-        entity = self._profile.entities[eid]
-        self._clock += 1
-        entity.note_access(self._clock)
-        chunk = offset // self.chunk_size
-        entry_bytes = self.chunk_size
-        if entity.size and entity.size < self.chunk_size:
-            entry_bytes = entity.size
-        self._trg.observe(eid, chunk, entry_bytes)
-
-    def _reject_offset(self, obj_id: int, offset: int) -> NoReturn:
-        """Raise as the recorded path does (``trace.buffer.check_offsets``).
-
-        A negative offset names no byte of its object; packed per entity,
-        its chunk would alias a chunk of another entity.
-        """
-        raise TraceError(
-            f"corrupt trace: negative offset {offset} into object id "
-            f"{obj_id} at position {self._clock}"
-        )
-
     def on_stack_depth(self, depth: int) -> None:
         stack = self._profile.entities[STACK_ENTITY_ID]
         stack.size = max(stack.size, depth)
-
-    def on_end(self) -> None:
-        self._profile.trg = self._trg.edges
-        self._profile.total_accesses = self._clock
-        obs.count("profile.events", self._clock)
-        obs.count("profile.trg_edges", len(self._trg.edges))
-        # Alternate TRG builders (the parity suite swaps one in) may not
-        # track evictions; report zero rather than requiring the field.
-        obs.count("profile.queue_evictions", getattr(self._trg, "evictions", 0))
 
     # -- result ---------------------------------------------------------------
 
     @property
     def profile(self) -> Profile:
-        """The accumulated profile (complete once the run has ended)."""
+        """The profile holding the named entities (no access counters)."""
         return self._profile

@@ -115,11 +115,45 @@ def profile_to_dict(profile: Profile) -> dict:
     return _profile_fields(profile, trg)
 
 
+def _trg_columns_from_rows(rows, entities: dict) -> TRGColumns:
+    """The ``[a_eid, a_chunk, b_eid, b_chunk, weight]`` rows as checked columns.
+
+    The checks of :func:`_trg_columns_from_payload`, and no edge twice:
+    a row repeating an earlier edge, in either endpoint order, would
+    count its weight twice in the placement index.
+    """
+    if not isinstance(rows, list):
+        raise SerializationError("TRG is not a list of edge rows")
+    try:
+        table = np.array(rows) if rows else np.empty((0, 5), dtype=np.int64)
+    except ValueError:
+        raise SerializationError("TRG edge rows differ in length") from None
+    if table.ndim != 2:
+        raise SerializationError("TRG edge rows are not flat lists")
+    trg = _trg_columns_from_payload(list(np.ascontiguousarray(table.T)), entities)
+    # Each edge with its lower (entity, chunk) endpoint first.
+    ends = np.stack(trg[:4], axis=1)
+    swap = (trg.a_eid > trg.b_eid) | (
+        (trg.a_eid == trg.b_eid) & (trg.a_chunk > trg.b_chunk)
+    )
+    ends[swap] = ends[swap][:, [2, 3, 0, 1]]
+    if len(np.unique(ends, axis=0)) < len(ends):
+        raise SerializationError("TRG repeats an edge")
+    return trg
+
+
 def profile_from_dict(data: dict) -> Profile:
-    """Decode a profile from plain data, validating the envelope."""
+    """Decode a profile from plain data, validating the envelope and TRG.
+
+    The profile keeps the TRG as checked columns, in row order.
+
+    Raises:
+        SerializationError: A malformed envelope, a TRG row that is not
+            five integers, a chunk out of range, an undeclared entity,
+            or an edge given twice.
+    """
     profile = _profile_from_fields(data)
-    for a_eid, a_chunk, b_eid, b_chunk, weight in data["trg"]:
-        profile.trg[((a_eid, a_chunk), (b_eid, b_chunk))] = weight
+    profile.trg_columns = _trg_columns_from_rows(data["trg"], profile.entities)
     return profile
 
 

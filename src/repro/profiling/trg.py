@@ -14,11 +14,14 @@ Granularity: relationships are kept between (entity, chunk) pairs, with a
 chunk size of 256 bytes, because whole-object edges make large objects
 impossible to place well (a lesson the paper carries over from procedure
 placement).
+
+The queue itself runs as array passes over a recorded trace's columns
+(:func:`repro.profiling.batch.trg_edges`); this module holds the
+parameters and key types the passes share, and the entity-level
+collapse of their edges.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 #: Placement granularity in bytes (paper, Section 3.2).
 DEFAULT_CHUNK_SIZE = 256
@@ -28,82 +31,6 @@ QUEUE_THRESHOLD_CACHE_MULTIPLE = 2
 
 PairKey = tuple[int, int]
 EdgeKey = tuple[PairKey, PairKey]
-
-
-class TRGBuilder:
-    """Incremental TRGplace construction over (entity, chunk) pairs.
-
-    The recency queue is an :class:`~collections.OrderedDict` mapping each
-    queued ``(entity, chunk)`` pair to its accounted byte size, ordered
-    oldest-first (the *front* of the paper's queue ``Q`` is the dict's
-    tail).  Membership tests, front insertion, removal, and tail eviction
-    are all O(1); a hit at queue position ``p`` walks only the ``p``
-    entries in front of it (via reverse iteration), which is exactly the
-    number of edges it must increment.  The previous list-based queue paid
-    an additional O(n) ``list.index`` scan per reference — quadratic on
-    miss-heavy streams — while producing the same edges.
-    """
-
-    def __init__(self, queue_threshold: int, chunk_size: int = DEFAULT_CHUNK_SIZE):
-        if queue_threshold <= 0:
-            raise ValueError(f"queue threshold must be positive: {queue_threshold}")
-        if chunk_size <= 0:
-            raise ValueError(f"chunk size must be positive: {chunk_size}")
-        self.queue_threshold = queue_threshold
-        self.chunk_size = chunk_size
-        self.edges: dict[EdgeKey, int] = {}
-        #: Entries dropped from the queue tail over the threshold bound.
-        self.evictions = 0
-        #: key -> entry_bytes, ordered oldest (first) to most recent (last).
-        self._queue: OrderedDict[PairKey, int] = OrderedDict()
-        self._front: PairKey | None = None
-        self._queued_bytes = 0
-
-    def observe(self, eid: int, chunk: int, entry_bytes: int) -> None:
-        """Record one reference to chunk ``chunk`` of entity ``eid``.
-
-        Args:
-            eid: The referenced placement entity.
-            chunk: ``offset // chunk_size`` of the reference.
-            entry_bytes: Bytes this queue entry accounts for — the chunk
-                size, or the entity size when smaller.
-        """
-        key = (eid, chunk)
-        if key == self._front:
-            # Hot path: repeated references to the same chunk create no
-            # temporal relationships and no queue movement.
-            return
-        queue = self._queue
-        old_bytes = queue.get(key)
-        if old_bytes is not None:
-            # Increment the edge to every entry between the front and the
-            # hit position: each was referenced between two references to
-            # `key`, so each would evict `key` in a shared cache line.
-            edges = self.edges
-            for other in reversed(queue):
-                if other == key:
-                    break
-                edge = (key, other) if key <= other else (other, key)
-                edges[edge] = edges.get(edge, 0) + 1
-            queue.move_to_end(key)
-            self._queued_bytes -= old_bytes
-        queue[key] = entry_bytes
-        self._front = key
-        self._queued_bytes += entry_bytes
-        while self._queued_bytes > self.queue_threshold and len(queue) > 1:
-            _evicted, evicted_bytes = queue.popitem(last=False)
-            self._queued_bytes -= evicted_bytes
-            self.evictions += 1
-
-    @property
-    def queue_length(self) -> int:
-        """Number of (entity, chunk) pairs currently queued."""
-        return len(self._queue)
-
-    @property
-    def queued_bytes(self) -> int:
-        """Total bytes accounted to queued entries."""
-        return self._queued_bytes
 
 
 def entity_affinity(

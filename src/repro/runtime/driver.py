@@ -20,13 +20,12 @@ from ..cache.simulator import CacheStats
 from ..core.algorithm import CCDPPlacer
 from ..core.placement_map import PlacementMap
 from ..profiling.batch import profile_trace
-from ..profiling.profiler import ProfilerSink
 from ..profiling.profile_data import Profile
 from ..store import current_store
 from ..store import stages as store_stages
 from ..store import traces as store_traces
 from ..trace.buffer import DEFAULT_CHUNK_EVENTS, TraceRecorder, record_trace
-from ..trace.stats import StatsSink, WorkloadStats
+from ..trace.stats import WorkloadStats
 from ..workloads.base import Workload
 from .resolvers import (
     AddressResolver,
@@ -75,48 +74,39 @@ def profile_workload(
     queue_threshold: int | None = None,
     trace: TraceRecorder | None = None,
 ) -> Profile:
-    """Run the profiler over one input and return the Name+TRG profile.
+    """Profile one input's recorded trace: the Name+TRG profile.
 
-    When a recorded ``trace`` of the same (workload, input) run is
-    supplied, the profile is derived from its columns by the batched
-    profiler (:func:`~repro.profiling.batch.profile_trace`) instead of
-    re-running the workload; the result is identical.  With an artifact
-    store installed, the trace-derived profile is additionally served
-    from (and persisted to) the store, keyed by the trace fingerprint
-    and profiler parameters.
+    The profile is derived from the columns of ``trace``, a recording of
+    the same (workload, input) run, by
+    :func:`~repro.profiling.batch.profile_trace`; without one, the
+    workload runs once to record it.  With an artifact store installed,
+    the profile is served from (and persisted to) the store, keyed by
+    the trace fingerprint and profiler parameters.
     """
-    with obs.span("profile", input=input_name):
-        if trace is not None:
-            def compute() -> Profile:
-                return profile_trace(
-                    trace,
-                    cache_config=cache_config,
-                    chunk_size=chunk_size,
-                    name_depth=name_depth,
-                    queue_threshold=queue_threshold,
-                )
+    if trace is None:
+        trace = record_trace(workload, input_name)
 
-            store = current_store()
-            if store is None:
-                return compute()
-            params = store_stages.profile_params(
-                {
-                    "chunk_size": chunk_size,
-                    "name_depth": name_depth,
-                    "queue_threshold": queue_threshold,
-                }
-            )
-            return store_stages.cached_profile(
-                store, trace, cache_config, params, compute
-            )
-        sink = ProfilerSink(
+    def compute() -> Profile:
+        return profile_trace(
+            trace,
             cache_config=cache_config,
             chunk_size=chunk_size,
             name_depth=name_depth,
             queue_threshold=queue_threshold,
         )
-        workload.run(sink, input_name)
-        return sink.profile
+
+    with obs.span("profile", input=input_name):
+        store = current_store()
+        if store is None:
+            return compute()
+        params = store_stages.profile_params(
+            {
+                "chunk_size": chunk_size,
+                "name_depth": name_depth,
+                "queue_threshold": queue_threshold,
+            }
+        )
+        return store_stages.cached_profile(store, trace, cache_config, params, compute)
 
 
 def collect_stats(
@@ -124,21 +114,19 @@ def collect_stats(
     input_name: str,
     trace: TraceRecorder | None = None,
 ) -> WorkloadStats:
-    """Gather Table 1 statistics for one input.
+    """Gather Table 1 statistics for one input from its recorded trace.
 
-    With a recorded ``trace``, statistics are computed vectorized from
-    its columns instead of re-running the workload (and, with an
-    artifact store installed, served from the store by trace
-    fingerprint).
+    Statistics are computed vectorized from the columns of ``trace``
+    (:meth:`~repro.trace.buffer.TraceRecorder.stats`); without one, the
+    workload runs once to record it.  With an artifact store installed,
+    they are served from the store by trace fingerprint.
     """
-    if trace is not None:
-        store = current_store()
-        if store is None:
-            return trace.stats()
-        return store_stages.cached_workload_stats(store, trace, trace.stats)
-    sink = StatsSink()
-    workload.run(sink, input_name)
-    return sink.stats
+    if trace is None:
+        trace = record_trace(workload, input_name)
+    store = current_store()
+    if store is None:
+        return trace.stats()
+    return store_stages.cached_workload_stats(store, trace, trace.stats)
 
 
 def measure_trace(

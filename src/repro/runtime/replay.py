@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from ..analysis.paging import PageTracker
 from ..cache.simulator import CacheSimulator
-from ..trace.events import ObjectInfo
-from ..trace.sinks import TraceError, TraceSink
+from ..trace.events import ObjectInfo, TraceError
+from ..trace.sinks import TraceSink
 from .resolvers import AddressResolver
 
 

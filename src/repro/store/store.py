@@ -26,7 +26,7 @@ digest, a block table that does not fit the body, a block dtype outside
 the allowed set, a placeholder naming no block, or a salt or format
 from another code version are all treated as a miss — the entry is
 deleted and the caller recomputes and rewrites, mirroring how the trace
-layer degrades on :class:`~repro.trace.sinks.TraceError` rather than
+layer degrades on :class:`~repro.trace.events.TraceError` rather than
 crashing a sweep.  Maintenance (``stats``, ``gc``) reads header lines
 only.
 

@@ -32,8 +32,8 @@ from typing import Iterator
 import numpy as np
 
 from . import plane
-from .events import Category, ObjectInfo, STACK_OBJECT_ID
-from .sinks import TraceError, TraceSink
+from .events import Category, ObjectInfo, STACK_OBJECT_ID, TraceError
+from .sinks import TraceSink
 from .stats import WorkloadStats
 
 #: Default number of events per consumed chunk (events, not bytes).
@@ -110,9 +110,8 @@ def check_offsets(start: int, obj: np.ndarray, offset: np.ndarray) -> None:
 class TraceRecorder(TraceSink):
     """Record one workload run as SoA access columns plus lifetime ops.
 
-    Unlike :class:`~repro.trace.sinks.RecordingSink` (per-event Python
-    objects), the access stream lives in five flat columns, and the much
-    rarer lifetime events (object declarations, allocs, frees, stack
+    The access stream lives in five flat columns rather than per-event
+    Python objects, and the much rarer lifetime events (object declarations, allocs, frees, stack
     growth, compute batches) are kept as a positioned op list so exact
     interleaving can be reproduced.
     """
@@ -380,7 +379,7 @@ class TraceRecorder(TraceSink):
         far larger than RAM streams at one-chunk working set (pair with
         :meth:`advise_done` to also drop the consumed column pages).
 
-        Raises :class:`~repro.trace.sinks.TraceError` when the recording
+        Raises :class:`~repro.trace.events.TraceError` when the recording
         is truncated (no ``on_end`` marker) or an access touches an
         object outside its lifetime (never declared, not yet allocated,
         or already freed) or at a negative offset.
@@ -417,8 +416,9 @@ class TraceRecorder(TraceSink):
     def stats(self) -> WorkloadStats:
         """Compute Table 1 workload statistics from the columns, vectorized.
 
-        Produces a :class:`WorkloadStats` equal to what
-        :class:`~repro.trace.stats.StatsSink` collects from the same run.
+        The only way a run becomes Table 1 statistics; equal to what the
+        per-event ``StatsSink`` in ``tests/oracles.py`` collects from the
+        same run.
         """
         obj, _offset, _size, cat, store = self.columns()
         stats = WorkloadStats()

@@ -17,7 +17,7 @@ contiguous object.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Reserved object id for the single stack object (paper, Section 2).
 STACK_OBJECT_ID = 0
@@ -72,39 +72,6 @@ class ObjectInfo:
     symbol: str
     decl_index: int = 0
     alloc_name: int | None = None
-
-
-@dataclass(slots=True)
-class Access:
-    """A load or a store of ``size`` bytes at ``offset`` within an object."""
-
-    obj_id: int
-    offset: int
-    size: int
-    is_store: bool
-    category: Category
-
-
-@dataclass(slots=True)
-class Alloc:
-    """A heap allocation event.
-
-    Attributes:
-        info: The freshly created heap object.
-        return_addresses: The synthetic return-address stack active at the
-            allocation site, most recent first.  The XOR naming scheme
-            folds a prefix of this tuple (paper, Section 3.1).
-    """
-
-    info: ObjectInfo
-    return_addresses: tuple[int, ...] = field(default_factory=tuple)
-
-
-@dataclass(slots=True)
-class Free:
-    """A heap deallocation event."""
-
-    obj_id: int
 
 
 class TraceError(Exception):

@@ -1,26 +1,22 @@
-"""Event sinks: the consumers of an object-level trace.
+"""The sink protocol: the consumer side of an object-level trace.
 
-A *sink* receives the trace produced by a workload run.  The profiler, the
-placement replayer, and the statistics collector are all sinks, so a single
-deterministic workload run can be replayed against any of them.
+A *sink* receives the event stream of a workload run.  The product has
+one sink on the access path, :class:`~repro.trace.buffer.TraceRecorder`,
+which keeps the run as columns; every profile, statistic and placement
+measurement is computed from those columns.  Other sinks observe the
+lifetime events only (the entity namer, the resolvers) or check the
+stream (:class:`~repro.trace.validate.ValidatingSink`); a recorded
+trace replays into any of them.
 
 The sink protocol is deliberately a set of plain methods rather than a
 single ``handle(event)`` dispatcher: the access path is the hot loop of
-every experiment and avoiding per-event object construction and dispatch
+recording, and avoiding per-event object construction and dispatch
 keeps multi-hundred-thousand-reference traces tractable in pure Python.
 """
 
 from __future__ import annotations
 
-from .events import (
-    Access,
-    Alloc,
-    Category,
-    Free,
-    ObjectInfo,
-    STACK_OBJECT_ID,
-    TraceError,
-)
+from .events import Category, ObjectInfo
 
 
 class TraceSink:
@@ -66,109 +62,3 @@ class TraceSink:
 
     def on_end(self) -> None:
         """The workload run is complete."""
-
-
-class MultiSink(TraceSink):
-    """Fan one trace out to several sinks in order."""
-
-    def __init__(self, sinks: list[TraceSink]):
-        self.sinks = list(sinks)
-
-    def on_object(self, info: ObjectInfo) -> None:
-        for sink in self.sinks:
-            sink.on_object(info)
-
-    def on_access(self, obj_id, offset, size, is_store, category) -> None:
-        for sink in self.sinks:
-            sink.on_access(obj_id, offset, size, is_store, category)
-
-    def on_alloc(self, info, return_addresses) -> None:
-        for sink in self.sinks:
-            sink.on_alloc(info, return_addresses)
-
-    def on_free(self, obj_id) -> None:
-        for sink in self.sinks:
-            sink.on_free(obj_id)
-
-    def on_compute(self, instructions) -> None:
-        for sink in self.sinks:
-            sink.on_compute(instructions)
-
-    def on_stack_depth(self, depth) -> None:
-        for sink in self.sinks:
-            sink.on_stack_depth(depth)
-
-    def on_end(self) -> None:
-        for sink in self.sinks:
-            sink.on_end()
-
-
-class RecordingSink(TraceSink):
-    """Materialize the full event stream in memory.
-
-    Useful in tests and for small traces; experiments re-run the workload
-    generator instead of recording, because workloads are deterministic.
-    """
-
-    def __init__(self) -> None:
-        self.objects: list[ObjectInfo] = []
-        self.events: list[object] = []
-        self.max_stack_depth = 0
-        self.ended = False
-
-    def on_object(self, info: ObjectInfo) -> None:
-        self.objects.append(info)
-
-    def on_access(self, obj_id, offset, size, is_store, category) -> None:
-        self.events.append(Access(obj_id, offset, size, is_store, category))
-
-    def on_alloc(self, info, return_addresses) -> None:
-        self.events.append(Alloc(info, tuple(return_addresses)))
-
-    def on_free(self, obj_id) -> None:
-        self.events.append(Free(obj_id))
-
-    def on_stack_depth(self, depth) -> None:
-        self.max_stack_depth = max(self.max_stack_depth, depth)
-
-    def on_end(self) -> None:
-        self.ended = True
-
-    def replay(self, sink: TraceSink) -> None:
-        """Feed the recorded stream into another sink.
-
-        The stream is validated while replaying: an access or free of an
-        object id that was never declared or allocated raises
-        :class:`TraceError` before the event reaches ``sink``.
-        """
-        known = {STACK_OBJECT_ID}
-        for info in self.objects:
-            known.add(info.obj_id)
-            sink.on_object(info)
-        for event in self.events:
-            if type(event) is Access:
-                if event.obj_id not in known:
-                    raise TraceError(
-                        f"corrupt trace: access to unknown object id "
-                        f"{event.obj_id} (never declared or allocated)"
-                    )
-                sink.on_access(
-                    event.obj_id,
-                    event.offset,
-                    event.size,
-                    event.is_store,
-                    event.category,
-                )
-            elif type(event) is Alloc:
-                known.add(event.info.obj_id)
-                sink.on_alloc(event.info, event.return_addresses)
-            else:
-                if event.obj_id not in known:
-                    raise TraceError(
-                        f"corrupt trace: free of unknown object id "
-                        f"{event.obj_id} (never declared or allocated)"
-                    )
-                sink.on_free(event.obj_id)
-        if self.max_stack_depth:
-            sink.on_stack_depth(self.max_stack_depth)
-        sink.on_end()

@@ -4,16 +4,17 @@ Table 1 of the paper reports, per program and input: instructions executed,
 the percentage of instructions that are loads and stores, the percentage of
 memory references directed at each of the four object categories, and the
 number and average size of allocations and deallocations.  Table 3 reports
-the distribution of references over object-size buckets.  This sink gathers
-all of the raw counts those tables are computed from.
+the distribution of references over object-size buckets.
+:class:`WorkloadStats` holds the raw counts those tables are computed
+from; :meth:`~repro.trace.buffer.TraceRecorder.stats` fills it from a
+recorded trace's columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .events import Category, ObjectInfo, STACK_OBJECT_ID
-from .sinks import TraceSink
+from .events import Category
 
 
 @dataclass
@@ -66,52 +67,6 @@ class WorkloadStats:
     def avg_free_size(self) -> float:
         """Average ``free``d object size in bytes (Table 1)."""
         return self.free_bytes / self.free_count if self.free_count else 0.0
-
-
-class StatsSink(TraceSink):
-    """Sink that accumulates :class:`WorkloadStats` from a trace."""
-
-    def __init__(self) -> None:
-        self.stats = WorkloadStats()
-        # The stack is always present even before its first access.
-        self.stats.object_sizes[STACK_OBJECT_ID] = 0
-        self.stats.object_categories[STACK_OBJECT_ID] = Category.STACK
-
-    def on_object(self, info: ObjectInfo) -> None:
-        self.stats.object_sizes[info.obj_id] = info.size
-        self.stats.object_categories[info.obj_id] = info.category
-
-    def on_access(self, obj_id, offset, size, is_store, category) -> None:
-        stats = self.stats
-        stats.instructions += 1
-        if is_store:
-            stats.stores += 1
-        else:
-            stats.loads += 1
-        stats.refs_by_category[category] += 1
-        refs = stats.refs_by_object
-        refs[obj_id] = refs.get(obj_id, 0) + 1
-
-    def on_alloc(self, info: ObjectInfo, return_addresses) -> None:
-        stats = self.stats
-        stats.alloc_count += 1
-        stats.alloc_bytes += info.size
-        stats.object_sizes[info.obj_id] = info.size
-        stats.object_categories[info.obj_id] = Category.HEAP
-
-    def on_free(self, obj_id: int) -> None:
-        stats = self.stats
-        stats.free_count += 1
-        stats.free_bytes += stats.object_sizes.get(obj_id, 0)
-
-    def on_compute(self, instructions: int) -> None:
-        self.stats.instructions += instructions
-
-    def on_stack_depth(self, depth: int) -> None:
-        stats = self.stats
-        if depth > stats.max_stack_depth:
-            stats.max_stack_depth = depth
-            stats.object_sizes[STACK_OBJECT_ID] = depth
 
 
 #: Size-bucket upper bounds used by Table 3 of the paper, in bytes.

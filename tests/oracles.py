@@ -1,13 +1,23 @@
 """Per-event reference pipelines: the oracles the parity suites check against.
 
-The product measures and places through the vectorized kernels only:
-:func:`repro.runtime.driver.measure` records a trace and simulates it
-with :class:`~repro.cache.batch.BatchCacheSimulator`, profiles come from
-:func:`~repro.profiling.batch.profile_trace`, and
+The product records every run into a
+:class:`~repro.trace.buffer.TraceRecorder` and computes from its
+columns with vectorized kernels only: :func:`repro.runtime.driver.measure`
+simulates the trace with :class:`~repro.cache.batch.BatchCacheSimulator`,
+profiles come from :func:`~repro.profiling.batch.profile_trace` (sampled
+ones from :func:`~repro.profiling.sampling.sampled_profile`), Table 1
+statistics from :meth:`~repro.trace.buffer.TraceRecorder.stats`, and
 :class:`~repro.core.algorithm.CCDPPlacer` runs its conflict scans on the
 :class:`~repro.core.placement_engine.ArrayPlacementEngine`.  This module
 keeps the per-event twins those kernels must equal bit for bit:
 
+* the per-event consumers themselves: :class:`ProfilerSink` (the product's
+  :class:`~repro.profiling.profiler.EntityNamer` plus a per-access Name
+  profile and :class:`TRGBuilder`, the recency queue one reference at a
+  time), :class:`SamplingProfilerSink` (the same with the queue fed
+  inside periodic windows only), :class:`StatsSink` (Table 1 counters
+  per event) and :class:`RecordingSink` (the stream as :class:`Access`,
+  :class:`Alloc` and :class:`Free` records, replayed with validation);
 * :func:`scalar_measure` — the live run through :class:`ReplaySink` into
   the per-event :class:`CacheSimulator` (and :class:`PageTracker`);
 * :func:`scalar_profile` — the live run through :class:`ProfilerSink`;
@@ -35,6 +45,9 @@ it as ``tests.oracles``.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from repro.analysis.paging import PageTracker, PagingSummary
@@ -52,13 +65,333 @@ from repro.core.placement_engine import FIXED, ArrayPlacementEngine
 from repro.memory.layout import TEXT_BASE
 from repro.memory.static_layout import layout_sequential
 from repro.naming.xor import DEFAULT_NAME_DEPTH
+from repro.obs import telemetry as obs
 from repro.profiling.profile_data import STACK_ENTITY_ID, Profile
-from repro.profiling.profiler import ProfilerSink
-from repro.profiling.trg import DEFAULT_CHUNK_SIZE, TRGBuilder, entity_affinity
+from repro.profiling.profiler import EntityNamer
+from repro.profiling.sampling import DEFAULT_PERIOD, DEFAULT_WINDOW
+from repro.profiling.trg import DEFAULT_CHUNK_SIZE, EdgeKey, PairKey, entity_affinity
 from repro.runtime.driver import MeasureResult
 from repro.runtime.replay import ReplaySink
 from repro.trace.buffer import TraceRecorder
-from repro.trace.events import Category
+from repro.trace.events import Category, ObjectInfo, STACK_OBJECT_ID, TraceError
+from repro.trace.sinks import TraceSink
+from repro.trace.stats import WorkloadStats
+
+
+# -- the per-event consumers ---------------------------------------------------
+
+
+class TRGBuilder:
+    """Incremental TRGplace construction over (entity, chunk) pairs.
+
+    The recency queue is an :class:`~collections.OrderedDict` mapping each
+    queued ``(entity, chunk)`` pair to its accounted byte size, ordered
+    oldest-first (the *front* of the paper's queue ``Q`` is the dict's
+    tail).  Membership tests, front insertion, removal, and tail eviction
+    are all O(1); a hit at queue position ``p`` walks only the ``p``
+    entries in front of it (via reverse iteration), which is exactly the
+    number of edges it must increment.
+    """
+
+    def __init__(self, queue_threshold: int, chunk_size: int = DEFAULT_CHUNK_SIZE):
+        if queue_threshold <= 0:
+            raise ValueError(f"queue threshold must be positive: {queue_threshold}")
+        if chunk_size <= 0:
+            raise ValueError(f"chunk size must be positive: {chunk_size}")
+        self.queue_threshold = queue_threshold
+        self.chunk_size = chunk_size
+        self.edges: dict[EdgeKey, int] = {}
+        #: Entries dropped from the queue tail over the threshold bound.
+        self.evictions = 0
+        #: key -> entry_bytes, ordered oldest (first) to most recent (last).
+        self._queue: OrderedDict[PairKey, int] = OrderedDict()
+        self._front: PairKey | None = None
+        self._queued_bytes = 0
+
+    def observe(self, eid: int, chunk: int, entry_bytes: int) -> None:
+        """Record one reference to chunk ``chunk`` of entity ``eid``.
+
+        ``entry_bytes`` is the bytes this queue entry accounts for: the
+        chunk size, or the entity size when smaller.
+        """
+        key = (eid, chunk)
+        if key == self._front:
+            # Repeated references to the same chunk create no temporal
+            # relationships and no queue movement.
+            return
+        queue = self._queue
+        old_bytes = queue.get(key)
+        if old_bytes is not None:
+            # Increment the edge to every entry between the front and the
+            # hit position: each was referenced between two references to
+            # `key`, so each would evict `key` in a shared cache line.
+            edges = self.edges
+            for other in reversed(queue):
+                if other == key:
+                    break
+                edge = (key, other) if key <= other else (other, key)
+                edges[edge] = edges.get(edge, 0) + 1
+            queue.move_to_end(key)
+            self._queued_bytes -= old_bytes
+        queue[key] = entry_bytes
+        self._front = key
+        self._queued_bytes += entry_bytes
+        while self._queued_bytes > self.queue_threshold and len(queue) > 1:
+            _evicted, evicted_bytes = queue.popitem(last=False)
+            self._queued_bytes -= evicted_bytes
+            self.evictions += 1
+
+    @property
+    def queue_length(self) -> int:
+        """Number of (entity, chunk) pairs currently queued."""
+        return len(self._queue)
+
+    @property
+    def queued_bytes(self) -> int:
+        """Total bytes accounted to queued entries."""
+        return self._queued_bytes
+
+
+class ProfilerSink(EntityNamer):
+    """The per-event profiler: the product's namer plus a per-access TRG."""
+
+    def __init__(self, **profiler_kwargs):
+        super().__init__(**profiler_kwargs)
+        self._trg = TRGBuilder(self._profile.queue_threshold, self.chunk_size)
+        self._clock = 0
+
+    def on_access(self, obj_id, offset, size, is_store, category) -> None:
+        eid, entity = self._note_access(obj_id, offset)
+        chunk = offset // self.chunk_size
+        entry_bytes = self.chunk_size
+        if entity.size and entity.size < self.chunk_size:
+            entry_bytes = entity.size
+        self._trg.observe(eid, chunk, entry_bytes)
+
+    def _note_access(self, obj_id: int, offset: int):
+        """Tick the clock and the entity's reference count and lifetime.
+
+        Rejects a negative offset as the recorded path does
+        (``trace.buffer.check_offsets``).  Returns ``(eid, entity)``.
+        """
+        if offset < 0:
+            raise TraceError(
+                f"corrupt trace: negative offset {offset} into object id "
+                f"{obj_id} at position {self._clock}"
+            )
+        eid = self._entity_of_object[obj_id]
+        entity = self._profile.entities[eid]
+        self._clock += 1
+        entity.refs += 1
+        if entity.first_access is None:
+            entity.first_access = self._clock
+        entity.last_access = self._clock
+        return eid, entity
+
+    def on_end(self) -> None:
+        self._profile.trg = self._trg.edges
+        self._profile.total_accesses = self._clock
+        obs.count("profile.events", self._clock)
+        obs.count("profile.trg_edges", len(self._trg.edges))
+        # An alternate TRG builder (the queue suite swaps one in) may not
+        # track evictions; report zero rather than requiring the field.
+        obs.count("profile.queue_evictions", getattr(self._trg, "evictions", 0))
+
+
+class SamplingProfilerSink(ProfilerSink):
+    """The per-event sampled profiler: the TRG fed inside periodic windows.
+
+    The first ``window`` references of every ``period`` feed the queue;
+    the Name profile sees them all.  Edge weights are scaled by the
+    inverse sampling ratio at the end of the run.
+    """
+
+    def __init__(
+        self,
+        window: int = DEFAULT_WINDOW,
+        period: int = DEFAULT_PERIOD,
+        **profiler_kwargs,
+    ):
+        if window <= 0 or period < window:
+            raise ValueError(
+                f"need 0 < window <= period, got window={window} period={period}"
+            )
+        super().__init__(**profiler_kwargs)
+        self.window = window
+        self.period = period
+        self._position = 0
+        self.sampled_accesses = 0
+
+    def on_access(self, obj_id, offset, size, is_store, category) -> None:
+        position = self._position
+        self._position = (position + 1) % self.period
+        if position < self.window:
+            self.sampled_accesses += 1
+            super().on_access(obj_id, offset, size, is_store, category)
+            return
+        self._note_access(obj_id, offset)
+
+    def on_end(self) -> None:
+        super().on_end()
+        if self.sampled_accesses == 0 or self._clock == 0:
+            return
+        factor = self._clock / self.sampled_accesses
+        if factor <= 1.0:
+            return
+        profile = self._profile
+        profile.trg = {
+            edge: max(1, round(weight * factor))
+            for edge, weight in profile.trg.items()
+        }
+
+    @property
+    def sampling_ratio(self) -> float:
+        """Fraction of references that fed the TRG."""
+        if self._clock == 0:
+            return 0.0
+        return self.sampled_accesses / self._clock
+
+
+class StatsSink(TraceSink):
+    """Table 1 counters accumulated event by event."""
+
+    def __init__(self) -> None:
+        self.stats = WorkloadStats()
+        # The stack is always present even before its first access.
+        self.stats.object_sizes[STACK_OBJECT_ID] = 0
+        self.stats.object_categories[STACK_OBJECT_ID] = Category.STACK
+
+    def on_object(self, info: ObjectInfo) -> None:
+        self.stats.object_sizes[info.obj_id] = info.size
+        self.stats.object_categories[info.obj_id] = info.category
+
+    def on_access(self, obj_id, offset, size, is_store, category) -> None:
+        stats = self.stats
+        stats.instructions += 1
+        if is_store:
+            stats.stores += 1
+        else:
+            stats.loads += 1
+        stats.refs_by_category[category] += 1
+        refs = stats.refs_by_object
+        refs[obj_id] = refs.get(obj_id, 0) + 1
+
+    def on_alloc(self, info: ObjectInfo, return_addresses) -> None:
+        stats = self.stats
+        stats.alloc_count += 1
+        stats.alloc_bytes += info.size
+        stats.object_sizes[info.obj_id] = info.size
+        stats.object_categories[info.obj_id] = Category.HEAP
+
+    def on_free(self, obj_id: int) -> None:
+        stats = self.stats
+        stats.free_count += 1
+        stats.free_bytes += stats.object_sizes.get(obj_id, 0)
+
+    def on_compute(self, instructions: int) -> None:
+        self.stats.instructions += instructions
+
+    def on_stack_depth(self, depth: int) -> None:
+        stats = self.stats
+        if depth > stats.max_stack_depth:
+            stats.max_stack_depth = depth
+            stats.object_sizes[STACK_OBJECT_ID] = depth
+
+
+@dataclass(slots=True)
+class Access:
+    """A load or a store of ``size`` bytes at ``offset`` within an object."""
+
+    obj_id: int
+    offset: int
+    size: int
+    is_store: bool
+    category: Category
+
+
+@dataclass(slots=True)
+class Alloc:
+    """A heap allocation with the return addresses active at its site."""
+
+    info: ObjectInfo
+    return_addresses: tuple[int, ...] = field(default_factory=tuple)
+
+
+@dataclass(slots=True)
+class Free:
+    """A heap deallocation."""
+
+    obj_id: int
+
+
+class RecordingSink(TraceSink):
+    """The full event stream as per-event records, in memory."""
+
+    def __init__(self) -> None:
+        self.objects: list[ObjectInfo] = []
+        self.events: list[object] = []
+        self.max_stack_depth = 0
+        self.ended = False
+
+    def on_object(self, info: ObjectInfo) -> None:
+        self.objects.append(info)
+
+    def on_access(self, obj_id, offset, size, is_store, category) -> None:
+        self.events.append(Access(obj_id, offset, size, is_store, category))
+
+    def on_alloc(self, info, return_addresses) -> None:
+        self.events.append(Alloc(info, tuple(return_addresses)))
+
+    def on_free(self, obj_id) -> None:
+        self.events.append(Free(obj_id))
+
+    def on_stack_depth(self, depth) -> None:
+        self.max_stack_depth = max(self.max_stack_depth, depth)
+
+    def on_end(self) -> None:
+        self.ended = True
+
+    def replay(self, sink: TraceSink) -> None:
+        """Feed the recorded stream into another sink.
+
+        The stream is validated while replaying: an access or free of an
+        object id that was never declared or allocated raises
+        :class:`TraceError` before the event reaches ``sink``.
+        """
+        known = {STACK_OBJECT_ID}
+        for info in self.objects:
+            known.add(info.obj_id)
+            sink.on_object(info)
+        for event in self.events:
+            if type(event) is Access:
+                if event.obj_id not in known:
+                    raise TraceError(
+                        f"corrupt trace: access to unknown object id "
+                        f"{event.obj_id} (never declared or allocated)"
+                    )
+                sink.on_access(
+                    event.obj_id,
+                    event.offset,
+                    event.size,
+                    event.is_store,
+                    event.category,
+                )
+            elif type(event) is Alloc:
+                known.add(event.info.obj_id)
+                sink.on_alloc(event.info, event.return_addresses)
+            else:
+                if event.obj_id not in known:
+                    raise TraceError(
+                        f"corrupt trace: free of unknown object id "
+                        f"{event.obj_id} (never declared or allocated)"
+                    )
+                sink.on_free(event.obj_id)
+        if self.max_stack_depth:
+            sink.on_stack_depth(self.max_stack_depth)
+        sink.on_end()
+
+
+# -- reference pipelines -------------------------------------------------------
 
 
 def scalar_measure(

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from repro.cache.config import CacheConfig
 from repro.core.algorithm import CCDPPlacer
-from repro.profiling.profiler import ProfilerSink
 from repro.trace.events import Category
 from repro.vm.program import Program
+from tests.oracles import ProfilerSink
 
 
 def profile_program(body, cache=None):

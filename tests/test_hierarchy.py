@@ -8,6 +8,7 @@ from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import TwoLevelCache
 from repro.runtime.overhead import OverheadReport, estimate_overhead
 from repro.trace.events import Category
+from repro.trace.sinks import TraceSink
 from repro.trace.stats import WorkloadStats
 
 
@@ -126,19 +127,72 @@ class TestMemoryTraffic:
         """Fewer L1 misses mean fewer L2 fills and fewer dirty evictions."""
         from repro.runtime.driver import build_placement
         from repro.runtime.resolvers import CCDPResolver, NaturalResolver
+        from repro.trace.buffer import record_trace
         from repro.workloads import make_workload
-        from repro.experiments.extensions import _HierarchySink
 
         workload = make_workload("m88ksim")
         _profile, placement = build_placement(workload)
+        trace = record_trace(workload, workload.test_input)
         traffic = {}
         for label, resolver in (
             ("natural", NaturalResolver()),
             ("ccdp", CCDPResolver(placement)),
         ):
             hierarchy = TwoLevelCache()
-            workload.run(
-                _HierarchySink(resolver, hierarchy), workload.test_input
-            )
+            hierarchy.replay(trace, resolver)
             traffic[label] = hierarchy.l1.stats.memory_traffic_blocks
         assert traffic["ccdp"] < traffic["natural"] * 0.7
+
+
+class _PerEventHierarchy(TraceSink):
+    """Drive a two-level cache one live access at a time."""
+
+    def __init__(self, resolver, hierarchy: TwoLevelCache):
+        self.resolver = resolver
+        self.hierarchy = hierarchy
+
+    def on_object(self, info) -> None:
+        self.resolver.on_object(info)
+
+    def on_alloc(self, info, return_addresses) -> None:
+        self.resolver.on_alloc(info, return_addresses)
+
+    def on_free(self, obj_id) -> None:
+        self.resolver.on_free(obj_id)
+
+    def on_access(self, obj_id, offset, size, is_store, category) -> None:
+        addr = self.resolver.base_of[obj_id] + offset
+        self.hierarchy.access(addr, size, obj_id, category, is_store)
+
+
+class TestReplay:
+    @pytest.mark.parametrize("program", ["m88ksim", "espresso"])
+    def test_replay_equals_per_event_run(self, program):
+        """Replaying a recording == driving the cache from the live run."""
+        from repro.runtime.driver import build_placement
+        from repro.runtime.resolvers import CCDPResolver, NaturalResolver
+        from repro.trace.buffer import record_trace
+        from repro.workloads import make_workload
+
+        workload = make_workload(program)
+        trace = record_trace(workload, workload.test_input)
+        _profile, placement = build_placement(workload)
+        for make_resolver in (NaturalResolver, lambda: CCDPResolver(placement)):
+            replayed = TwoLevelCache()
+            assert replayed.replay(trace, make_resolver()) == trace.events
+            live = TwoLevelCache()
+            workload.run(
+                _PerEventHierarchy(make_resolver(), live), workload.test_input
+            )
+            assert replayed.stats == live.stats
+
+    def test_replay_stops_at_max_events(self):
+        from repro.runtime.resolvers import NaturalResolver
+        from repro.trace.buffer import record_trace
+        from repro.workloads import make_workload
+
+        workload = make_workload("mgrid")
+        trace = record_trace(workload, workload.train_input)
+        cache = TwoLevelCache()
+        assert cache.replay(trace, NaturalResolver(), max_events=1000) == 1000
+        assert cache.l1.stats.accesses >= 1000

@@ -9,8 +9,8 @@ from repro.analysis.lifetime import (
     summarize_lifetimes,
 )
 from repro.trace.events import Category, ObjectInfo, TraceError
-from repro.trace.sinks import RecordingSink
 from repro.trace.validate import ValidatingSink
+from tests.oracles import RecordingSink
 
 
 def heap_info(obj_id: int, size: int = 32) -> ObjectInfo:

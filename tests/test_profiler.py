@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.adaptive import window_profile
 from repro.cache.config import CacheConfig
+from repro.profiling.batch import profile_trace
 from repro.profiling.profile_data import STACK_ENTITY_ID
-from repro.profiling.profiler import ProfilerSink
-from repro.trace.events import Category
+from repro.profiling.sampling import sampled_profile
+from repro.runtime.driver import profile_workload
+from repro.trace.buffer import TraceRecorder
+from repro.trace.events import Category, ObjectInfo
 from repro.vm.program import Program
+from tests.oracles import ProfilerSink
 
 
 def profile_of(body) -> "Profile":
@@ -193,3 +200,45 @@ class TestChunking:
     def test_name_depth_recorded(self):
         sink = ProfilerSink(name_depth=3)
         assert sink.profile.name_depth == 3
+
+
+def _one_access_trace() -> TraceRecorder:
+    trace = TraceRecorder()
+    trace.on_object(ObjectInfo(1, Category.GLOBAL, 64, "g"))
+    trace.on_access(1, 8, 4, False, Category.GLOBAL)
+    trace.on_end()
+    return trace
+
+
+#: Each profiling entry point, called on a recorded trace.
+ENTRY_POINTS = {
+    "profile_trace": lambda trace, **kw: profile_trace(trace, **kw),
+    "window_profile": lambda trace, **kw: window_profile(trace, trace.events, **kw),
+    "profile_workload": lambda trace, **kw: profile_workload(
+        None, "train", trace=trace, **kw
+    ),
+    "sampled_profile": lambda trace, **kw: sampled_profile(None, trace=trace, **kw),
+}
+
+
+@pytest.mark.parametrize(
+    "entry,kwargs,message",
+    [
+        (entry, kwargs, message)
+        for entry in ("profile_trace", "window_profile", "profile_workload")
+        for kwargs, message in (
+            ({"chunk_size": 0}, "chunk size must be positive: 0"),
+            ({"chunk_size": -256}, "chunk size must be positive: -256"),
+            ({"queue_threshold": 0}, "queue threshold must be positive: 0"),
+            ({"queue_threshold": -1}, "queue threshold must be positive: -1"),
+        )
+    ]
+    + [
+        ("sampled_profile", {"window": 0, "period": 10}, "need 0 < window <= period"),
+        ("sampled_profile", {"window": 20, "period": 10}, "need 0 < window <= period"),
+    ],
+)
+def test_entry_points_reject_bad_parameters(entry, kwargs, message):
+    """A bad chunk size, queue threshold or sampling pattern raises, never warns."""
+    with pytest.raises(ValueError, match=message):
+        ENTRY_POINTS[entry](_one_access_trace(), **kwargs)

@@ -142,3 +142,68 @@ def test_trace_storage_tier_is_gone():
         assert not hasattr(plane, name), name
     with pytest.raises(ImportError):
         importlib.import_module("repro.runtime.scale")
+
+
+#: Per-event consumers that live in ``tests/oracles.py`` only.
+ORACLE_ONLY = (
+    "Access",
+    "Alloc",
+    "Free",
+    "MultiSink",
+    "ProfilerSink",
+    "RecordingSink",
+    "SamplingProfilerSink",
+    "StatsSink",
+    "TRGBuilder",
+)
+
+
+def _repro_modules():
+    import pkgutil
+
+    import repro
+
+    yield repro
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name == "repro.__main__":
+            continue
+        yield importlib.import_module(info.name)
+
+
+def test_per_event_profilers_and_sinks_are_oracles_only():
+    """No product module defines a per-event consumer or a profiler access hook."""
+    import inspect
+
+    for module in _repro_modules():
+        defined = set(vars(module)) & set(ORACLE_ONLY)
+        assert not defined, f"{module.__name__} defines {sorted(defined)}"
+        if not module.__name__.startswith("repro.profiling"):
+            continue
+        for value in vars(module).values():
+            if inspect.isclass(value) and value.__module__ == module.__name__:
+                assert "on_access" not in vars(value), value.__qualname__
+
+
+def test_trace_less_calls_record_the_workload_once(monkeypatch, toy_workload):
+    """Without a trace, profiling and statistics record one run and use it."""
+    from repro.profiling.sampling import sampled_profile
+    from repro.runtime.driver import collect_stats, profile_workload
+    from repro.trace.buffer import TraceRecorder
+    from repro.workloads.base import Workload
+
+    sinks = []
+    run = Workload.run
+
+    def recording_run(self, sink, input_name):
+        sinks.append(type(sink))
+        run(self, sink, input_name)
+
+    monkeypatch.setattr(Workload, "run", recording_run)
+    for call in (
+        lambda: profile_workload(toy_workload, toy_workload.train_input),
+        lambda: collect_stats(toy_workload, toy_workload.train_input),
+        lambda: sampled_profile(toy_workload, window=100, period=300),
+    ):
+        sinks.clear()
+        call()
+        assert sinks == [TraceRecorder]

@@ -78,6 +78,36 @@ class TestProfileRoundTrip:
         save_profile(profile, path)
         json.loads(path.read_text())  # must parse as standard JSON
 
+    def test_trg_loads_as_columns_in_row_order(self, profile):
+        data = json.loads(json.dumps(profile_to_dict(profile)))
+        restored = profile_from_dict(data)
+        rows = [list(row) for row in zip(*restored.trg_columns)]
+        assert rows == data["trg"]
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda rows: rows[0].__setitem__(1, -1), "chunk out of range"),
+            (lambda rows: rows[0].__setitem__(3, 2**32), "chunk out of range"),
+            (lambda rows: rows[0].__setitem__(0, 10**6), "undeclared entity"),
+            (lambda rows: rows.append(list(rows[0])), "repeats an edge"),
+            (lambda rows: rows.__setitem__(0, rows[0][:4]), "differ in length"),
+        ],
+        ids=["negative-chunk", "chunk-2**32", "undeclared", "repeated", "four-field"],
+    )
+    def test_corrupt_trg_row_rejected(self, profile, corrupt, message):
+        data = json.loads(json.dumps(profile_to_dict(profile)))
+        corrupt(data["trg"])
+        with pytest.raises(SerializationError, match=message):
+            profile_from_dict(data)
+
+    def test_edge_repeated_in_reverse_rejected(self, profile):
+        data = json.loads(json.dumps(profile_to_dict(profile)))
+        a_eid, a_chunk, b_eid, b_chunk, _weight = data["trg"][0]
+        data["trg"].append([b_eid, b_chunk, a_eid, a_chunk, 1])
+        with pytest.raises(SerializationError, match="repeats an edge"):
+            profile_from_dict(data)
+
 
 class TestPlacementRoundTrip:
     @pytest.fixture

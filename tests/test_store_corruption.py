@@ -4,7 +4,7 @@ A truncated file, a tampered payload, an envelope from another code
 version, or an undecodable artifact must never crash a run or serve
 wrong data — the store treats each as a miss, deletes the entry, and the
 caller recomputes and rewrites it (mirroring how the trace layer
-degrades on :class:`~repro.trace.sinks.TraceError`).
+degrades on :class:`~repro.trace.events.TraceError`).
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ import numpy as np
 
 from repro.trace.buffer import DEFAULT_CHUNK_EVENTS, record_trace
 from repro.trace.sinks import TraceSink
-from repro.trace.stats import StatsSink
 from repro.workloads import make_workload
+from tests.oracles import StatsSink
 
 
 class _EventLog(TraceSink):

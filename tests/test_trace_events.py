@@ -5,14 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.trace.events import (
-    Access,
-    Alloc,
     Category,
     CATEGORY_ORDER,
-    Free,
     ObjectInfo,
     STACK_OBJECT_ID,
 )
+from tests.oracles import Access, Alloc, Free
 
 
 class TestCategory:

@@ -1,10 +1,10 @@
-"""Unit tests for trace sinks (multi-sink fan-out, recording, replay)."""
+"""Unit tests for the sink protocol and the per-event recording oracle."""
 
 from __future__ import annotations
 
 from repro.trace.events import Category, ObjectInfo
-from repro.trace.sinks import MultiSink, RecordingSink, TraceSink
-from repro.trace.stats import StatsSink
+from repro.trace.sinks import TraceSink
+from tests.oracles import RecordingSink, StatsSink
 
 
 def _emit_sample(sink: TraceSink) -> None:
@@ -22,20 +22,6 @@ class TestBaseSink:
     def test_all_hooks_are_noops(self):
         # Must not raise anywhere.
         _emit_sample(TraceSink())
-
-
-class TestMultiSink:
-    def test_fans_out_to_all_children(self):
-        first, second = RecordingSink(), RecordingSink()
-        _emit_sample(MultiSink([first, second]))
-        assert len(first.events) == len(second.events) == 4
-        assert first.ended and second.ended
-
-    def test_preserves_event_order(self):
-        child = RecordingSink()
-        _emit_sample(MultiSink([child]))
-        kinds = [type(e).__name__ for e in child.events]
-        assert kinds == ["Access", "Alloc", "Access", "Free"]
 
 
 class TestRecordingSink:

@@ -8,10 +8,10 @@ from repro.trace.events import Category, ObjectInfo, STACK_OBJECT_ID
 from repro.trace.stats import (
     SIZE_BUCKET_BOUNDS,
     SIZE_BUCKET_LABELS,
-    StatsSink,
     size_breakdown,
     size_bucket,
 )
+from tests.oracles import StatsSink
 
 
 class TestSizeBucket:

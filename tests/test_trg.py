@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.profiling.trg import TRGBuilder, entity_affinity
+from repro.profiling.trg import entity_affinity
+from tests.oracles import TRGBuilder
 
 
 def edge(builder: TRGBuilder, a, b) -> int:

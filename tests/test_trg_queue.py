@@ -14,11 +14,10 @@ import random
 
 import pytest
 
-from repro.profiling import profiler as profiler_module
-from repro.profiling.profiler import ProfilerSink
-from repro.profiling.trg import TRGBuilder
 from repro.workloads import make_workload
 from repro.workloads.synthetic import heap_churn_only
+from tests import oracles
+from tests.oracles import ProfilerSink, TRGBuilder
 
 
 class ListQueueTRGBuilder:
@@ -114,7 +113,7 @@ def test_edges_identical_on_recorded_trace(monkeypatch, workload_name):
     workload.run(sink, workload.train_input)
     fast_profile = sink.profile
 
-    monkeypatch.setattr(profiler_module, "TRGBuilder", ListQueueTRGBuilder)
+    monkeypatch.setattr(oracles, "TRGBuilder", ListQueueTRGBuilder)
     sink = ProfilerSink()
     workload.run(sink, workload.train_input)
     reference_profile = sink.profile

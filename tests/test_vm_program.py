@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.trace.events import Category, TraceError
-from repro.trace.sinks import RecordingSink
 from repro.vm.program import Program
+from tests.oracles import RecordingSink
 
 
 @pytest.fixture

@@ -4,8 +4,8 @@
 :func:`~repro.adaptive.windows.window_profile` run the batched profiler's
 kernels (:mod:`repro.profiling.batch`).  These tests pin both to the
 per-event twins in :mod:`tests.oracles`: a fresh
-:class:`~repro.profiling.trg.TRGBuilder` fed one reference at a time, and
-a :class:`~repro.profiling.profiler.ProfilerSink` replay of a recording
+:class:`TRGBuilder` fed one reference at a time, and
+a :class:`ProfilerSink` replay of a recording
 truncated at the cut.
 """
 
@@ -21,15 +21,16 @@ from repro.cache.config import CacheConfig
 from repro.profiling import batch
 from repro.profiling.batch import profile_trace, trg_edges
 from repro.profiling.profile_data import edge_dict
-from repro.profiling.trg import (
-    DEFAULT_CHUNK_SIZE,
-    QUEUE_THRESHOLD_CACHE_MULTIPLE,
-    TRGBuilder,
-)
+from repro.profiling.trg import DEFAULT_CHUNK_SIZE, QUEUE_THRESHOLD_CACHE_MULTIPLE
 from repro.trace.buffer import record_trace
 from repro.workloads import make_workload
 from repro.workloads.drift import drift_workload, drift_workload_names
-from tests.oracles import assert_same_profile, scalar_window_profile, scalar_window_trg
+from tests.oracles import (
+    TRGBuilder,
+    assert_same_profile,
+    scalar_window_profile,
+    scalar_window_trg,
+)
 
 CONFIG = CacheConfig()
 THRESHOLD = QUEUE_THRESHOLD_CACHE_MULTIPLE * CONFIG.size
