@@ -3,10 +3,10 @@
 
 The TRG predicts which object pairs will fight over cache lines; an
 eviction-tracking simulation shows which pairs actually did.  This
-example runs m88ksim under both placements with eviction tracking and
-prints the conflict report — the natural placement's top measured pair
-should match the TRG's top predicted pair, and the CCDP run should show
-that pair gone.
+example records m88ksim's test input once, replays it under both
+placements with eviction tracking and prints the conflict report — the
+natural placement's top measured pair should match the TRG's top
+predicted pair, and the CCDP run should show that pair gone.
 """
 
 from __future__ import annotations
@@ -14,59 +14,23 @@ from __future__ import annotations
 from repro import CCDPResolver, NaturalResolver, make_workload
 from repro.analysis.conflicts import (
     conflict_report,
+    object_labels,
+    replay_evictions,
     total_cross_object_evictions,
 )
-from repro.cache.simulator import CacheSimulator
 from repro.runtime.driver import build_placement
-from repro.runtime.replay import ReplaySink
-from repro.trace.sinks import TraceSink
-
-
-class _LabelCollector(TraceSink):
-    """Record obj_id -> symbol for pretty-printing."""
-
-    def __init__(self) -> None:
-        self.labels = {0: "stack"}
-
-    def on_object(self, info) -> None:
-        self.labels[info.obj_id] = info.symbol
-
-    def on_alloc(self, info, return_addresses) -> None:
-        self.labels[info.obj_id] = info.symbol
-
-
-def tracked_run(workload, resolver):
-    cache = CacheSimulator(track_evictions=True)
-    labels = _LabelCollector()
-    sink = ReplaySink(resolver, cache)
-
-    class Both(TraceSink):
-        def on_object(self, info):
-            labels.on_object(info)
-            sink.on_object(info)
-
-        def on_alloc(self, info, ras):
-            labels.on_alloc(info, ras)
-            sink.on_alloc(info, ras)
-
-        def on_free(self, obj_id):
-            sink.on_free(obj_id)
-
-        def on_access(self, *args):
-            sink.on_access(*args)
-
-    workload.run(Both(), workload.test_input)
-    return cache, labels.labels
+from repro.trace.buffer import record_trace
 
 
 def main() -> None:
     workload = make_workload("m88ksim")
     profile, placement = build_placement(workload)
+    trace = record_trace(workload, workload.test_input)
 
-    before, labels = tracked_run(workload, NaturalResolver())
-    after, _ = tracked_run(workload, CCDPResolver(placement))
+    before = replay_evictions(trace, NaturalResolver())
+    after = replay_evictions(trace, CCDPResolver(placement))
 
-    print(conflict_report(profile, before, after, labels))
+    print(conflict_report(profile, before, after, object_labels(trace)))
     print()
     print(f"cross-object evictions, natural: "
           f"{total_cross_object_evictions(before)}")

@@ -26,7 +26,7 @@ Quickstart::
     print(result.original.cache.miss_rate, result.ccdp.cache.miss_rate)
 """
 
-from .cache import CacheConfig, CacheSimulator, CacheStats, PAPER_CACHE
+from .cache import CacheConfig, CacheStats, PAPER_CACHE
 from .core import CCDPPlacer, HeapDecision, PlacementMap
 from .obs import InvariantError, RunReport, Telemetry, run_report
 from .profiling import Profile
@@ -49,7 +49,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CacheConfig",
-    "CacheSimulator",
     "CacheStats",
     "Category",
     "CCDPPlacer",

@@ -5,8 +5,10 @@ This module ties the two together for one workload run:
 
 * :func:`predicted_conflicts` ranks entity pairs by TRG affinity — the
   pairs the placement algorithm will try hardest to separate;
-* :func:`measured_conflicts` ranks object pairs by observed evictions in
-  a simulation with ``track_evictions=True``;
+* :func:`replay_evictions` replays a recorded trace under a placement
+  through a :class:`~repro.cache.batch.BatchCacheSimulator` with
+  ``track_evictions=True``, and :func:`measured_conflicts` ranks its
+  object pairs by observed evictions;
 * :func:`conflict_report` renders both side by side, before and after
   placement — the tool a developer would reach for when asking "why is
   this placement not helping?".
@@ -16,9 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cache.simulator import CacheSimulator
+from ..cache.batch import BatchCacheSimulator
 from ..profiling.profile_data import Profile
 from ..reporting.tables import render_table
+from ..trace.buffer import _OP_ALLOC, _OP_OBJECT, TraceRecorder
+from ..trace.events import STACK_OBJECT_ID
 
 
 @dataclass(frozen=True)
@@ -46,12 +50,37 @@ def predicted_conflicts(profile: Profile, top: int = 10) -> list[ConflictPair]:
     return pairs
 
 
+def replay_evictions(trace: TraceRecorder, resolver) -> BatchCacheSimulator:
+    """Simulate a recorded trace under ``resolver``, tracking evictions."""
+    cache = BatchCacheSimulator(track_evictions=True)
+    obj, _offset, size, cat, store = trace.columns()
+    for start, end, addr in trace.iter_resolved(resolver):
+        cache.consume(
+            addr, size[start:end], obj[start:end], cat[start:end], store[start:end]
+        )
+    return cache
+
+
+def object_labels(trace: TraceRecorder) -> dict[int, str]:
+    """Symbol of every object a recorded trace declares or allocates."""
+    labels = {STACK_OBJECT_ID: "stack"}
+    for _position, kind, payload in trace.lifetime_ops:
+        if kind == _OP_OBJECT:
+            labels[payload.obj_id] = payload.symbol
+        elif kind == _OP_ALLOC:
+            labels[payload[0].obj_id] = payload[0].symbol
+    return labels
+
+
 def measured_conflicts(
-    cache: CacheSimulator,
+    cache: BatchCacheSimulator,
     labels: dict[int, str] | None = None,
     top: int = 10,
 ) -> list[ConflictPair]:
-    """Top object pairs by observed evictions (symmetrized).
+    """Top cross-object pairs by observed evictions (symmetrized).
+
+    Self pairs (an object evicting its own lines) are dropped before
+    ranking, so up to ``top`` cross-object pairs come back.
 
     Args:
         cache: A simulator run with ``track_evictions=True``.
@@ -60,7 +89,9 @@ def measured_conflicts(
     """
     symmetric: dict[tuple[int, int], int] = {}
     for (evictor, victim), count in cache.evictions.items():
-        pair = (evictor, victim) if evictor <= victim else (victim, evictor)
+        if evictor == victim:
+            continue
+        pair = (evictor, victim) if evictor < victim else (victim, evictor)
         symmetric[pair] = symmetric.get(pair, 0) + count
 
     def label(obj_id: int) -> str:
@@ -72,7 +103,6 @@ def measured_conflicts(
     return [
         ConflictPair(first=label(a), second=label(b), weight=count)
         for (a, b), count in ranked[:top]
-        if a != b
     ]
 
 
@@ -85,8 +115,8 @@ def render_conflicts(pairs: list[ConflictPair], title: str) -> str:
 
 def conflict_report(
     profile: Profile,
-    before: CacheSimulator,
-    after: CacheSimulator,
+    before: BatchCacheSimulator,
+    after: BatchCacheSimulator,
     labels: dict[int, str] | None = None,
     top: int = 8,
 ) -> str:
@@ -112,7 +142,7 @@ def conflict_report(
     return "\n\n".join(sections)
 
 
-def total_cross_object_evictions(cache: CacheSimulator) -> int:
+def total_cross_object_evictions(cache: BatchCacheSimulator) -> int:
     """Evictions where the evictor and victim are different objects.
 
     Self-evictions (an object displacing its own blocks) are intra-object

@@ -28,25 +28,12 @@ class PageTracker:
         self._page_ids: dict[int, int] = {}
         self._stream = array("i")
 
-    def touch(self, addr: int, size: int) -> None:
-        """Record the page(s) covered by one memory reference."""
-        first = addr // self.page_size
-        last = (addr + size - 1) // self.page_size
-        page = first
-        while page <= last:
-            page_id = self._page_ids.get(page)
-            if page_id is None:
-                page_id = len(self._page_ids)
-                self._page_ids[page] = page_id
-            self._stream.append(page_id)
-            page += 1
-
     def touch_batch(self, addr: np.ndarray, size: np.ndarray) -> None:
         """Record a whole column chunk of references, vectorized.
 
-        Produces the exact page-id stream of calling :meth:`touch` per
-        event: page ids are assigned in first-touch order and spanning
-        references expand to every covered page in ascending order.
+        Page ids are assigned in first-touch order and spanning references
+        expand to every covered page in ascending order: the page-id
+        stream of the per-reference ``touch`` in ``tests/oracles.py``.
         """
         if not len(addr):
             return
@@ -63,7 +50,7 @@ class PageTracker:
         ids = np.empty(len(uniq), dtype=np.int64)
         page_ids = self._page_ids
         # Assign fresh ids in order of first appearance within the chunk so
-        # the global first-touch numbering matches the scalar path.
+        # the global numbering follows first touch across chunks.
         for index in np.argsort(first_pos, kind="stable").tolist():
             page = int(uniq[index])
             page_id = page_ids.get(page)

@@ -1,6 +1,6 @@
 """Vectorized cache-simulation kernels over structure-of-arrays chunks.
 
-A direct-mapped cache admits a data-parallel formulation the scalar
+A direct-mapped cache admits a data-parallel formulation a per-access
 simulator cannot exploit: group a chunk of block references by cache set
 (a stable argsort), and within each set a reference hits exactly when it
 touches the same block as the previous reference to that set — the first
@@ -14,17 +14,23 @@ Write-backs use the same segmented view: every miss starts a new
 store (or when it continues a dirty line carried in from the previous
 chunk); evicting a dirty run costs one write-back.
 
+The eviction matrix reuses the same view: the victim of a miss is the
+object whose miss started the previous resident run of its set (the
+carried per-set owner for set-group heads).
+
 Set-associative LRU and the fully associative three-Cs shadow run on the
 capped stack-distance routine of :mod:`repro.cache.stack`: per set with
 ``cap = ways``, and over the whole stream of block touches with
 ``cap = num_lines``.  Each structure's residents carry into the next
 chunk as pseudo-touches prepended oldest first.
 
-:class:`BatchCacheSimulator` vectorizes every geometry, with or without
-classification, and has no per-access loop.  Its
-:class:`~repro.cache.simulator.CacheStats` equal the per-event
-:class:`~repro.cache.simulator.CacheSimulator`'s, which the parity and
-differential suites keep as the reference.
+:class:`BatchCacheSimulator` is the only cache simulator: it vectorizes
+every geometry, with or without classification, records the direct-mapped
+eviction matrix, reports which references missed (the L1 of
+:class:`~repro.cache.hierarchy.TwoLevelCache`), and has no per-access
+loop.  Its :class:`~repro.cache.simulator.CacheStats` and eviction matrix
+equal those of the per-access simulator in ``tests/oracles.py``, which the
+parity and differential suites keep as the reference.
 """
 
 from __future__ import annotations
@@ -51,8 +57,8 @@ def expand_blocks(
     """Expand references into per-block touches, replicating ``columns``.
 
     A reference spanning a line boundary touches every covered block, and
-    the scalar simulator counts each touched block as one access; this is
-    the vectorized equivalent.  A zero-size reference at a line-aligned
+    each touched block counts as one access, as in a simulator that splits
+    unaligned references.  A zero-size reference at a line-aligned
     address covers no block and is dropped.  Returns
     ``(blocks, *expanded_columns)`` where ``blocks`` are block *indices*
     (``block_addr // line_size``).
@@ -62,8 +68,8 @@ def expand_blocks(
     counts = last - first + 1
     if (counts == 1).all():
         return (first, *columns)
-    # A reference ending before its line covers no block, as in the scalar
-    # simulator's block loop.
+    # A reference ending before its line covers no block, as in the
+    # per-access oracle's block loop.
     counts = np.maximum(counts, 0)
     index = np.repeat(np.arange(len(addr)), counts)
     starts = np.cumsum(counts) - counts
@@ -131,10 +137,15 @@ class _Counters:
 class _DirectMappedKernel(_Counters):
     """Carried state + chunk consumer for the direct-mapped fast path.
 
-    Its per-object dicts list objects in ascending id order.
+    Its per-object dicts list objects in ascending id order.  Given an
+    ``evictions`` dict, each miss that displaces a line adds one to its
+    (evictor, victim) object pair, pairs entering in order of their first
+    eviction.
     """
 
-    def __init__(self, config: CacheConfig):
+    def __init__(
+        self, config: CacheConfig, evictions: dict[tuple[int, int], int] | None
+    ):
         super().__init__()
         self.num_sets = config.num_sets
         #: Narrowest dtype holding a set index: radix-sorting one or two
@@ -144,6 +155,12 @@ class _DirectMappedKernel(_Counters):
         self.tags = np.full(self.num_sets, -1, dtype=np.int64)
         #: Dirty bit of the resident line per set.
         self.dirty = np.zeros(self.num_sets, dtype=bool)
+        self.evictions = evictions
+        #: Object whose miss filled each set's resident line, when
+        #: tracking evictions.
+        self.owner = (
+            None if evictions is None else np.full(self.num_sets, -1, dtype=np.int64)
+        )
 
     def consume(
         self,
@@ -212,6 +229,23 @@ class _DirectMappedKernel(_Counters):
         set_end[-1] = True
         np.not_equal(s[1:], s[:-1], out=set_end[:-1])
         end_pos = np.flatnonzero(set_end)
+        if self.owner is not None:
+            # A run belongs to the object whose miss started it; a head
+            # continuing the carried line keeps the carried owner.  A head
+            # miss evicts the carried line (if any), an inner miss the
+            # previous run of its set-group.
+            obj_s = obj_e[order]
+            seg_owner = obj_s[seg_starts].astype(np.int64)
+            seg_owner[continues] = self.owner[s[seg_starts[continues]]]
+            miss_sets = s[miss_pos]
+            victim = np.where(
+                at_head, self.owner[miss_sets], seg_owner[seg_id[miss_pos] - 1]
+            )
+            evicts = ~at_head | (self.tags[miss_sets] != -1)
+            self._count_evictions(
+                obj_s[miss_pos][evicts], victim[evicts], order[miss_pos][evicts]
+            )
+            self.owner[s[end_pos]] = seg_owner[seg_id[end_pos]]
         self.tags[s[end_pos]] = b[end_pos]
         self.dirty[s[end_pos]] = seg_dirty[seg_id[end_pos]]
         if not miss_mask:
@@ -219,6 +253,19 @@ class _DirectMappedKernel(_Counters):
         in_time = np.empty(total, dtype=bool)
         in_time[order] = miss
         return in_time
+
+    def _count_evictions(
+        self, evictor: np.ndarray, victim: np.ndarray, time: np.ndarray
+    ) -> None:
+        """Add one chunk's evictions, new pairs in order of first eviction."""
+        # Object ids are non-negative int32s: one int64 key per pair.
+        keys = (evictor.astype(np.int64) << 32 | victim)[np.argsort(time)]
+        pairs, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        by_first = np.argsort(first)
+        evictions = self.evictions
+        for key, count in zip(pairs[by_first].tolist(), counts[by_first].tolist()):
+            pair = (key >> 32, key & 0xFFFFFFFF)
+            evictions[pair] = evictions.get(pair, 0) + count
 
 
 class _SetAssociativeKernel(_Counters):
@@ -233,7 +280,7 @@ class _SetAssociativeKernel(_Counters):
     residencies minus the dirty final residents, which carry out.
 
     Per-object dicts list objects in first-touch (accesses) and
-    first-miss (misses) order, as the scalar simulator fills them.
+    first-miss (misses) order, as the per-access oracle fills them.
     """
 
     def __init__(self, config: CacheConfig):
@@ -360,22 +407,38 @@ class BatchCacheSimulator:
         config: Cache geometry; the paper's 8K/32B direct-mapped default.
         classify: Split misses into compulsory / capacity / conflict with
             the vectorized fully associative shadow.
+        track_evictions: Record which object's line each miss displaced
+            in :attr:`evictions`, the (evictor, victim) matrix the
+            conflict debugger reports.  Direct-mapped only.
 
-    Consume whole column chunks via :meth:`consume`, then read
-    :attr:`stats`.
+    Consume whole column chunks via :meth:`consume` (or
+    :meth:`consume_misses`), then read :attr:`stats`.
     """
 
-    def __init__(self, config: CacheConfig | None = None, classify: bool = False):
+    def __init__(
+        self,
+        config: CacheConfig | None = None,
+        classify: bool = False,
+        track_evictions: bool = False,
+    ):
         self.config = config or CacheConfig()
         self.classify = classify
         #: Every geometry runs vectorized (read by the benchmark tracer).
         self.vectorized = True
-        kernel = (
-            _DirectMappedKernel
-            if self.config.associativity == 1
-            else _SetAssociativeKernel
-        )
-        self._kernel = kernel(self.config)
+        #: (evictor obj_id, victim obj_id) -> eviction count, in order of
+        #: first eviction; empty unless ``track_evictions``.
+        self.evictions: dict[tuple[int, int], int] = {}
+        if self.config.associativity == 1:
+            self._kernel = _DirectMappedKernel(
+                self.config, self.evictions if track_evictions else None
+            )
+        elif track_evictions:
+            raise ValueError(
+                "track_evictions needs a direct-mapped cache, got "
+                f"{self.config.associativity} ways"
+            )
+        else:
+            self._kernel = _SetAssociativeKernel(self.config)
         self._three_cs = _ThreeCs(self.config) if classify else None
         self._stats: CacheStats | None = None
 
@@ -388,29 +451,56 @@ class BatchCacheSimulator:
         is_store: np.ndarray,
     ) -> None:
         """Simulate one chunk of (addr, size, obj_id, category, is_store)."""
+        self._simulate(addr, size, obj_id, category, is_store, False)
+
+    def consume_misses(
+        self,
+        addr: np.ndarray,
+        size: np.ndarray,
+        obj_id: np.ndarray,
+        category: np.ndarray,
+        is_store: np.ndarray,
+    ) -> np.ndarray:
+        """Simulate one chunk; return which references missed.
+
+        A reference misses when any block it touches misses, as the
+        next cache level sees it.
+        """
+        return self._simulate(addr, size, obj_id, category, is_store, True)
+
+    def _simulate(self, addr, size, obj_id, category, is_store, misses: bool):
         self._stats = None
         obs.count("sim.events", len(addr))
         obs.count("sim.chunks")
+        missed = np.zeros(len(addr), dtype=bool) if misses else None
         if len(addr):
-            blocks, obj_e, cat_e, store_e = expand_blocks(
+            columns = [obj_id, category, is_store.astype(bool, copy=False)]
+            if misses:
+                columns.append(np.arange(len(addr)))
+            blocks, obj_e, cat_e, store_e, *reference = expand_blocks(
                 addr.astype(np.int64, copy=False),
                 size.astype(np.int64, copy=False),
                 self.config.line_size,
-                obj_id,
-                category,
-                is_store.astype(bool, copy=False),
+                *columns,
             )
             if len(blocks):
                 three_cs = self._three_cs
                 miss = self._kernel.consume(
-                    blocks, obj_e, cat_e, store_e, miss_mask=three_cs is not None
+                    blocks,
+                    obj_e,
+                    cat_e,
+                    store_e,
+                    miss_mask=misses or three_cs is not None,
                 )
                 if three_cs is not None:
                     three_cs.consume(blocks, miss)
+                if misses:
+                    missed[reference[0][miss]] = True
+        return missed
 
     @property
     def stats(self) -> CacheStats:
-        """Accumulated statistics, identical to the scalar simulator's."""
+        """Accumulated statistics, identical to the per-access oracle's."""
         if self._stats is None:
             stats = CacheStats()
             self._kernel.fill_stats(stats)

@@ -4,20 +4,21 @@ The paper's introduction situates CCDP among latency-reduction
 techniques including multi-level caches; its placement targets the L1
 data cache.  This module answers the natural follow-on question — does
 an L1-targeted placement also help (or hurt) at L2? — by simulating an
-inclusive-of-traffic two-level hierarchy: every L1 miss becomes an L2
-access, each level keeping independent statistics.
+inclusive-of-traffic two-level hierarchy: every reference that misses L1
+becomes an L2 access, each level keeping independent statistics.  Each
+level is a :class:`~repro.cache.batch.BatchCacheSimulator` fed chunk by
+chunk; L2 consumes the references of each chunk that missed L1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..trace.events import Category
-from .config import CacheConfig
-from .simulator import CacheSimulator, CacheStats
+import numpy as np
 
-#: ``Category`` members indexed by value, for int -> enum conversion.
-_CATEGORIES = tuple(Category)
+from .batch import BatchCacheSimulator
+from .config import CacheConfig
+from .simulator import CacheStats
 
 #: A typical late-90s off-chip L2 to pair with the paper's 8 KB L1.
 DEFAULT_L2 = CacheConfig(size=262144, line_size=32, associativity=1)
@@ -64,28 +65,33 @@ class HierarchyStats:
 
 
 class TwoLevelCache:
-    """An L1/L2 pair with miss traffic forwarded downward."""
+    """An L1/L2 pair with the references that miss L1 forwarded to L2."""
 
     def __init__(
         self,
         l1_config: CacheConfig | None = None,
         l2_config: CacheConfig | None = None,
     ):
-        self.l1 = CacheSimulator(l1_config or CacheConfig())
-        self.l2 = CacheSimulator(l2_config or DEFAULT_L2)
+        self.l1 = BatchCacheSimulator(l1_config or CacheConfig())
+        self.l2 = BatchCacheSimulator(l2_config or DEFAULT_L2)
 
-    def access(
+    def consume_misses(
         self,
-        addr: int,
-        size: int,
-        obj_id: int,
-        category: Category,
-        is_store: bool = False,
-    ) -> bool:
-        """Simulate one reference; returns True on an L1 miss."""
-        missed = self.l1.access(addr, size, obj_id, category, is_store)
-        if missed:
-            self.l2.access(addr, size, obj_id, category, is_store)
+        addr: np.ndarray,
+        size: np.ndarray,
+        obj_id: np.ndarray,
+        category: np.ndarray,
+        is_store: np.ndarray,
+    ) -> np.ndarray:
+        """Simulate one chunk; returns which references missed L1."""
+        missed = self.l1.consume_misses(addr, size, obj_id, category, is_store)
+        self.l2.consume(
+            addr[missed],
+            size[missed],
+            obj_id[missed],
+            category[missed],
+            is_store[missed],
+        )
         return missed
 
     def replay(self, trace, resolver, max_events: int | None = None) -> int:
@@ -100,20 +106,18 @@ class TwoLevelCache:
 
         obj, _offset, size, cat, store = trace.columns()
         stop = trace.events if max_events is None else min(max_events, trace.events)
-        access = self.access
         replayed = 0
         for start, end, addresses in trace.iter_resolved(
             resolver, DEFAULT_CHUNK_EVENTS
         ):
             end = min(end, stop)
-            for addr, nbytes, obj_id, category, is_store in zip(
-                addresses[: end - start].tolist(),
-                size[start:end].tolist(),
-                obj[start:end].tolist(),
-                cat[start:end].tolist(),
-                store[start:end].tolist(),
-            ):
-                access(addr, nbytes, obj_id, _CATEGORIES[category], bool(is_store))
+            self.consume_misses(
+                addresses[: end - start],
+                size[start:end],
+                obj[start:end],
+                cat[start:end],
+                store[start:end],
+            )
             replayed = end
             if replayed >= stop:
                 break
@@ -133,7 +137,8 @@ MEMORY_TIME = 60.0
 
 #: Trace-prefix length of one calibration replay.  The per-entity L2
 #: behaviour of these synthetic workloads is stationary, so a bounded
-#: scalar replay prices the entities without paying for the full trace.
+#: replay prices the entities without paying for the full trace.  The
+#: two-level placements depend on this length.
 CALIBRATION_EVENTS = 200_000
 
 

@@ -1,24 +1,25 @@
-"""Trace-driven data-cache simulation with three-Cs miss classification.
+"""Cache statistics with per-category, per-object and three-Cs attribution.
 
 The paper evaluates placements by simulating an 8 KB direct-mapped cache
 with 32-byte lines and attributing every miss to the data object (and its
 category — stack, global, heap, constant) whose reference missed
 (Section 5).  Section 2 frames the optimization in terms of the Hill &
-Smith three-Cs model, which :class:`CacheSimulator` implements:
+Smith three-Cs model, whose split :class:`CacheStats` carries:
 
 * *compulsory* — first-ever reference to the block address;
 * *capacity*   — the block would also miss in a fully associative LRU
   cache of the same capacity;
 * *conflict*   — the block would have hit fully associatively.
+
+:class:`~repro.cache.batch.BatchCacheSimulator` fills these statistics;
+the per-access simulator it must equal is kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..trace.events import Category
-from .config import CacheConfig
 
 
 @dataclass
@@ -81,168 +82,3 @@ class CacheStats:
         if not accesses:
             return 0.0
         return 100.0 * self.misses_by_object.get(obj_id, 0) / accesses
-
-
-class CacheSimulator:
-    """A set-associative, LRU, virtually indexed data cache.
-
-    Args:
-        config: Cache geometry; direct-mapped 8K/32B by default.
-        classify: When True, maintain a fully associative LRU shadow and a
-            seen-blocks set to split misses into compulsory / capacity /
-            conflict.  Costs roughly 2x per access; Tables 2 and 4 only
-            need totals, so it is off by default.
-        track_evictions: When True, record which object's block each
-            miss displaced, building the (evictor, victim) matrix the
-            conflict debugger reports.  Direct-mapped only.
-    """
-
-    def __init__(
-        self,
-        config: CacheConfig | None = None,
-        classify: bool = False,
-        track_evictions: bool = False,
-    ):
-        self.config = config or CacheConfig()
-        self.classify = classify
-        self.track_evictions = track_evictions
-        self.stats = CacheStats()
-        num_sets = self.config.num_sets
-        if self.config.associativity == 1:
-            self._lines: list[int | None] = [None] * num_sets
-            self._sets: list[OrderedDict] | None = None
-        else:
-            self._lines = []
-            self._sets = [OrderedDict() for _ in range(num_sets)]
-        self._dirty: list[bool] = [False] * num_sets
-        self._seen_blocks: set[int] = set()
-        self._shadow: OrderedDict[int, None] = OrderedDict()
-        self._shadow_capacity = self.config.num_lines
-        #: (evictor obj_id, victim obj_id) -> eviction count.
-        self.evictions: dict[tuple[int, int], int] = {}
-        self._line_owner: list[int | None] = [None] * num_sets
-        self._line_size = self.config.line_size
-        self._num_sets = num_sets
-        # Direct-mapped references with no classification or eviction
-        # tracking take a short inline path in access().
-        self._fast = self._sets is None and not classify and not track_evictions
-
-    def access(
-        self,
-        addr: int,
-        size: int,
-        obj_id: int,
-        category: Category,
-        is_store: bool = False,
-    ) -> bool:
-        """Simulate one reference; returns True when any touched block misses.
-
-        A reference spanning a line boundary touches every covered block;
-        each touched block is counted as one access, matching a simulator
-        that splits unaligned references.  The cache is write-back /
-        write-allocate: stores dirty their line, and evicting a dirty
-        line counts one writeback of next-level traffic.
-        """
-        line_size = self._line_size
-        first_block = addr - (addr % line_size)
-        last_block = (addr + size - 1) - ((addr + size - 1) % line_size)
-        if self._fast and first_block == last_block:
-            # Direct-mapped single-block fast path: no LRU bookkeeping,
-            # no classification, no per-block dispatch.
-            stats = self.stats
-            stats.accesses += 1
-            stats.accesses_by_category[category] += 1
-            by_obj = stats.accesses_by_object
-            by_obj[obj_id] = by_obj.get(obj_id, 0) + 1
-            set_index = (first_block // line_size) % self._num_sets
-            lines = self._lines
-            if lines[set_index] == first_block:
-                if is_store:
-                    self._dirty[set_index] = True
-                return False
-            if lines[set_index] is not None and self._dirty[set_index]:
-                stats.writebacks += 1
-            lines[set_index] = first_block
-            self._dirty[set_index] = is_store
-            stats.misses += 1
-            stats.misses_by_category[category] += 1
-            by_obj = stats.misses_by_object
-            by_obj[obj_id] = by_obj.get(obj_id, 0) + 1
-            return True
-        missed = False
-        block = first_block
-        while block <= last_block:
-            if self._access_block(block, obj_id, category, is_store):
-                missed = True
-            block += line_size
-        return missed
-
-    def _access_block(
-        self, block: int, obj_id: int, category: Category, is_store: bool = False
-    ) -> bool:
-        stats = self.stats
-        stats.accesses += 1
-        stats.accesses_by_category[category] += 1
-        by_obj = stats.accesses_by_object
-        by_obj[obj_id] = by_obj.get(obj_id, 0) + 1
-
-        if self._sets is None:
-            set_index = (block // self.config.line_size) % self.config.num_sets
-            hit = self._lines[set_index] == block
-            if not hit:
-                if self._lines[set_index] is not None and self._dirty[set_index]:
-                    stats.writebacks += 1
-                if self.track_evictions:
-                    victim = self._line_owner[set_index]
-                    if victim is not None and self._lines[set_index] is not None:
-                        key = (obj_id, victim)
-                        self.evictions[key] = self.evictions.get(key, 0) + 1
-                    self._line_owner[set_index] = obj_id
-                self._lines[set_index] = block
-                self._dirty[set_index] = is_store
-            elif is_store:
-                self._dirty[set_index] = True
-        else:
-            set_index = (block // self.config.line_size) % self.config.num_sets
-            ways = self._sets[set_index]
-            hit = block in ways
-            if hit:
-                if is_store:
-                    ways[block] = True
-                ways.move_to_end(block)
-            else:
-                ways[block] = is_store
-                if len(ways) > self.config.associativity:
-                    _evicted, was_dirty = ways.popitem(last=False)
-                    if was_dirty:
-                        stats.writebacks += 1
-
-        if self.classify:
-            self._classify_block(block, hit)
-        if hit:
-            return False
-        stats.misses += 1
-        stats.misses_by_category[category] += 1
-        by_obj = stats.misses_by_object
-        by_obj[obj_id] = by_obj.get(obj_id, 0) + 1
-        return True
-
-    def _classify_block(self, block: int, hit: bool) -> None:
-        shadow = self._shadow
-        in_shadow = block in shadow
-        if in_shadow:
-            shadow.move_to_end(block)
-        else:
-            shadow[block] = None
-            if len(shadow) > self._shadow_capacity:
-                shadow.popitem(last=False)
-        if hit:
-            return
-        stats = self.stats
-        if block not in self._seen_blocks:
-            stats.compulsory += 1
-        elif in_shadow:
-            stats.conflict += 1
-        else:
-            stats.capacity += 1
-        self._seen_blocks.add(block)

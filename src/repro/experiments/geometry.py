@@ -24,6 +24,7 @@ from ..reporting.tables import render_table
 from ..runtime.driver import build_placement, measure
 from ..runtime.resolvers import CCDPResolver, NaturalResolver
 from ..workloads import make_workload
+from .common import cached_trace
 
 #: Geometries the sweep evaluates on (size, line, associativity).
 DEFAULT_EVAL_GEOMETRIES = (
@@ -145,17 +146,21 @@ def run_associative_placement(
     rows = []
     for name in programs:
         workload = make_workload(name)
-        _p, dm_placement = build_placement(workload, cache_config=direct)
-        _p, set_placement = build_placement(workload, cache_config=geometry)
-        natural = measure(
-            workload, workload.test_input, NaturalResolver(), geometry
-        ).cache.miss_rate
-        dm_placed = measure(
-            workload, workload.test_input, CCDPResolver(dm_placement), geometry
-        ).cache.miss_rate
-        assoc_placed = measure(
-            workload, workload.test_input, CCDPResolver(set_placement), geometry
-        ).cache.miss_rate
+        train = cached_trace(name, workload.train_input)
+        test = cached_trace(name, workload.test_input)
+        _p, dm_placement = build_placement(workload, cache_config=direct, trace=train)
+        _p, set_placement = build_placement(
+            workload, cache_config=geometry, trace=train
+        )
+
+        def miss_rate(resolver) -> float:
+            return measure(
+                workload, workload.test_input, resolver, geometry, trace=test
+            ).cache.miss_rate
+
+        natural = miss_rate(NaturalResolver())
+        dm_placed = miss_rate(CCDPResolver(dm_placement))
+        assoc_placed = miss_rate(CCDPResolver(set_placement))
         rows.append(
             AssociativePlacementRow(
                 program=name,
@@ -183,14 +188,21 @@ def run_geometry_sweep(
     for name in programs:
         workload = make_workload(name)
         _profile, placement = build_placement(
-            workload, cache_config=target
+            workload,
+            cache_config=target,
+            trace=cached_trace(name, workload.train_input),
         )
+        test = cached_trace(name, workload.test_input)
         for geometry in eval_geometries:
             natural = measure(
-                workload, workload.test_input, NaturalResolver(), geometry
+                workload, workload.test_input, NaturalResolver(), geometry, trace=test
             )
             ccdp = measure(
-                workload, workload.test_input, CCDPResolver(placement), geometry
+                workload,
+                workload.test_input,
+                CCDPResolver(placement),
+                geometry,
+                trace=test,
             )
             rows.append(
                 GeometryRow(

@@ -17,6 +17,7 @@ from ..reporting.tables import render_table
 from ..runtime.driver import build_placement, measure
 from ..runtime.resolvers import CCDPResolver, NaturalResolver, RandomResolver
 from ..workloads import make_workload
+from .common import cached_trace
 
 
 @dataclass(frozen=True)
@@ -93,21 +94,22 @@ def run_quality_study(
     rows = []
     for name in programs:
         workload = make_workload(name)
-        _profile, placement = build_placement(workload, cache_config=config)
-        natural = measure(
-            workload, workload.test_input, NaturalResolver(), config
-        ).cache.miss_rate
-        ccdp = measure(
-            workload, workload.test_input, CCDPResolver(placement), config
-        ).cache.miss_rate
-        random_rates = [
-            measure(
-                workload,
-                workload.test_input,
-                RandomResolver(seed=seed_base + trial),
-                config,
+        _profile, placement = build_placement(
+            workload,
+            cache_config=config,
+            trace=cached_trace(name, workload.train_input),
+        )
+        test = cached_trace(name, workload.test_input)
+
+        def miss_rate(resolver) -> float:
+            return measure(
+                workload, workload.test_input, resolver, config, trace=test
             ).cache.miss_rate
-            for trial in range(trials)
+
+        natural = miss_rate(NaturalResolver())
+        ccdp = miss_rate(CCDPResolver(placement))
+        random_rates = [
+            miss_rate(RandomResolver(seed=seed_base + trial)) for trial in range(trials)
         ]
         rows.append(
             QualityRow(

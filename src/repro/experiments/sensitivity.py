@@ -18,6 +18,7 @@ from ..reporting.tables import render_table
 from ..runtime.driver import build_placement, measure
 from ..runtime.resolvers import CCDPResolver, NaturalResolver
 from ..workloads import make_workload
+from .common import cached_trace
 
 
 @dataclass(frozen=True)
@@ -86,13 +87,18 @@ def run_input_sensitivity(
     cells = []
     for name in programs:
         workload = make_workload(name)
-        _profile, placement = build_placement(workload, cache_config=config)
+        _profile, placement = build_placement(
+            workload,
+            cache_config=config,
+            trace=cached_trace(name, workload.train_input),
+        )
         for input_name in workload.inputs:
+            trace = cached_trace(name, input_name)
             natural = measure(
-                workload, input_name, NaturalResolver(), config
+                workload, input_name, NaturalResolver(), config, trace=trace
             ).cache.miss_rate
             ccdp = measure(
-                workload, input_name, CCDPResolver(placement), config
+                workload, input_name, CCDPResolver(placement), config, trace=trace
             ).cache.miss_rate
             cells.append(
                 SensitivityCell(

@@ -1,4 +1,4 @@
-"""Runtime: placement resolvers, trace replay, and the experiment driver."""
+"""Runtime: placement resolvers and the experiment driver."""
 
 from .driver import (
     ExperimentResult,
@@ -10,7 +10,6 @@ from .driver import (
     profile_workload,
     run_experiment,
 )
-from .replay import ReplaySink
 from .resolvers import (
     AddressResolver,
     CCDPResolver,
@@ -30,6 +29,5 @@ __all__ = [
     "NaturalResolver",
     "profile_workload",
     "RandomResolver",
-    "ReplaySink",
     "run_experiment",
 ]

@@ -145,8 +145,8 @@ def measure_trace(
     chunks of a memmapped trace are dropped from the resident set
     (:meth:`TraceRecorder.advise_done`), so simulation RSS stays at
     one-chunk working set regardless of trace length.  Statistics equal
-    the per-event :class:`~repro.cache.simulator.CacheSimulator`'s over
-    the same run; the parity suites check this against a test oracle.
+    the per-access simulator's over the same run; the parity suites
+    check this against that test oracle (``tests/oracles.py``).
 
     With an artifact store installed, the finished statistics are served
     from (and persisted to) the store, keyed by the trace fingerprint

@@ -2,8 +2,9 @@
 
 The product records every run into a
 :class:`~repro.trace.buffer.TraceRecorder` and computes from its
-columns with vectorized kernels only: :func:`repro.runtime.driver.measure`
-simulates the trace with :class:`~repro.cache.batch.BatchCacheSimulator`,
+columns with vectorized kernels only: :func:`repro.runtime.driver.measure`,
+the two-level hierarchy and the conflict debugger simulate the trace with
+:class:`~repro.cache.batch.BatchCacheSimulator`,
 profiles come from :func:`~repro.profiling.batch.profile_trace` (sampled
 ones from :func:`~repro.profiling.sampling.sampled_profile`), Table 1
 statistics from :meth:`~repro.trace.buffer.TraceRecorder.stats`, and
@@ -18,8 +19,16 @@ keeps the per-event twins those kernels must equal bit for bit:
   inside periodic windows only), :class:`StatsSink` (Table 1 counters
   per event) and :class:`RecordingSink` (the stream as :class:`Access`,
   :class:`Alloc` and :class:`Free` records, replayed with validation);
+* the per-access cache simulators: :class:`CacheSimulator` (LRU sets, the
+  three-Cs shadow and the direct-mapped eviction matrix, one reference at
+  a time), :class:`ScalarTwoLevelCache` (an L1/L2 pair of them, the twin
+  of :class:`~repro.cache.hierarchy.TwoLevelCache`), :class:`ScalarPageTracker`
+  (pages one reference at a time) and :class:`ReplaySink`, which drives
+  them from a live run under a resolver; :class:`OneReferenceChunks`
+  feeds the product simulators one reference per chunk so unit cases run
+  against both;
 * :func:`scalar_measure` — the live run through :class:`ReplaySink` into
-  the per-event :class:`CacheSimulator` (and :class:`PageTracker`);
+  the per-event :class:`CacheSimulator` (and :class:`ScalarPageTracker`);
 * :func:`scalar_profile` — the live run through :class:`ProfilerSink`;
 * :func:`scalar_window_profile` — a recorded trace cut after its first
   accesses, replayed through :class:`ProfilerSink` (the twin of
@@ -51,8 +60,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.paging import PageTracker, PagingSummary
+from repro.cache.batch import BatchCacheSimulator
 from repro.cache.config import CacheConfig
-from repro.cache.simulator import CacheSimulator
+from repro.cache.hierarchy import DEFAULT_L2, HierarchyStats, TwoLevelCache
+from repro.cache.simulator import CacheStats
 from repro.core.algorithm import CCDPPlacer
 from repro.core.cache_struct import (
     CacheImage,
@@ -71,11 +82,14 @@ from repro.profiling.profiler import EntityNamer
 from repro.profiling.sampling import DEFAULT_PERIOD, DEFAULT_WINDOW
 from repro.profiling.trg import DEFAULT_CHUNK_SIZE, EdgeKey, PairKey, entity_affinity
 from repro.runtime.driver import MeasureResult
-from repro.runtime.replay import ReplaySink
+from repro.runtime.resolvers import AddressResolver
 from repro.trace.buffer import TraceRecorder
 from repro.trace.events import Category, ObjectInfo, STACK_OBJECT_ID, TraceError
 from repro.trace.sinks import TraceSink
 from repro.trace.stats import WorkloadStats
+
+#: ``Category`` members indexed by value, for int -> enum conversion.
+_CATEGORIES = tuple(Category)
 
 
 # -- the per-event consumers ---------------------------------------------------
@@ -391,6 +405,336 @@ class RecordingSink(TraceSink):
         sink.on_end()
 
 
+# -- the per-access cache simulators ------------------------------------------
+
+
+class CacheSimulator:
+    """A set-associative, LRU, virtually indexed data cache.
+
+    Args:
+        config: Cache geometry; direct-mapped 8K/32B by default.
+        classify: When True, maintain a fully associative LRU shadow and a
+            seen-blocks set to split misses into compulsory / capacity /
+            conflict.  Costs roughly 2x per access; Tables 2 and 4 only
+            need totals, so it is off by default.
+        track_evictions: When True, record which object's block each
+            miss displaced, building the (evictor, victim) matrix the
+            conflict debugger reports.  Direct-mapped only.
+    """
+
+    def __init__(
+        self,
+        config: CacheConfig | None = None,
+        classify: bool = False,
+        track_evictions: bool = False,
+    ):
+        self.config = config or CacheConfig()
+        self.classify = classify
+        self.track_evictions = track_evictions
+        self.stats = CacheStats()
+        num_sets = self.config.num_sets
+        if self.config.associativity == 1:
+            self._lines: list[int | None] = [None] * num_sets
+            self._sets: list[OrderedDict] | None = None
+        else:
+            self._lines = []
+            self._sets = [OrderedDict() for _ in range(num_sets)]
+        self._dirty: list[bool] = [False] * num_sets
+        self._seen_blocks: set[int] = set()
+        self._shadow: OrderedDict[int, None] = OrderedDict()
+        self._shadow_capacity = self.config.num_lines
+        #: (evictor obj_id, victim obj_id) -> eviction count.
+        self.evictions: dict[tuple[int, int], int] = {}
+        self._line_owner: list[int | None] = [None] * num_sets
+        self._line_size = self.config.line_size
+        self._num_sets = num_sets
+        # Direct-mapped references with no classification or eviction
+        # tracking take a short inline path in access().
+        self._fast = self._sets is None and not classify and not track_evictions
+
+    def access(
+        self,
+        addr: int,
+        size: int,
+        obj_id: int,
+        category: Category,
+        is_store: bool = False,
+    ) -> bool:
+        """Simulate one reference; returns True when any touched block misses.
+
+        A reference spanning a line boundary touches every covered block;
+        each touched block is counted as one access, matching a simulator
+        that splits unaligned references.  The cache is write-back /
+        write-allocate: stores dirty their line, and evicting a dirty
+        line counts one writeback of next-level traffic.
+        """
+        line_size = self._line_size
+        first_block = addr - (addr % line_size)
+        last_block = (addr + size - 1) - ((addr + size - 1) % line_size)
+        if self._fast and first_block == last_block:
+            # Direct-mapped single-block fast path: no LRU bookkeeping,
+            # no classification, no per-block dispatch.
+            stats = self.stats
+            stats.accesses += 1
+            stats.accesses_by_category[category] += 1
+            by_obj = stats.accesses_by_object
+            by_obj[obj_id] = by_obj.get(obj_id, 0) + 1
+            set_index = (first_block // line_size) % self._num_sets
+            lines = self._lines
+            if lines[set_index] == first_block:
+                if is_store:
+                    self._dirty[set_index] = True
+                return False
+            if lines[set_index] is not None and self._dirty[set_index]:
+                stats.writebacks += 1
+            lines[set_index] = first_block
+            self._dirty[set_index] = is_store
+            stats.misses += 1
+            stats.misses_by_category[category] += 1
+            by_obj = stats.misses_by_object
+            by_obj[obj_id] = by_obj.get(obj_id, 0) + 1
+            return True
+        missed = False
+        block = first_block
+        while block <= last_block:
+            if self._access_block(block, obj_id, category, is_store):
+                missed = True
+            block += line_size
+        return missed
+
+    def _access_block(
+        self, block: int, obj_id: int, category: Category, is_store: bool = False
+    ) -> bool:
+        stats = self.stats
+        stats.accesses += 1
+        stats.accesses_by_category[category] += 1
+        by_obj = stats.accesses_by_object
+        by_obj[obj_id] = by_obj.get(obj_id, 0) + 1
+
+        if self._sets is None:
+            set_index = (block // self.config.line_size) % self.config.num_sets
+            hit = self._lines[set_index] == block
+            if not hit:
+                if self._lines[set_index] is not None and self._dirty[set_index]:
+                    stats.writebacks += 1
+                if self.track_evictions:
+                    victim = self._line_owner[set_index]
+                    if victim is not None and self._lines[set_index] is not None:
+                        key = (obj_id, victim)
+                        self.evictions[key] = self.evictions.get(key, 0) + 1
+                    self._line_owner[set_index] = obj_id
+                self._lines[set_index] = block
+                self._dirty[set_index] = is_store
+            elif is_store:
+                self._dirty[set_index] = True
+        else:
+            set_index = (block // self.config.line_size) % self.config.num_sets
+            ways = self._sets[set_index]
+            hit = block in ways
+            if hit:
+                if is_store:
+                    ways[block] = True
+                ways.move_to_end(block)
+            else:
+                ways[block] = is_store
+                if len(ways) > self.config.associativity:
+                    _evicted, was_dirty = ways.popitem(last=False)
+                    if was_dirty:
+                        stats.writebacks += 1
+
+        if self.classify:
+            self._classify_block(block, hit)
+        if hit:
+            return False
+        stats.misses += 1
+        stats.misses_by_category[category] += 1
+        by_obj = stats.misses_by_object
+        by_obj[obj_id] = by_obj.get(obj_id, 0) + 1
+        return True
+
+    def _classify_block(self, block: int, hit: bool) -> None:
+        shadow = self._shadow
+        in_shadow = block in shadow
+        if in_shadow:
+            shadow.move_to_end(block)
+        else:
+            shadow[block] = None
+            if len(shadow) > self._shadow_capacity:
+                shadow.popitem(last=False)
+        if hit:
+            return
+        stats = self.stats
+        if block not in self._seen_blocks:
+            stats.compulsory += 1
+        elif in_shadow:
+            stats.conflict += 1
+        else:
+            stats.capacity += 1
+        self._seen_blocks.add(block)
+
+
+class ScalarTwoLevelCache:
+    """An L1/L2 pair of per-access simulators, L1 misses forwarded downward."""
+
+    def __init__(
+        self,
+        l1_config: CacheConfig | None = None,
+        l2_config: CacheConfig | None = None,
+    ):
+        self.l1 = CacheSimulator(l1_config or CacheConfig())
+        self.l2 = CacheSimulator(l2_config or DEFAULT_L2)
+
+    def access(
+        self,
+        addr: int,
+        size: int,
+        obj_id: int,
+        category: Category,
+        is_store: bool = False,
+    ) -> bool:
+        """Simulate one reference; returns True on an L1 miss."""
+        missed = self.l1.access(addr, size, obj_id, category, is_store)
+        if missed:
+            self.l2.access(addr, size, obj_id, category, is_store)
+        return missed
+
+    def replay(self, trace, resolver, max_events: int | None = None) -> int:
+        """Simulate a recorded trace's accesses under ``resolver``'s placement.
+
+        Replays the first ``max_events`` accesses (default: all) and
+        returns how many it replayed.  Raises
+        :class:`~repro.trace.events.TraceError` as
+        :meth:`~repro.trace.buffer.TraceRecorder.iter_resolved` does.
+        """
+        from repro.trace.buffer import DEFAULT_CHUNK_EVENTS
+
+        obj, _offset, size, cat, store = trace.columns()
+        stop = trace.events if max_events is None else min(max_events, trace.events)
+        access = self.access
+        replayed = 0
+        for start, end, addresses in trace.iter_resolved(
+            resolver, DEFAULT_CHUNK_EVENTS
+        ):
+            end = min(end, stop)
+            for addr, nbytes, obj_id, category, is_store in zip(
+                addresses[: end - start].tolist(),
+                size[start:end].tolist(),
+                obj[start:end].tolist(),
+                cat[start:end].tolist(),
+                store[start:end].tolist(),
+            ):
+                access(addr, nbytes, obj_id, _CATEGORIES[category], bool(is_store))
+            replayed = end
+            if replayed >= stop:
+                break
+        return replayed
+
+    @property
+    def stats(self) -> HierarchyStats:
+        """Current per-level statistics."""
+        return HierarchyStats(l1=self.l1.stats, l2=self.l2.stats)
+
+
+class ScalarPageTracker(PageTracker):
+    """A :class:`PageTracker` fed one reference at a time."""
+
+    def touch(self, addr: int, size: int) -> None:
+        """Record the page(s) covered by one memory reference."""
+        first = addr // self.page_size
+        last = (addr + size - 1) // self.page_size
+        page = first
+        while page <= last:
+            page_id = self._page_ids.get(page)
+            if page_id is None:
+                page_id = len(self._page_ids)
+                self._page_ids[page] = page_id
+            self._stream.append(page_id)
+            page += 1
+
+
+class ReplaySink(TraceSink):
+    """Drive a cache simulation from a trace under a placement policy."""
+
+    def __init__(
+        self,
+        resolver: AddressResolver,
+        cache: CacheSimulator,
+        pages: ScalarPageTracker | None = None,
+    ):
+        self.resolver = resolver
+        self.cache = cache
+        self.pages = pages
+
+    def on_object(self, info: ObjectInfo) -> None:
+        self.resolver.on_object(info)
+
+    def on_alloc(self, info: ObjectInfo, return_addresses: tuple[int, ...]) -> None:
+        self.resolver.on_alloc(info, return_addresses)
+
+    def on_free(self, obj_id: int) -> None:
+        self.resolver.on_free(obj_id)
+
+    def on_access(self, obj_id, offset, size, is_store, category) -> None:
+        try:
+            addr = self.resolver.base_of[obj_id] + offset
+        except KeyError:
+            raise TraceError(
+                f"corrupt trace: access to unknown object id {obj_id} "
+                "(never declared or allocated)"
+            ) from None
+        if offset < 0:
+            raise TraceError(
+                f"corrupt trace: negative offset {offset} into object id {obj_id}"
+            )
+        self.cache.access(addr, size, obj_id, category, is_store)
+        if self.pages is not None:
+            self.pages.touch(addr, size)
+
+
+class OneReferenceChunks:
+    """A product simulator given the oracles' per-reference ``access``.
+
+    Wraps a :class:`~repro.cache.batch.BatchCacheSimulator` or a
+    :class:`~repro.cache.hierarchy.TwoLevelCache` and feeds it one
+    reference per chunk through ``consume_misses``, so the unit cases
+    written against the per-access simulators run against the product
+    too.  Every other attribute is the wrapped simulator's.
+    """
+
+    def __init__(self, target):
+        self.target = target
+
+    def access(
+        self,
+        addr: int,
+        size: int,
+        obj_id: int,
+        category: Category,
+        is_store: bool = False,
+    ) -> bool:
+        missed = self.target.consume_misses(
+            np.array([addr], dtype=np.int64),
+            np.array([size], dtype=np.int32),
+            np.array([obj_id], dtype=np.int32),
+            np.array([category], dtype=np.int8),
+            np.array([is_store], dtype=np.int8),
+        )
+        return bool(missed[0])
+
+    def __getattr__(self, name):
+        return getattr(self.target, name)
+
+
+def one_reference_simulator(*args, **kwargs) -> OneReferenceChunks:
+    """A :class:`BatchCacheSimulator` built like :class:`CacheSimulator`."""
+    return OneReferenceChunks(BatchCacheSimulator(*args, **kwargs))
+
+
+def one_reference_hierarchy(*args, **kwargs) -> OneReferenceChunks:
+    """A :class:`TwoLevelCache` built like :class:`ScalarTwoLevelCache`."""
+    return OneReferenceChunks(TwoLevelCache(*args, **kwargs))
+
+
 # -- reference pipelines -------------------------------------------------------
 
 
@@ -404,7 +748,7 @@ def scalar_measure(
 ) -> MeasureResult:
     """Simulate one live run event by event: the reference ``measure``."""
     cache = CacheSimulator(config, classify=classify)
-    pages = PageTracker() if track_pages else None
+    pages = ScalarPageTracker() if track_pages else None
     workload.run(ReplaySink(resolver, cache, pages), input_name)
     paging = PagingSummary.from_tracker(pages) if pages else None
     return MeasureResult(cache=cache.stats, paging=paging)

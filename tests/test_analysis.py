@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis.heap_scatter import (
@@ -18,11 +19,23 @@ from repro.analysis.paging import PageTracker, PagingSummary
 from repro.cache.simulator import CacheStats
 from repro.trace.events import Category
 from repro.trace.stats import WorkloadStats
+from tests.oracles import ScalarPageTracker
+
+
+class _OneReferencePages(PageTracker):
+    """The product tracker fed one reference per chunk."""
+
+    def touch(self, addr: int, size: int) -> None:
+        self.touch_batch(np.array([addr]), np.array([size]))
 
 
 class TestPageTracker:
+    """Runs on the per-reference oracle; ``TestPageTrackerBatched`` on the product."""
+
+    tracker = ScalarPageTracker
+
     def test_counts_distinct_pages(self):
-        tracker = PageTracker(page_size=4096)
+        tracker = self.tracker(page_size=4096)
         tracker.touch(0, 4)
         tracker.touch(100, 4)
         tracker.touch(4096, 4)
@@ -30,24 +43,24 @@ class TestPageTracker:
         assert tracker.references == 3
 
     def test_spanning_touch_counts_both_pages(self):
-        tracker = PageTracker(page_size=4096)
+        tracker = self.tracker(page_size=4096)
         tracker.touch(4094, 4)
         assert tracker.total_pages == 2
 
     def test_working_set_constant_stream(self):
-        tracker = PageTracker(page_size=4096)
+        tracker = self.tracker(page_size=4096)
         for _ in range(1000):
             tracker.touch(0, 4)
         assert tracker.working_set() == pytest.approx(1.0)
 
     def test_working_set_alternating_pages(self):
-        tracker = PageTracker(page_size=4096)
+        tracker = self.tracker(page_size=4096)
         for index in range(1000):
             tracker.touch((index % 2) * 4096, 4)
         assert tracker.working_set() == pytest.approx(2.0)
 
     def test_working_set_phase_change(self):
-        tracker = PageTracker(page_size=4096)
+        tracker = self.tracker(page_size=4096)
         for index in range(500):
             tracker.touch(0, 4)
         for index in range(500):
@@ -56,14 +69,18 @@ class TestPageTracker:
         assert 1.0 < ws < 8.0
 
     def test_empty_tracker(self):
-        tracker = PageTracker()
+        tracker = self.tracker()
         assert tracker.working_set() == 0.0
         assert PagingSummary.from_tracker(tracker).total_pages == 0
 
     def test_window_of_one(self):
-        tracker = PageTracker()
+        tracker = self.tracker()
         tracker.touch(0, 4)
         assert tracker.working_set(window_fraction=0.0001) == pytest.approx(1.0)
+
+
+class TestPageTrackerBatched(TestPageTracker):
+    tracker = _OneReferencePages
 
 
 class TestMissRateRows:

@@ -9,7 +9,9 @@ cache geometries: the paper's 8K/32B direct-mapped cache, a larger
 direct-mapped geometry, and 2-, 4- and 8-way set-associative geometries
 that run the stack-distance kernel inside :class:`BatchCacheSimulator`,
 with and without three-Cs classification, on recorded traces and on
-live runs through :func:`repro.runtime.driver.measure`.
+live runs through :func:`repro.runtime.driver.measure`.  The eviction
+matrix, the two-level replay and its L2 penalty calibration are pinned
+against the per-access oracles on recorded paper traces.
 """
 
 from __future__ import annotations
@@ -19,17 +21,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.analysis.conflicts import replay_evictions
+from repro.cache import hierarchy
 from repro.cache.batch import BatchCacheSimulator
 from repro.cache.config import CacheConfig
-from repro.cache.simulator import CacheSimulator
+from repro.experiments.common import all_programs, cached_trace
 from repro.profiling.batch import profile_trace
 from repro.runtime.driver import build_placement, measure, measure_trace
 from repro.runtime.resolvers import CCDPResolver, NaturalResolver, RandomResolver
-from repro.trace.buffer import record_trace
+from repro.trace.buffer import DEFAULT_CHUNK_EVENTS, record_trace
 from repro.trace.events import Category
 from repro.workloads import make_workload
 from repro.workloads.synthetic import SyntheticSpec, SyntheticWorkload
-from tests.oracles import assert_same_profile, scalar_measure, scalar_profile
+from tests.oracles import (
+    CacheSimulator,
+    ReplaySink,
+    ScalarTwoLevelCache,
+    assert_same_profile,
+    scalar_measure,
+    scalar_profile,
+)
 
 GEOMETRIES = [
     pytest.param(CacheConfig(size=8192, line_size=32, associativity=1), id="8k-32B-direct"),
@@ -192,7 +203,7 @@ def test_profile_trace_peak_memory_on_compress():
 
 @pytest.mark.parametrize("classify", [False, True])
 def test_every_geometry_is_vectorized(classify, monkeypatch):
-    """No geometry falls back: the batched simulator builds no scalar one."""
+    """No geometry falls back: the batched simulator builds no per-access one."""
     built = []
     scalar_init = CacheSimulator.__init__
 
@@ -249,12 +260,85 @@ def test_direct_mapped_scalar_fast_path_matches_lru_path():
     slow = CacheSimulator(config, classify=True)
     workload = workload_under_test("synthetic")
     trace = record_trace(workload, workload.train_input)
-
-    from repro.runtime.replay import ReplaySink
-
     for sim in (fast, slow):
         trace.replay(ReplaySink(NaturalResolver(), sim))
     assert fast.stats.accesses == slow.stats.accesses
     assert fast.stats.misses == slow.stats.misses
     assert fast.stats.writebacks == slow.stats.writebacks
     assert fast.stats.misses_by_object == slow.stats.misses_by_object
+
+
+def _test_trace_and_placement(name: str):
+    workload = make_workload(name)
+    _profile, placement = build_placement(
+        workload, trace=cached_trace(name, workload.train_input)
+    )
+    return cached_trace(name, workload.test_input), placement
+
+
+def _replay_evictions_in_chunks(trace, resolver, chunk_events: int):
+    """``replay_evictions`` with the trace cut into ``chunk_events`` chunks."""
+    cache = BatchCacheSimulator(track_evictions=True)
+    obj, _offset, size, cat, store = trace.columns()
+    for start, end, addr in trace.iter_resolved(resolver, chunk_events):
+        cache.consume(
+            addr, size[start:end], obj[start:end], cat[start:end], store[start:end]
+        )
+    return cache
+
+
+@pytest.mark.parametrize("name", ["m88ksim", "espresso", "deltablue"])
+def test_eviction_matrix_matches_scalar(name):
+    """The batched (evictor, victim) dict == the oracle's, in insertion order.
+
+    At the default chunk size and at 1000 events, where each set's
+    carried owner crosses many chunk boundaries.
+    """
+    trace, placement = _test_trace_and_placement(name)
+    for make_resolver in (NaturalResolver, lambda: CCDPResolver(placement)):
+        oracle = CacheSimulator(track_evictions=True)
+        trace.replay(ReplaySink(make_resolver(), oracle))
+        assert oracle.evictions
+        for batched in (
+            replay_evictions(trace, make_resolver()),
+            _replay_evictions_in_chunks(trace, make_resolver(), 1000),
+        ):
+            assert list(batched.evictions.items()) == list(oracle.evictions.items())
+            assert batched.stats == oracle.stats
+
+
+@pytest.mark.parametrize("ways", [1, 2, 4])
+def test_two_level_replay_matches_scalar(ways):
+    """``TwoLevelCache.replay`` == the per-access pair, whole and cut mid-chunk."""
+    trace, placement = _test_trace_and_placement("m88ksim")
+    l1 = CacheConfig(size=8192, line_size=32, associativity=ways)
+    mid_chunk = DEFAULT_CHUNK_EVENTS + 1000
+    assert mid_chunk < trace.events
+    for resolver, max_events in (
+        (NaturalResolver, None),
+        (lambda: CCDPResolver(placement), None),
+        (NaturalResolver, mid_chunk),
+    ):
+        batched = hierarchy.TwoLevelCache(l1)
+        oracle = ScalarTwoLevelCache(l1)
+        replayed = batched.replay(trace, resolver(), max_events)
+        assert replayed == oracle.replay(trace, resolver(), max_events)
+        assert replayed == (max_events or trace.events)
+        assert batched.stats == oracle.stats
+        assert batched.l2.stats.accesses > 0
+
+
+def test_l2_penalties_match_scalar(monkeypatch):
+    """The two-level calibration prices every entity as the oracle pair does."""
+    batched = {}
+    for name in all_programs():
+        workload = make_workload(name)
+        batched[name] = hierarchy.entity_l2_penalties(
+            cached_trace(name, workload.train_input)
+        )
+    monkeypatch.setattr(hierarchy, "TwoLevelCache", ScalarTwoLevelCache)
+    for name in all_programs():
+        workload = make_workload(name)
+        oracle = hierarchy.entity_l2_penalties(cached_trace(name, workload.train_input))
+        assert batched[name] == oracle, name
+        assert oracle

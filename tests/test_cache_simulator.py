@@ -1,4 +1,10 @@
-"""Unit + property tests for the classifying cache simulator."""
+"""Unit + property tests for the classifying cache simulator.
+
+Each unit class runs on the per-access oracle (``simulator`` is
+:class:`tests.oracles.CacheSimulator`) and, through its ``Batched``
+subclass, on :class:`~repro.cache.batch.BatchCacheSimulator` fed one
+reference per chunk; the property tests run both.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.config import CacheConfig, PAPER_CACHE
-from repro.cache.simulator import CacheSimulator
 from repro.trace.events import Category
+from tests.oracles import CacheSimulator, one_reference_simulator
+
+#: The per-access oracle and the product, built with the same arguments.
+SIMULATORS = (CacheSimulator, one_reference_simulator)
 
 
 class TestCacheConfig:
@@ -44,29 +53,31 @@ class TestCacheConfig:
 
 
 class TestDirectMapped:
+    simulator = CacheSimulator
+
     def test_first_access_misses(self):
-        sim = CacheSimulator(CacheConfig(1024, 32, 1))
+        sim = self.simulator(CacheConfig(1024, 32, 1))
         assert sim.access(0, 4, 1, Category.GLOBAL) is True
 
     def test_repeat_access_hits(self):
-        sim = CacheSimulator(CacheConfig(1024, 32, 1))
+        sim = self.simulator(CacheConfig(1024, 32, 1))
         sim.access(0, 4, 1, Category.GLOBAL)
         assert sim.access(4, 4, 1, Category.GLOBAL) is False
 
     def test_aliasing_addresses_conflict(self):
-        sim = CacheSimulator(CacheConfig(1024, 32, 1))
+        sim = self.simulator(CacheConfig(1024, 32, 1))
         sim.access(0, 4, 1, Category.GLOBAL)
         sim.access(1024, 4, 2, Category.GLOBAL)
         assert sim.access(0, 4, 1, Category.GLOBAL) is True
 
     def test_spanning_access_touches_two_blocks(self):
-        sim = CacheSimulator(CacheConfig(1024, 32, 1))
+        sim = self.simulator(CacheConfig(1024, 32, 1))
         sim.access(30, 4, 1, Category.GLOBAL)
         assert sim.stats.accesses == 2
         assert sim.stats.misses == 2
 
     def test_miss_attribution_by_category(self):
-        sim = CacheSimulator(CacheConfig(1024, 32, 1))
+        sim = self.simulator(CacheConfig(1024, 32, 1))
         sim.access(0, 4, 1, Category.STACK)
         sim.access(2048, 4, 2, Category.HEAP)
         assert sim.stats.misses_by_category[Category.STACK] == 1
@@ -74,7 +85,7 @@ class TestDirectMapped:
         assert sim.stats.misses_by_category[Category.GLOBAL] == 0
 
     def test_miss_attribution_by_object(self):
-        sim = CacheSimulator(CacheConfig(1024, 32, 1))
+        sim = self.simulator(CacheConfig(1024, 32, 1))
         sim.access(0, 4, 7, Category.GLOBAL)
         sim.access(0, 4, 7, Category.GLOBAL)
         assert sim.stats.accesses_by_object[7] == 2
@@ -82,13 +93,13 @@ class TestDirectMapped:
         assert sim.stats.object_miss_rate(7) == pytest.approx(50.0)
 
     def test_miss_rate_percent(self):
-        sim = CacheSimulator(CacheConfig(1024, 32, 1))
+        sim = self.simulator(CacheConfig(1024, 32, 1))
         sim.access(0, 4, 1, Category.GLOBAL)
         sim.access(0, 4, 1, Category.GLOBAL)
         assert sim.stats.miss_rate == pytest.approx(50.0)
 
     def test_category_rates_sum_to_total(self):
-        sim = CacheSimulator(CacheConfig(1024, 32, 1))
+        sim = self.simulator(CacheConfig(1024, 32, 1))
         for index in range(200):
             sim.access(index * 64, 4, index % 5, Category(index % 4))
         total = sum(
@@ -98,14 +109,16 @@ class TestDirectMapped:
 
 
 class TestSetAssociative:
+    simulator = CacheSimulator
+
     def test_two_way_tolerates_one_alias(self):
-        sim = CacheSimulator(CacheConfig(1024, 32, 2))
+        sim = self.simulator(CacheConfig(1024, 32, 2))
         sim.access(0, 4, 1, Category.GLOBAL)
         sim.access(512, 4, 2, Category.GLOBAL)  # same set, second way
         assert sim.access(0, 4, 1, Category.GLOBAL) is False
 
     def test_lru_eviction(self):
-        sim = CacheSimulator(CacheConfig(1024, 32, 2))
+        sim = self.simulator(CacheConfig(1024, 32, 2))
         sim.access(0, 4, 1, Category.GLOBAL)      # A
         sim.access(512, 4, 2, Category.GLOBAL)    # B
         sim.access(0, 4, 1, Category.GLOBAL)      # touch A (B is LRU)
@@ -115,7 +128,7 @@ class TestSetAssociative:
 
     def test_fully_associative_behaves_as_lru(self):
         config = CacheConfig(128, 32, 4)  # one set of 4 ways
-        sim = CacheSimulator(config)
+        sim = self.simulator(config)
         for block in range(4):
             sim.access(block * 32, 4, block, Category.GLOBAL)
         sim.access(4 * 32, 4, 9, Category.GLOBAL)  # evicts block 0
@@ -123,13 +136,15 @@ class TestSetAssociative:
 
 
 class TestClassification:
+    simulator = CacheSimulator
+
     def test_first_touch_is_compulsory(self):
-        sim = CacheSimulator(CacheConfig(1024, 32, 1), classify=True)
+        sim = self.simulator(CacheConfig(1024, 32, 1), classify=True)
         sim.access(0, 4, 1, Category.GLOBAL)
         assert sim.stats.compulsory == 1
 
     def test_alias_pingpong_is_conflict(self):
-        sim = CacheSimulator(CacheConfig(1024, 32, 1), classify=True)
+        sim = self.simulator(CacheConfig(1024, 32, 1), classify=True)
         sim.access(0, 4, 1, Category.GLOBAL)
         sim.access(1024, 4, 2, Category.GLOBAL)
         sim.access(0, 4, 1, Category.GLOBAL)
@@ -139,7 +154,7 @@ class TestClassification:
 
     def test_working_set_overflow_is_capacity(self):
         config = CacheConfig(128, 32, 1)  # 4 lines
-        sim = CacheSimulator(config, classify=True)
+        sim = self.simulator(config, classify=True)
         blocks = 8
         for sweep in range(2):
             for block in range(blocks):
@@ -147,7 +162,7 @@ class TestClassification:
         assert sim.stats.capacity > 0
 
     def test_classes_partition_misses(self):
-        sim = CacheSimulator(CacheConfig(256, 32, 1), classify=True)
+        sim = self.simulator(CacheConfig(256, 32, 1), classify=True)
         for index in range(500):
             sim.access((index * 37) % 2048, 4, index % 7, Category.GLOBAL)
         stats = sim.stats
@@ -163,12 +178,13 @@ class TestClassification:
 )
 @settings(max_examples=50, deadline=None)
 def test_classification_always_partitions(accesses):
-    sim = CacheSimulator(CacheConfig(256, 32, 1), classify=True)
-    for addr, cat in accesses:
-        sim.access(addr, 4, addr // 32, Category(cat))
-    stats = sim.stats
-    assert stats.compulsory + stats.conflict + stats.capacity == stats.misses
-    assert stats.misses <= stats.accesses
+    for simulator in SIMULATORS:
+        sim = simulator(CacheConfig(256, 32, 1), classify=True)
+        for addr, cat in accesses:
+            sim.access(addr, 4, addr // 32, Category(cat))
+        stats = sim.stats
+        assert stats.compulsory + stats.conflict + stats.capacity == stats.misses
+        assert stats.misses <= stats.accesses
 
 
 @given(
@@ -184,36 +200,39 @@ def test_lru_inclusion_bigger_cache_same_associativity(addrs, assoc):
     one's — the classic justification for single-pass multi-size cache
     simulation.
     """
-    small = CacheSimulator(CacheConfig(512, 32, assoc))
-    large = CacheSimulator(CacheConfig(1024, 32, assoc))
-    for addr in addrs:
-        small.access(addr, 4, 0, Category.GLOBAL)
-        large.access(addr, 4, 0, Category.GLOBAL)
-    assert large.stats.misses <= small.stats.misses
+    for simulator in SIMULATORS:
+        small = simulator(CacheConfig(512, 32, assoc))
+        large = simulator(CacheConfig(1024, 32, assoc))
+        for addr in addrs:
+            small.access(addr, 4, 0, Category.GLOBAL)
+            large.access(addr, 4, 0, Category.GLOBAL)
+        assert large.stats.misses <= small.stats.misses
 
 
 class TestWriteBack:
+    simulator = CacheSimulator
+
     def test_clean_eviction_no_writeback(self):
-        sim = CacheSimulator(CacheConfig(1024, 32, 1))
+        sim = self.simulator(CacheConfig(1024, 32, 1))
         sim.access(0, 4, 1, Category.GLOBAL, is_store=False)
         sim.access(1024, 4, 2, Category.GLOBAL, is_store=False)
         assert sim.stats.writebacks == 0
 
     def test_dirty_eviction_writes_back(self):
-        sim = CacheSimulator(CacheConfig(1024, 32, 1))
+        sim = self.simulator(CacheConfig(1024, 32, 1))
         sim.access(0, 4, 1, Category.GLOBAL, is_store=True)
         sim.access(1024, 4, 2, Category.GLOBAL, is_store=False)
         assert sim.stats.writebacks == 1
 
     def test_store_hit_dirties_line(self):
-        sim = CacheSimulator(CacheConfig(1024, 32, 1))
+        sim = self.simulator(CacheConfig(1024, 32, 1))
         sim.access(0, 4, 1, Category.GLOBAL, is_store=False)  # clean fill
         sim.access(4, 4, 1, Category.GLOBAL, is_store=True)   # dirty on hit
         sim.access(1024, 4, 2, Category.GLOBAL, is_store=False)
         assert sim.stats.writebacks == 1
 
     def test_refill_resets_dirty_state(self):
-        sim = CacheSimulator(CacheConfig(1024, 32, 1))
+        sim = self.simulator(CacheConfig(1024, 32, 1))
         sim.access(0, 4, 1, Category.GLOBAL, is_store=True)
         sim.access(1024, 4, 2, Category.GLOBAL, is_store=False)  # wb #1
         sim.access(0, 4, 1, Category.GLOBAL, is_store=False)     # clean refill
@@ -221,15 +240,31 @@ class TestWriteBack:
         assert sim.stats.writebacks == 1  # second eviction was clean
 
     def test_associative_dirty_lru_eviction(self):
-        sim = CacheSimulator(CacheConfig(1024, 32, 2))
+        sim = self.simulator(CacheConfig(1024, 32, 2))
         sim.access(0, 4, 1, Category.GLOBAL, is_store=True)    # way 1, dirty
         sim.access(512, 4, 2, Category.GLOBAL, is_store=False)  # way 2
         sim.access(1024, 4, 3, Category.GLOBAL, is_store=False)  # evict dirty LRU
         assert sim.stats.writebacks == 1
 
     def test_memory_traffic_blocks(self):
-        sim = CacheSimulator(CacheConfig(1024, 32, 1))
+        sim = self.simulator(CacheConfig(1024, 32, 1))
         sim.access(0, 4, 1, Category.GLOBAL, is_store=True)
         sim.access(1024, 4, 2, Category.GLOBAL, is_store=False)
         stats = sim.stats
         assert stats.memory_traffic_blocks == stats.misses + stats.writebacks == 3
+
+
+class TestDirectMappedBatched(TestDirectMapped):
+    simulator = staticmethod(one_reference_simulator)
+
+
+class TestSetAssociativeBatched(TestSetAssociative):
+    simulator = staticmethod(one_reference_simulator)
+
+
+class TestClassificationBatched(TestClassification):
+    simulator = staticmethod(one_reference_simulator)
+
+
+class TestWriteBackBatched(TestWriteBack):
+    simulator = staticmethod(one_reference_simulator)

@@ -4,8 +4,8 @@ The fixed parity suites check the batched cache kernel and the array
 placement engine against the per-event oracles (:mod:`tests.oracles`)
 on the nine benchmark workloads.  This harness widens that net with hypothesis-generated
 inputs: random access streams over random cache geometries for the
-simulators, and random :class:`~repro.workloads.synthetic.SyntheticSpec`
-workloads for the placers.  Both directions assert *bit-identical*
+simulators (and their direct-mapped eviction matrices), and random
+:class:`~repro.workloads.synthetic.SyntheticSpec` workloads for the placers.  Both directions assert *bit-identical*
 results — equal :class:`~repro.cache.simulator.CacheStats` and equal
 :class:`~repro.core.placement_map.PlacementMap` — because the fast
 engines are specified as exact reimplementations, not approximations.
@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.cache.batch import BatchCacheSimulator
 from repro.cache.config import CacheConfig
-from repro.cache.simulator import CacheSimulator
 from repro.cache.stack import capped_hits, previous_touch
 from repro.core.algorithm import CCDPPlacer
 from repro.profiling.batch import profile_trace
@@ -33,7 +32,7 @@ from repro.store.artifacts import cache_stats_to_dict
 from repro.trace.buffer import record_trace
 from repro.trace.events import Category
 from repro.workloads.synthetic import SyntheticSpec, SyntheticWorkload
-from tests.oracles import ScalarPlacer, scalar_profile
+from tests.oracles import CacheSimulator, ScalarPlacer, scalar_profile
 
 _FUZZ_SETTINGS = dict(
     deadline=None,
@@ -88,15 +87,15 @@ _narrow_events = st.lists(
 ).map(_repeat_runs)
 
 
-def _run_scalar(config, events, classify=False):
-    sim = CacheSimulator(config, classify=classify)
+def _run_scalar(config, events, **kwargs):
+    sim = CacheSimulator(config, **kwargs)
     for addr, size, obj_id, category, is_store in events:
         sim.access(addr, size, obj_id, category, is_store)
-    return sim.stats
+    return sim
 
 
-def _run_batched(config, events, chunk, classify=False):
-    engine = BatchCacheSimulator(config, classify=classify)
+def _run_batched(config, events, chunk, **kwargs):
+    engine = BatchCacheSimulator(config, **kwargs)
     addr, size, obj_id, category, is_store = (
         np.array(column, dtype=dtype)
         for column, dtype in zip(
@@ -112,7 +111,7 @@ def _run_batched(config, events, chunk, classify=False):
             category[start:stop],
             is_store[start:stop],
         )
-    return engine.stats
+    return engine
 
 
 class TestSimulatorDifferential:
@@ -131,11 +130,29 @@ class TestSimulatorDifferential:
         shadow stack and seen blocks) is exercised across chunk
         boundaries, not just within one consume call.
         """
-        scalar = _run_scalar(config, events, classify)
-        batched = _run_batched(config, events, chunk, classify)
+        scalar = _run_scalar(config, events, classify=classify).stats
+        batched = _run_batched(config, events, chunk, classify=classify).stats
         assert batched == scalar
         if config.associativity > 1:
             assert cache_stats_to_dict(batched) == cache_stats_to_dict(scalar)
+
+    @settings(max_examples=80, **_FUZZ_SETTINGS)
+    @given(
+        config=st.sampled_from([c for c in _CONFIGS if c.associativity == 1]),
+        events=st.one_of(_events, _narrow_events),
+        chunk=st.sampled_from((1, 7, 64, 1 << 16)),
+    )
+    def test_batched_evictions_equal_scalar(self, config, events, chunk):
+        """The eviction matrix == the oracle's, pair for pair and in order.
+
+        ``_events`` draws references up to 96 bytes long, so one reference
+        can evict in two sets; the carried per-set owner crosses chunk
+        boundaries at the odd chunk sizes.
+        """
+        scalar = _run_scalar(config, events, track_evictions=True)
+        batched = _run_batched(config, events, chunk, track_evictions=True)
+        assert list(batched.evictions.items()) == list(scalar.evictions.items())
+        assert batched.stats == scalar.stats
 
 
 def _capped_hits_brute_force(keys, cap):

@@ -1,12 +1,10 @@
-"""Tests for the replay sink and the end-to-end experiment driver."""
+"""Tests for the per-event replay oracle and the end-to-end experiment driver."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.paging import PageTracker
 from repro.cache.config import CacheConfig
-from repro.cache.simulator import CacheSimulator
 from repro.runtime.driver import (
     build_placement,
     collect_stats,
@@ -14,9 +12,9 @@ from repro.runtime.driver import (
     profile_workload,
     run_experiment,
 )
-from repro.runtime.replay import ReplaySink
 from repro.runtime.resolvers import NaturalResolver
 from repro.trace.events import Category, ObjectInfo
+from tests.oracles import CacheSimulator, ReplaySink, ScalarPageTracker
 
 
 class TestReplaySink:
@@ -43,7 +41,7 @@ class TestReplaySink:
     def test_page_tracking(self):
         resolver = NaturalResolver()
         cache = CacheSimulator(CacheConfig(1024, 32, 1))
-        pages = PageTracker()
+        pages = ScalarPageTracker()
         sink = ReplaySink(resolver, cache, pages)
         sink.on_object(ObjectInfo(1, Category.GLOBAL, 64, "g"))
         sink.on_access(1, 0, 4, False, Category.GLOBAL)

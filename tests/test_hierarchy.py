@@ -10,13 +10,16 @@ from repro.runtime.overhead import OverheadReport, estimate_overhead
 from repro.trace.events import Category
 from repro.trace.sinks import TraceSink
 from repro.trace.stats import WorkloadStats
+from tests.oracles import ScalarTwoLevelCache, one_reference_hierarchy
 
 
 class TestTwoLevelCache:
-    def _hierarchy(self) -> TwoLevelCache:
-        return TwoLevelCache(
-            CacheConfig(1024, 32, 1), CacheConfig(4096, 32, 1)
-        )
+    """Runs on the per-access oracle; ``TestTwoLevelCacheBatched`` on the product."""
+
+    hierarchy = ScalarTwoLevelCache
+
+    def _hierarchy(self):
+        return self.hierarchy(CacheConfig(1024, 32, 1), CacheConfig(4096, 32, 1))
 
     def test_l1_hit_never_reaches_l2(self):
         cache = self._hierarchy()
@@ -61,6 +64,10 @@ class TestTwoLevelCache:
         stats = self._hierarchy().stats
         assert stats.average_access_time() == 0.0
         assert stats.global_l2_miss_rate == 0.0
+
+
+class TestTwoLevelCacheBatched(TestTwoLevelCache):
+    hierarchy = staticmethod(one_reference_hierarchy)
 
 
 class TestOverheadModel:
@@ -113,7 +120,7 @@ class TestOverheadModel:
 
 class TestMemoryTraffic:
     def test_hierarchy_traffic_is_l2_fills_plus_writebacks(self):
-        cache = TwoLevelCache(
+        cache = one_reference_hierarchy(
             CacheConfig(1024, 32, 1), CacheConfig(4096, 32, 1)
         )
         cache.access(0, 4, 1, Category.GLOBAL, is_store=True)
@@ -145,9 +152,9 @@ class TestMemoryTraffic:
 
 
 class _PerEventHierarchy(TraceSink):
-    """Drive a two-level cache one live access at a time."""
+    """Drive the per-access two-level oracle one live access at a time."""
 
-    def __init__(self, resolver, hierarchy: TwoLevelCache):
+    def __init__(self, resolver, hierarchy: ScalarTwoLevelCache):
         self.resolver = resolver
         self.hierarchy = hierarchy
 
@@ -168,7 +175,7 @@ class _PerEventHierarchy(TraceSink):
 class TestReplay:
     @pytest.mark.parametrize("program", ["m88ksim", "espresso"])
     def test_replay_equals_per_event_run(self, program):
-        """Replaying a recording == driving the cache from the live run."""
+        """Replaying a recording == driving the per-access oracle live."""
         from repro.runtime.driver import build_placement
         from repro.runtime.resolvers import CCDPResolver, NaturalResolver
         from repro.trace.buffer import record_trace
@@ -180,7 +187,7 @@ class TestReplay:
         for make_resolver in (NaturalResolver, lambda: CCDPResolver(placement)):
             replayed = TwoLevelCache()
             assert replayed.replay(trace, make_resolver()) == trace.events
-            live = TwoLevelCache()
+            live = ScalarTwoLevelCache()
             workload.run(
                 _PerEventHierarchy(make_resolver(), live), workload.test_input
             )

@@ -109,11 +109,11 @@ def test_no_product_path_selects_an_engine():
 
 
 def test_live_batched_replay_is_gone():
-    import repro.runtime.replay as replay
     import repro.trace.buffer as buffer
     from repro.cache.batch import BatchCacheSimulator
 
-    assert not hasattr(replay, "BatchReplaySink")
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.runtime.replay")
     assert not hasattr(buffer, "TraceBuffer")
     assert not hasattr(BatchCacheSimulator, "consume_buffer")
 
@@ -144,14 +144,16 @@ def test_trace_storage_tier_is_gone():
         importlib.import_module("repro.runtime.scale")
 
 
-#: Per-event consumers that live in ``tests/oracles.py`` only.
+#: Per-event consumers and simulators that live in ``tests/oracles.py`` only.
 ORACLE_ONLY = (
     "Access",
     "Alloc",
+    "CacheSimulator",
     "Free",
     "MultiSink",
     "ProfilerSink",
     "RecordingSink",
+    "ReplaySink",
     "SamplingProfilerSink",
     "StatsSink",
     "TRGBuilder",
@@ -184,6 +186,18 @@ def test_per_event_profilers_and_sinks_are_oracles_only():
                 assert "on_access" not in vars(value), value.__qualname__
 
 
+def test_batched_simulator_is_the_only_product_simulator():
+    """No per-reference ``access``/``touch`` is left on a product class."""
+    from repro.analysis.paging import PageTracker
+    from repro.cache.batch import BatchCacheSimulator
+    from repro.cache.hierarchy import TwoLevelCache
+
+    assert not hasattr(TwoLevelCache, "access")
+    assert not hasattr(PageTracker, "touch")
+    hierarchy = TwoLevelCache()
+    assert type(hierarchy.l1) is type(hierarchy.l2) is BatchCacheSimulator
+
+
 def test_trace_less_calls_record_the_workload_once(monkeypatch, toy_workload):
     """Without a trace, profiling and statistics record one run and use it."""
     from repro.profiling.sampling import sampled_profile
@@ -207,3 +221,87 @@ def test_trace_less_calls_record_the_workload_once(monkeypatch, toy_workload):
         sinks.clear()
         call()
         assert sinks == [TraceRecorder]
+
+
+def test_study_calls_record_each_input_once(monkeypatch):
+    """The geometry, quality and sensitivity studies record each input once."""
+    from collections import Counter
+
+    from repro.experiments.common import clear_cache
+    from repro.experiments.geometry import (
+        run_associative_placement,
+        run_geometry_sweep,
+    )
+    from repro.experiments.quality import run_quality_study
+    from repro.experiments.sensitivity import run_input_sensitivity
+    from repro.workloads import make_workload
+    from repro.workloads.base import Workload
+
+    runs = Counter()
+    run = Workload.run
+
+    def counting_run(self, sink, input_name):
+        runs[(self.name, input_name)] += 1
+        run(self, sink, input_name)
+
+    monkeypatch.setattr(Workload, "run", counting_run)
+    workload = make_workload("m88ksim")
+    train_and_test = {
+        ("m88ksim", workload.train_input): 1,
+        ("m88ksim", workload.test_input): 1,
+    }
+    for call, expected in (
+        (lambda: run_associative_placement(("m88ksim",)), train_and_test),
+        (lambda: run_geometry_sweep(("m88ksim",)), train_and_test),
+        (lambda: run_quality_study(("m88ksim",), trials=3), train_and_test),
+        (
+            lambda: run_input_sensitivity(("m88ksim",)),
+            {("m88ksim", name): 1 for name in workload.inputs},
+        ),
+    ):
+        clear_cache()
+        runs.clear()
+        call()
+        assert dict(runs) == expected
+    clear_cache()
+
+
+def test_benchmark_entry_points_resolve():
+    """Every target the benchmark's tracer wraps exists where it says.
+
+    ``bench/reference.py`` patches each ``bench/tracer.py::ENTRY_POINTS``
+    target in every timed pass, so a renamed or deleted one fails every
+    benchmark workload; the consume volume reads ``vectorized``.
+    """
+    import inspect
+    import sys
+    from pathlib import Path
+
+    from repro.cache.batch import BatchCacheSimulator
+    from repro.cache.config import CacheConfig
+
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from bench.tracer import ENTRY_POINTS
+
+    for entry in ENTRY_POINTS:
+        module = importlib.import_module(entry.module)
+        owner_name, _, attr = entry.qualname.rpartition(".")
+        if owner_name:
+            owner = getattr(module, owner_name)
+            assert inspect.isclass(owner), entry.qualname
+            assert attr in vars(owner), f"{entry.module}:{entry.qualname}"
+        else:
+            assert callable(getattr(module, attr, None)), f"{entry.module}:{attr}"
+    consume = inspect.signature(BatchCacheSimulator.consume)
+    assert list(consume.parameters)[1:] == [
+        "addr",
+        "size",
+        "obj_id",
+        "category",
+        "is_store",
+    ]
+    for ways in (1, 2, 4):
+        config = CacheConfig(size=8192, line_size=32, associativity=ways)
+        assert BatchCacheSimulator(config).vectorized is True

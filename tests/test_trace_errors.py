@@ -18,16 +18,16 @@ import pytest
 
 from repro.adaptive import run_adaptive, window_profile
 from repro.cache.config import CacheConfig
-from repro.cache.simulator import CacheSimulator
 from repro.profiling.batch import profile_trace
 from repro.runtime.driver import measure_trace
-from repro.runtime.replay import ReplaySink
 from repro.runtime.resolvers import NaturalResolver
 from repro.trace.buffer import TraceRecorder, record_trace
 from repro.trace.events import Category, ObjectInfo, TraceError
 from repro.trace.sinks import TraceSink
 from tests.oracles import (
+    CacheSimulator,
     RecordingSink,
+    ReplaySink,
     SamplingProfilerSink,
     assert_same_profile,
     scalar_window_profile,
