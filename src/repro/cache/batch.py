@@ -40,6 +40,7 @@ import numpy as np
 from ..obs import invariants
 from ..obs import telemetry as obs
 from ..trace.events import Category
+from ..trace.stats import ObjectColumns
 from .config import CacheConfig
 from .simulator import CacheStats
 from .stack import lru_pass
@@ -76,6 +77,14 @@ def expand_blocks(
     offsets = np.arange(len(index)) - starts[index]
     blocks = first[index] + offsets
     return (blocks, *(column[index] for column in columns))
+
+
+def _object_columns(counts: np.ndarray, ranks: np.ndarray | None) -> ObjectColumns:
+    """The counted objects, ascending or by ``ranks`` when given."""
+    ids = np.flatnonzero(counts)
+    if ranks is not None:
+        ids = ids[np.argsort(ranks[ids], kind="stable")]
+    return ObjectColumns(ids, counts[ids])
 
 
 class _Counters:
@@ -116,22 +125,18 @@ class _Counters:
         self.miss_by_obj += np.bincount(obj_m, minlength=len(self.miss_by_obj))
 
     def fill_stats(self, stats: CacheStats) -> None:
-        """Accumulate the kernel counters into a :class:`CacheStats`."""
-        stats.accesses += self.accesses
-        stats.misses += self.misses
-        stats.writebacks += self.writebacks
+        """Write the kernel counters into a fresh :class:`CacheStats`.
+
+        The per-object counters go in as :class:`ObjectColumns`.
+        """
+        stats.accesses = self.accesses
+        stats.misses = self.misses
+        stats.writebacks = self.writebacks
         for category in _CATEGORIES:
-            stats.accesses_by_category[category] += int(self.acc_by_cat[category])
-            stats.misses_by_category[category] += int(self.miss_by_cat[category])
-        for source, ranks, target in (
-            (self.acc_by_obj, self.acc_rank, stats.accesses_by_object),
-            (self.miss_by_obj, self.miss_rank, stats.misses_by_object),
-        ):
-            ids = np.flatnonzero(source)
-            if ranks is not None:
-                ids = ids[np.argsort(ranks[ids], kind="stable")]
-            for obj, count in zip(ids.tolist(), source[ids].tolist()):
-                target[obj] = target.get(obj, 0) + count
+            stats.accesses_by_category[category] = int(self.acc_by_cat[category])
+            stats.misses_by_category[category] = int(self.miss_by_cat[category])
+        stats.accesses_by_object = _object_columns(self.acc_by_obj, self.acc_rank)
+        stats.misses_by_object = _object_columns(self.miss_by_obj, self.miss_rank)
 
 
 class _DirectMappedKernel(_Counters):

@@ -20,11 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..trace.events import Category
+from ..trace.stats import ObjectCounter
 
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters with per-category and per-object attribution."""
+    """Hit/miss counters with per-category and per-object attribution.
+
+    ``accesses_by_object`` and ``misses_by_object`` are
+    :class:`~repro.trace.stats.ObjectCounter` fields: each may be given
+    as :class:`~repro.trace.stats.ObjectColumns` and reads as a dict.
+    """
 
     accesses: int = 0
     misses: int = 0
@@ -82,3 +88,9 @@ class CacheStats:
         if not accesses:
             return 0.0
         return 100.0 * self.misses_by_object.get(obj_id, 0) / accesses
+
+
+# The per-object fields stay dataclass fields (``__init__``, ``==`` and
+# ``repr`` go through them) behind descriptors that also hold columns.
+CacheStats.accesses_by_object = ObjectCounter("accesses_by_object")
+CacheStats.misses_by_object = ObjectCounter("misses_by_object")

@@ -13,7 +13,10 @@ every instrumented run:
 * workload statistics conserve references across categories and objects.
 
 Checks are **on by default** (the test suite pins them on via an autouse
-fixture); they cost a handful of dict sums per *run*, never per event.
+fixture); they cost a handful of sums per *run*, never per event.  The
+per-object sums read the counters' columns
+(:func:`~repro.trace.stats.counter_columns`), so a check builds no
+per-object dict.
 :func:`set_enabled` exists for callers that want to measure with the
 checker off.
 """
@@ -21,6 +24,8 @@ checker off.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
+
+from ..trace.stats import counter_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cache.simulator import CacheStats
@@ -44,6 +49,11 @@ def enabled() -> bool:
     return _enabled
 
 
+def _object_sum(stats, name: str) -> int:
+    """Sum of one per-object counter field."""
+    return int(counter_columns(stats, name).values.sum())
+
+
 def cache_stats_failures(stats: CacheStats) -> list[str]:
     """Conservation violations in one :class:`CacheStats`, as messages."""
     failures: list[str] = []
@@ -58,12 +68,12 @@ def cache_stats_failures(stats: CacheStats) -> list[str]:
             f"per-category accesses sum to {cat_accesses}, "
             f"total is {stats.accesses}"
         )
-    obj_misses = sum(stats.misses_by_object.values())
+    obj_misses = _object_sum(stats, "misses_by_object")
     if obj_misses != stats.misses:
         failures.append(
             f"per-object misses sum to {obj_misses}, total is {stats.misses}"
         )
-    obj_accesses = sum(stats.accesses_by_object.values())
+    obj_accesses = _object_sum(stats, "accesses_by_object")
     if obj_accesses != stats.accesses:
         failures.append(
             f"per-object accesses sum to {obj_accesses}, "
@@ -86,7 +96,7 @@ def workload_stats_failures(stats: WorkloadStats) -> list[str]:
     cat_refs = sum(stats.refs_by_category.values())
     if cat_refs != total:
         failures.append(f"per-category references sum to {cat_refs}, total is {total}")
-    obj_refs = sum(stats.refs_by_object.values())
+    obj_refs = _object_sum(stats, "refs_by_object")
     if obj_refs != total:
         failures.append(f"per-object references sum to {obj_refs}, total is {total}")
     if stats.loads + stats.stores != total:

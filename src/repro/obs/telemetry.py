@@ -292,6 +292,18 @@ def span(name: str, **meta):
     return _current.span(name, **meta)
 
 
+def child_span(name: str, **meta):
+    """Open a span only under an open span; no-op at the root or when off.
+
+    For the fine steps of a stage, such as one store read: outside any
+    stage they would add a root span per call to a long-lived registry
+    (``repro serve`` keeps one for its whole life).
+    """
+    if _current is None or not _current._stack:
+        return _NULL_SPAN
+    return _current.span(name, **meta)
+
+
 def count(name: str, amount: int = 1) -> None:
     """Increment a counter on the current registry; no-op when off."""
     if _current is not None:

@@ -120,7 +120,10 @@ def _trg_columns_from_rows(rows, entities: dict) -> TRGColumns:
 
     The checks of :func:`_trg_columns_from_payload`, and no edge twice:
     a row repeating an earlier edge, in either endpoint order, would
-    count its weight twice in the placement index.
+    count its weight twice in the placement index.  Each endpoint packs
+    into one ``(eid << CHUNK_BITS) | chunk`` key (entity ids outside 32
+    bits are rank-compressed first, so the keys stay distinct); an edge
+    is its (lower, higher) pair of endpoint ranks, one int64 per edge.
     """
     if not isinstance(rows, list):
         raise SerializationError("TRG is not a list of edge rows")
@@ -131,13 +134,16 @@ def _trg_columns_from_rows(rows, entities: dict) -> TRGColumns:
     if table.ndim != 2:
         raise SerializationError("TRG edge rows are not flat lists")
     trg = _trg_columns_from_payload(list(np.ascontiguousarray(table.T)), entities)
-    # Each edge with its lower (entity, chunk) endpoint first.
-    ends = np.stack(trg[:4], axis=1)
-    swap = (trg.a_eid > trg.b_eid) | (
-        (trg.a_eid == trg.b_eid) & (trg.a_chunk > trg.b_chunk)
-    )
-    ends[swap] = ends[swap][:, [2, 3, 0, 1]]
-    if len(np.unique(ends, axis=0)) < len(ends):
+    count = len(trg.weight)
+    eids = np.concatenate((trg.a_eid, trg.b_eid))
+    if count and (eids.min() < -(1 << 31) or eids.max() >= 1 << 31):
+        eids = np.unique(eids, return_inverse=True)[1]
+    ends = (eids << CHUNK_BITS) | np.concatenate((trg.a_chunk, trg.b_chunk))
+    lower = np.minimum(ends[:count], ends[count:])
+    higher = np.maximum(ends[:count], ends[count:])
+    points, rank = np.unique(np.concatenate((lower, higher)), return_inverse=True)
+    edges = np.sort(rank[:count] * len(points) + rank[count:])
+    if (edges[1:] == edges[:-1]).any():
         raise SerializationError("TRG repeats an edge")
     return trg
 

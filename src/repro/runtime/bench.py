@@ -11,9 +11,11 @@ arms produce the same tables and placements.
 Each arm runs under its own :class:`~repro.obs.Telemetry` registry, and
 every number in the report is read from that registry: wall-clock from
 the arm's root span, per-layer jobs and seconds from the ``sched.job``
-spans, warm-load probe seconds from the ``sched.probe`` spans, simulated
-events from the ``sim.events`` counter, store tallies from the
-``store.*`` counters, and peak RSS from the ``mem.peak_rss`` gauge.
+spans, warm-load probe seconds from the ``sched.probe`` spans (split by
+the store spans inside them), experiment assembly from the
+``sched.assemble`` spans, simulated events from the ``sim.events``
+counter, store tallies from the ``store.*`` counters, and peak RSS from
+the ``mem.peak_rss`` gauge.
 The report is written as JSON, by default to ``BENCH_pipeline.json``.
 """
 
@@ -33,6 +35,11 @@ DEFAULT_OUTPUT = "BENCH_pipeline.json"
 #: Stage-job kinds, in pipeline order: the layers a run's time splits into.
 LAYERS = ("trace", "profile", "place", "measure")
 
+#: Store spans one warm load passes through: the file read, the
+#: document and block decode with its length and digest check, and the
+#: payload-to-object codec.
+_PROBE_STEPS = ("store.read", "store.verify", "store.decode", "store.load")
+
 #: Report keys of the registry's store counters.
 _STORE_COUNTERS = {
     "hits": "store.hit",
@@ -48,6 +55,27 @@ def _walk(spans: list[obs.Span]) -> Iterator[obs.Span]:
     for span in spans:
         yield span
         yield from _walk(span.children)
+
+
+def _probe_split(spans: list[obs.Span]) -> dict[str, float]:
+    """Seconds of each store step inside the ``sched.probe`` spans.
+
+    ``store.verify`` nests in ``store.decode``, so ``decode_s`` is the
+    decode spans' self time.
+    """
+    totals = dict.fromkeys(_PROBE_STEPS, 0.0)
+    for probe in spans:
+        if probe.name != "sched.probe":
+            continue
+        for span in _walk(probe.children):
+            if span.name in totals:
+                totals[span.name] += span.seconds
+    return {
+        "read_s": totals["store.read"],
+        "verify_s": totals["store.verify"],
+        "decode_s": totals["store.decode"] - totals["store.verify"],
+        "load_s": totals["store.load"],
+    }
 
 
 def _layers(telemetry: obs.Telemetry) -> dict[str, dict]:
@@ -111,12 +139,16 @@ def _run_arm(programs: list[str], jobs: int, root: str) -> tuple[dict, dict, flo
         }
     summary = last_summary()
     layers = _layers(telemetry)
-    spans = _walk(telemetry.roots)
+    spans = list(_walk(telemetry.roots))
     probe_s = sum(span.seconds for span in spans if span.name == "sched.probe")
     busy_s = sum(layers[kind]["s"] for kind in LAYERS) + probe_s
     arm = {
         "wall_s": arm_span.seconds,
         "probe_s": probe_s,
+        "probe": _probe_split(spans),
+        "assemble_s": sum(
+            span.seconds for span in spans if span.name == "sched.assemble"
+        ),
         "residual_s": arm_span.seconds - busy_s,
         "layers": layers,
         "sched": {
@@ -153,10 +185,15 @@ def run_bench(
       plus ``layers.measure.events`` from the ``sim.events`` counter;
     * ``probe_s`` — the ``sched.probe`` spans: the job graph's warm-load
       probes, which read and decode the stored artifacts;
+    * ``probe`` — ``read_s``, ``verify_s``, ``decode_s`` and ``load_s``:
+      the ``store.read``, ``store.verify``, ``store.decode`` (self) and
+      ``store.load`` seconds inside the probes;
+    * ``assemble_s`` — the ``sched.assemble`` spans: building each
+      experiment from the run's artifacts;
     * ``residual_s`` — ``wall_s`` minus the layer and probe seconds:
-      planning, Table 1 statistics and table assembly.  Above one job
-      the workers' busy seconds overlap, so the residual can go
-      negative;
+      planning, Table 1 statistics and assembly (``assemble_s`` is part
+      of it).  Above one job the workers' busy seconds overlap, so the
+      residual can go negative;
     * ``sched`` — the job graph's summary; ``store`` — store tallies.
 
     Top level: ``identical`` (both arms rendered the same tables and
@@ -221,6 +258,13 @@ def render_bench(result: dict[str, object]) -> str:
         lines.append(
             f"  {label:<5}{row}  {arm['sched']['executed']:>8}  "
             f"{store['hits']}/{store['misses']}/{store['writes']}"
+        )
+    for label, arm in result["arms"].items():
+        split = arm["probe"]
+        lines.append(
+            f"  {label} probe: read {split['read_s']:.3f}s, verify "
+            f"{split['verify_s']:.3f}s, decode {split['decode_s']:.3f}s, "
+            f"load {split['load_s']:.3f}s; assemble {arm['assemble_s']:.3f}s"
         )
     measure = result["arms"]["cold"]["layers"]["measure"]
     lines.append(

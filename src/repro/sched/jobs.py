@@ -601,25 +601,27 @@ def assemble_experiment(aggregate: Job, bag: dict):
 
     Every role's artifact is in the bag once its job executed this run
     or was warm-loaded by :func:`probe_graph`; a missing one means the
-    role never settled and the spec is reported failed.
+    role never settled and the spec is reported failed.  Runs in a
+    ``sched.assemble`` span.
     """
     from ..runtime.driver import ExperimentResult
 
-    roles = aggregate.meta["roles"]
-    artifacts = {
-        role: bag.get(bag_key(job.spec))
-        for role, job in roles.items()
-        if job is not None
-    }
-    if any(artifact is None for artifact in artifacts.values()):
-        return None
-    return ExperimentResult(
-        workload=roles["profile"].spec.workload,
-        train_input=roles["profile"].spec.input_name,
-        test_input=roles["original"].spec.input_name,
-        profile=artifacts["profile"],
-        placement=artifacts["place"],
-        original=artifacts["original"],
-        ccdp=artifacts["ccdp"],
-        random=artifacts.get("random"),
-    )
+    with obs.span("sched.assemble"):
+        roles = aggregate.meta["roles"]
+        artifacts = {
+            role: bag.get(bag_key(job.spec))
+            for role, job in roles.items()
+            if job is not None
+        }
+        if any(artifact is None for artifact in artifacts.values()):
+            return None
+        return ExperimentResult(
+            workload=roles["profile"].spec.workload,
+            train_input=roles["profile"].spec.input_name,
+            test_input=roles["original"].spec.input_name,
+            profile=artifacts["profile"],
+            placement=artifacts["place"],
+            original=artifacts["original"],
+            ccdp=artifacts["ccdp"],
+            random=artifacts.get("random"),
+        )

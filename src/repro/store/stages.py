@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..cache.config import CacheConfig
+from ..obs import telemetry as obs
 from ..profiling.serialize import (
     placement_from_dict,
     placement_to_dict,
@@ -285,11 +286,13 @@ def cached_workload_stats(store: ArtifactStore, trace, compute: Callable):
 
 
 def _load(store: ArtifactStore, kind: str, fields: dict, decode):
+    """Decode one entry (in a ``store.load`` child span), or None on failure."""
     payload = store.get(kind, store.key(kind, fields))
     if payload is None:
         return None
     try:
-        return decode(payload)
+        with obs.child_span("store.load", kind=kind):
+            return decode(payload)
     except Exception:
         return None
 

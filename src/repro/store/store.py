@@ -120,8 +120,8 @@ def _decode_entry(raw: bytes, kind: str):
     """Validate one entry's bytes and decode its payload.
 
     Raises :class:`StoreEntryError` on any mismatch.  The payload is
-    checked by its length and a sha256 over the bytes read; blocks are
-    zero-copy views of ``raw``.
+    checked by its length and a sha256 over the bytes read (the
+    ``store.verify`` span); blocks are zero-copy views of ``raw``.
     """
     newline = raw.find(b"\n")
     if newline < 0:
@@ -137,10 +137,11 @@ def _decode_entry(raw: bytes, kind: str):
     if header.get("salt") != code_salt():
         raise StoreEntryError("code-version salt mismatch")
     body = memoryview(raw)[newline + 1 :]
-    if header.get("length") != len(body):
-        raise StoreEntryError("payload length mismatch")
-    if hashlib.sha256(body).hexdigest() != header.get("sha256"):
-        raise StoreEntryError("payload digest mismatch")
+    with obs.child_span("store.verify"):
+        if header.get("length") != len(body):
+            raise StoreEntryError("payload length mismatch")
+        if hashlib.sha256(body).hexdigest() != header.get("sha256"):
+            raise StoreEntryError("payload digest mismatch")
     size = header.get("document")
     if type(size) is not int or size < 0:
         raise StoreEntryError("bad document length")
@@ -260,15 +261,21 @@ class ArtifactStore:
         entry, and the ``companions`` paths with it, and reports a miss,
         so callers always fall back to recompute-and-rewrite.  Array
         blocks come back as read-only numpy views of the bytes read.
+
+        Inside an open span the steps open child spans: ``store.read``
+        (the file's bytes), then ``store.decode`` (header, document and
+        blocks), with ``store.verify`` (length and sha256) nested in it.
         """
         path = self.entry_path(kind, digest)
         try:
-            raw = path.read_bytes()
+            with obs.child_span("store.read"):
+                raw = path.read_bytes()
         except OSError:
             self._miss()
             return None
         try:
-            payload = _decode_entry(raw, kind)
+            with obs.child_span("store.decode"):
+                payload = _decode_entry(raw, kind)
         except StoreEntryError:
             # Corruption is counted immediately even inside a probe: the
             # entry really was discarded, whatever the probe concludes.
@@ -369,12 +376,14 @@ class ArtifactStore:
 
         ``decode`` failures on a hit are treated exactly like on-disk
         corruption: the entry is dropped and the value recomputed.
+        Decoding opens a ``store.load`` child span.
         """
         digest = self.key(kind, fields)
         payload = self.get(kind, digest)
         if payload is not None:
             try:
-                return decode(payload)
+                with obs.child_span("store.load", kind=kind):
+                    return decode(payload)
             except Exception:
                 self.counters.corrupt += 1
                 obs.count("store.corrupt")

@@ -34,7 +34,7 @@ import numpy as np
 from . import plane
 from .events import Category, ObjectInfo, STACK_OBJECT_ID, TraceError
 from .sinks import TraceSink
-from .stats import WorkloadStats
+from .stats import ObjectColumns, WorkloadStats, object_columns
 
 #: Default number of events per consumed chunk (events, not bytes).
 DEFAULT_CHUNK_EVENTS = 1 << 16
@@ -422,39 +422,39 @@ class TraceRecorder(TraceSink):
         """
         obj, _offset, _size, cat, store = self.columns()
         stats = WorkloadStats()
-        stats.object_sizes[STACK_OBJECT_ID] = 0
-        stats.object_categories[STACK_OBJECT_ID] = Category.STACK
         total = len(obj)
         stores = int(store.sum()) if total else 0
         stats.instructions = total + self.compute_instructions
         stats.stores = stores
         stats.loads = total - stores
-        if total:
-            by_cat = np.bincount(cat, minlength=len(_CATEGORIES))
-            for category in _CATEGORIES:
-                stats.refs_by_category[category] = int(by_cat[category])
-            by_obj = np.bincount(obj)
-            nonzero = np.flatnonzero(by_obj)
-            stats.refs_by_object = dict(
-                zip(nonzero.tolist(), by_obj[nonzero].tolist())
-            )
+        by_cat = np.bincount(cat, minlength=len(_CATEGORIES))
+        for category in _CATEGORIES:
+            stats.refs_by_category[category] = int(by_cat[category])
+        by_obj = np.bincount(obj)
+        nonzero = np.flatnonzero(by_obj)
+        stats.refs_by_object = ObjectColumns(nonzero, by_obj[nonzero])
+        # The replay's object table: a free looks up the size it had then.
+        sizes = {STACK_OBJECT_ID: 0}
+        categories = {STACK_OBJECT_ID: Category.STACK}
         for _position, kind, payload in self.lifetime_ops:
             if kind == _OP_OBJECT:
-                stats.object_sizes[payload.obj_id] = payload.size
-                stats.object_categories[payload.obj_id] = payload.category
+                sizes[payload.obj_id] = payload.size
+                categories[payload.obj_id] = payload.category
             elif kind == _OP_ALLOC:
                 info, _return_addresses = payload
                 stats.alloc_count += 1
                 stats.alloc_bytes += info.size
-                stats.object_sizes[info.obj_id] = info.size
-                stats.object_categories[info.obj_id] = Category.HEAP
+                sizes[info.obj_id] = info.size
+                categories[info.obj_id] = Category.HEAP
             elif kind == _OP_FREE:
                 stats.free_count += 1
-                stats.free_bytes += stats.object_sizes.get(payload, 0)
+                stats.free_bytes += sizes.get(payload, 0)
             elif kind == _OP_STACK_DEPTH:
                 if payload > stats.max_stack_depth:
                     stats.max_stack_depth = payload
-                    stats.object_sizes[STACK_OBJECT_ID] = payload
+                    sizes[STACK_OBJECT_ID] = payload
+        stats.object_sizes = object_columns(sizes)
+        stats.object_categories = object_columns(categories)
         return stats
 
 

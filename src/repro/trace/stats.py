@@ -8,18 +8,102 @@ the distribution of references over object-size buckets.
 :class:`WorkloadStats` holds the raw counts those tables are computed
 from; :meth:`~repro.trace.buffer.TraceRecorder.stats` fills it from a
 recorded trace's columns.
+
+Per-object counters (here and in :class:`~repro.cache.simulator.CacheStats`)
+live in one of two forms: an :class:`ObjectColumns` pair of int columns
+(what the kernels emit and the artifact store reads and writes) or a dict
+keyed by object id (what Table 3, Figure 3 and callers that edit a counter
+use).  Each such field is an :class:`ObjectCounter`: reading it returns
+the dict, built from the columns on first read; :func:`counter_columns`
+reads the columns without building it.  :func:`object_columns` and
+:func:`object_dict` are the only conversions between the two forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .events import Category
+
+#: ``Category`` members indexed by value, for decoding a category column.
+_CATEGORIES = tuple(Category)
+
+
+class ObjectColumns(NamedTuple):
+    """A per-object counter as two equal-length int columns.
+
+    Row ``i`` is the entry ``ids[i] -> values[i]``; rows follow the
+    dict's insertion order.
+    """
+
+    ids: np.ndarray
+    values: np.ndarray
+
+
+def object_columns(counts: dict) -> ObjectColumns:
+    """The columns of a per-object dict, in its iteration order."""
+    return ObjectColumns(
+        np.fromiter(counts.keys(), np.int64, len(counts)),
+        np.fromiter(counts.values(), np.int64, len(counts)),
+    )
+
+
+def object_dict(columns: ObjectColumns, convert=None) -> dict:
+    """The per-object dict of ``columns``, iterating in row order.
+
+    ``convert`` maps each value (a category column's ints to ``Category``).
+    """
+    values = columns.values.tolist()
+    if convert is not None:
+        values = map(convert, values)
+    return dict(zip(columns.ids.tolist(), values))
+
+
+class ObjectCounter:
+    """A per-object counter field that holds a dict or :class:`ObjectColumns`.
+
+    Assigning columns keeps them; the first read builds the dict from
+    them, in row order, and from then on the dict is the counter, so a
+    caller's in-place edits never leave stale columns behind.
+    """
+
+    def __init__(self, name: str, convert=None):
+        self.name = name
+        self.convert = convert
+
+    def __get__(self, stats, owner=None):
+        if stats is None:
+            return self
+        held = stats.__dict__[self.name]
+        if isinstance(held, ObjectColumns):
+            held = stats.__dict__[self.name] = object_dict(held, self.convert)
+        return held
+
+    def __set__(self, stats, counts) -> None:
+        stats.__dict__[self.name] = counts
+
+
+def counter_columns(stats, name: str) -> ObjectColumns:
+    """The counter field ``name`` of ``stats`` as columns, building no dict.
+
+    The columns as assigned while the field is unread; afterwards (or
+    for a field assigned a dict) they are derived from the dict.
+    """
+    held = stats.__dict__[name]
+    return held if isinstance(held, ObjectColumns) else object_columns(held)
 
 
 @dataclass
 class WorkloadStats:
-    """Aggregate counters for one workload run."""
+    """Aggregate counters for one workload run.
+
+    ``refs_by_object``, ``object_sizes`` and ``object_categories`` are
+    :class:`ObjectCounter` fields: each may be given as
+    :class:`ObjectColumns` and reads as a dict.
+    """
 
     instructions: int = 0
     loads: int = 0
@@ -67,6 +151,15 @@ class WorkloadStats:
     def avg_free_size(self) -> float:
         """Average ``free``d object size in bytes (Table 1)."""
         return self.free_bytes / self.free_count if self.free_count else 0.0
+
+
+# The per-object fields stay dataclass fields (``__init__``, ``==`` and
+# ``repr`` go through them) behind descriptors that also hold columns.
+WorkloadStats.refs_by_object = ObjectCounter("refs_by_object")
+WorkloadStats.object_sizes = ObjectCounter("object_sizes")
+WorkloadStats.object_categories = ObjectCounter(
+    "object_categories", _CATEGORIES.__getitem__
+)
 
 
 #: Size-bucket upper bounds used by Table 3 of the paper, in bytes.

@@ -13,6 +13,7 @@ from repro.obs.telemetry import (
     PEAK_RSS_GAUGE,
     Span,
     Telemetry,
+    child_span,
     count,
     current,
     gauge,
@@ -75,6 +76,33 @@ class TestTelemetry:
         assert registry.gauges.pop(PEAK_RSS_GAUGE, 0) >= 0
         assert registry.gauges == {"depth": 4.0}
         assert registry.find("timed") is not None
+
+    def test_store_steps_record_only_inside_a_span(self, tmp_path):
+        """A store read outside any stage adds no root span.
+
+        ``repro serve`` keeps one registry for its whole life, and every
+        request reads the store.
+        """
+        from repro.store import ArtifactStore
+
+        store = ArtifactStore(tmp_path / "store")
+        digest = store.key("stats", {"trace": "abc"})
+        store.put("stats", digest, {"trace": "abc"}, {"value": 1})
+        registry = Telemetry()
+        with use(registry):
+            with child_span("lone"):
+                assert store.get("stats", digest) == {"value": 1}
+            assert registry.roots == []
+            with span("stage"):
+                store.get("stats", digest)
+        (stage,) = registry.roots
+        assert [child.name for child in stage.children] == [
+            "store.read",
+            "store.decode",
+        ]
+        assert [child.name for child in stage.children[1].children] == [
+            "store.verify"
+        ]
 
     def test_use_restores_previous_registry(self):
         first, second = Telemetry(), Telemetry()

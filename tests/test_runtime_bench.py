@@ -77,6 +77,16 @@ def test_warm_arm_runs_nothing(result):
     assert warm["store"]["hits"] > 0
 
 
+def test_warm_probe_splits_into_store_steps(result):
+    # The store spans nest inside the probe; assembly runs after it.
+    warm = result["arms"]["warm"]
+    split = warm["probe"]
+    assert set(split) == {"read_s", "verify_s", "decode_s", "load_s"}
+    assert all(seconds > 0.0 for seconds in split.values())
+    assert sum(split.values()) <= warm["probe_s"]
+    assert 0.0 < warm["assemble_s"] <= warm["residual_s"]
+
+
 def test_warm_reproduces_cold(result):
     assert result["identical"] is True
 

@@ -22,8 +22,16 @@ from repro.profiling.serialize import (
     profile_from_payload,
     profile_to_payload,
 )
+from repro.runtime.driver import measure_trace
+from repro.runtime.resolvers import NaturalResolver
 from repro.store import ArtifactStore, code_salt, use_store
 from repro.store import traces as store_traces
+from repro.store.artifacts import (
+    measure_result_from_payload,
+    measure_result_to_payload,
+    workload_stats_from_payload,
+    workload_stats_to_payload,
+)
 from repro.trace.buffer import record_trace
 
 
@@ -148,6 +156,55 @@ HOSTILE_TRG = {
 }
 
 
+def _append_first_id(value):
+    """Repeat the first object id with ``value`` (a dict keeps the last)."""
+
+    def tamper(columns):
+        ids, values = columns
+        return [np.append(ids, ids[0]), np.append(values, value).astype(values.dtype)]
+
+    return tamper
+
+
+#: Well-sealed per-object block pairs a decoded stats entry must not keep.
+HOSTILE_OBJECTS = {
+    "repeated_id": lambda _columns: [np.array([7, 7]), np.array([5, 9])],
+    "repeated_first_id": _append_first_id(0),
+    "negative_id": lambda columns: [-1 - columns[0], columns[1]],
+    "short_value_column": lambda columns: [columns[0], columns[1][:-1]],
+    "one_column": lambda columns: columns[:1],
+    "three_columns": lambda columns: [*columns, columns[1]],
+    "document_lists": lambda columns: [column.tolist() for column in columns],
+}
+
+
+def _stats_entry(trace):
+    """(kind, fresh value, payload, encode, decode, its counter blocks)."""
+    stats = trace.stats()
+    payload = workload_stats_to_payload(stats)
+    return (
+        "stats",
+        stats,
+        payload,
+        workload_stats_to_payload,
+        workload_stats_from_payload,
+        payload,
+    )
+
+
+def _measure_entry(trace):
+    result = measure_trace(trace, NaturalResolver())
+    payload = measure_result_to_payload(result)
+    return (
+        "measure",
+        result,
+        payload,
+        measure_result_to_payload,
+        measure_result_from_payload,
+        payload["cache"],
+    )
+
+
 class TestHostileEntries:
     """Entries in the header + document + array-block layout."""
 
@@ -221,6 +278,73 @@ class TestHostileEntries:
         assert store.counters.corrupt == 1
         rewritten = profile_from_payload(store.get("profile", digest))
         assert list(rewritten.trg.items()) == list(profile.trg.items())
+
+    @pytest.mark.parametrize("tamper", sorted(HOSTILE_OBJECTS))
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            (_stats_entry, "refs_by_object"),
+            (_stats_entry, "object_sizes"),
+            (_measure_entry, "misses_by_object"),
+        ],
+    )
+    def test_hostile_object_blocks_are_recomputed(
+        self, store, toy_workload, entry, field, tamper
+    ):
+        """Decode rejects the blocks, so the store recomputes the entry.
+
+        A dict built from a repeated id keeps its last value, and one
+        with a negative id names no object, yet both would be served.
+        """
+        trace = record_trace(toy_workload, toy_workload.test_input)
+        kind, fresh, payload, encode, decode, blocks = entry(trace)
+        blocks[field] = HOSTILE_OBJECTS[tamper](blocks[field])
+        fields = {"trace": "abc"}
+        digest = store.key(kind, fields)
+        store.put(kind, digest, fields, payload)
+        with pytest.raises(SerializationError):
+            decode(store.get(kind, digest))
+        loaded = store.get_or_compute(
+            kind, fields, encode=encode, decode=decode, compute=lambda: fresh
+        )
+        assert loaded is fresh
+        assert store.counters.corrupt == 1
+        assert decode(store.get(kind, digest)) == fresh
+
+    @pytest.mark.parametrize("category", [-1, 4])
+    def test_category_block_naming_no_category(self, store, toy_workload, category):
+        stats = record_trace(toy_workload, toy_workload.test_input).stats()
+        payload = workload_stats_to_payload(stats)
+        ids, values = payload["object_categories"]
+        payload["object_categories"] = [ids, np.append(values[1:], category)]
+        with pytest.raises(SerializationError):
+            workload_stats_from_payload(payload)
+
+    def test_measure_trace_recomputes_a_repeated_id(self, tmp_path):
+        """A warm ``measure_trace`` recomputes instead of failing its check.
+
+        The dict of the tampered entry keeps the repeat's value, so its
+        per-object misses no longer sum to the total.
+        """
+        from repro.experiments.common import cached_trace
+        from repro.workloads import make_workload
+
+        trace = cached_trace("go", make_workload("go").test_input)
+        cold_store = ArtifactStore(tmp_path / "store")
+        with use_store(cold_store):
+            fresh = measure_trace(trace, NaturalResolver())
+        (path,) = (cold_store.objects_dir / "measure").rglob("*.json")
+        header, _document, _blocks = split_entry(path)
+        payload = cold_store.get("measure", path.stem)
+        cache = payload["cache"]
+        cache["misses_by_object"] = _append_first_id(1)(cache["misses_by_object"])
+        cold_store.put("measure", path.stem, header["fields"], payload)
+        warm_store = ArtifactStore(tmp_path / "store")
+        with use_store(warm_store):
+            warm = measure_trace(trace, NaturalResolver())
+        assert warm == fresh
+        assert warm_store.counters.corrupt == 1
+        assert warm_store.counters.writes == 1
 
     @pytest.mark.parametrize("trailer", [b"", b"\n"])
     def test_format_one_entry(self, store, trailer):
