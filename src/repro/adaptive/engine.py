@@ -281,15 +281,15 @@ def run_adaptive(
                         cat_col[chunk_start:chunk_end],
                         store_col[chunk_start:chunk_end],
                     )
-                stats = simulator.stats
+                accesses, misses = simulator.accesses, simulator.misses
                 record = WindowRecord(
                     index=w,
                     start=start,
                     end=end,
-                    accesses=stats.accesses - prev_accesses,
-                    misses=stats.misses - prev_misses,
+                    accesses=accesses - prev_accesses,
+                    misses=misses - prev_misses,
                 )
-                prev_accesses, prev_misses = stats.accesses, stats.misses
+                prev_accesses, prev_misses = accesses, misses
                 trace.advise_done(start, end)
             obs.count("adapt.windows")
 

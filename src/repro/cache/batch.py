@@ -417,7 +417,8 @@ class BatchCacheSimulator:
             conflict debugger reports.  Direct-mapped only.
 
     Consume whole column chunks via :meth:`consume` (or
-    :meth:`consume_misses`), then read :attr:`stats`.
+    :meth:`consume_misses`), then read :attr:`stats`; :attr:`accesses`
+    and :attr:`misses` read the running totals without building it.
     """
 
     def __init__(
@@ -502,6 +503,16 @@ class BatchCacheSimulator:
                 if misses:
                     missed[reference[0][miss]] = True
         return missed
+
+    @property
+    def accesses(self) -> int:
+        """Block accesses simulated so far (the kernel's running total)."""
+        return self._kernel.accesses
+
+    @property
+    def misses(self) -> int:
+        """Misses so far (the kernel's running total)."""
+        return self._kernel.misses
 
     @property
     def stats(self) -> CacheStats:

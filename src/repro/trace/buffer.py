@@ -11,12 +11,21 @@ take whole chunks at a time into vectorized kernels
 :class:`TraceRecorder` is a :class:`~repro.trace.sinks.TraceSink` that
 materializes one workload run as *unresolved* access columns
 ``(obj_id, offset, size, category, is_store)`` plus the interleaved
-object-lifetime events.  Because object ids are run-unique (never
-reused), a recorded trace can be re-simulated under any placement
-policy without re-running the workload: lifetime events are replayed
-through a resolver once, and addresses are then computed in vectorized
-chunk-wise gathers (:meth:`TraceRecorder.iter_resolved` /
-:meth:`TraceRecorder.resolve`).
+object-lifetime events.  Its access writer is the ``extend`` of one
+pending list, so :class:`~repro.vm.program.Program` records an access
+with one ``list.extend`` of a five-field tuple and no sink frame.  The
+recorder converts the pending list into its five typed columns a block
+at a time: when an op hook finds :data:`BLOCK_ACCESSES` pending (no
+paper, sweep or drift trace goes more than 1,161 accesses without an
+op, so the list stays bounded), and before
+:meth:`TraceRecorder.columns`, ``len()`` and ``on_end``.  Every op
+position counts the accesses still pending.
+
+Because object ids are run-unique (never reused), a recorded trace can
+be re-simulated under any placement policy without re-running the
+workload: lifetime events are replayed through a resolver once, and
+addresses are then computed in vectorized chunk-wise gathers
+(:meth:`TraceRecorder.iter_resolved` / :meth:`TraceRecorder.resolve`).
 
 A finished recording keeps its columns in-process, or reads them
 zero-copy from one memory-mapped file when it was attached from a store
@@ -26,8 +35,9 @@ over a :class:`~repro.trace.plane.MmapStorage`).
 
 from __future__ import annotations
 
+import struct
 from array import array
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -41,6 +51,21 @@ DEFAULT_CHUNK_EVENTS = 1 << 16
 
 #: ``Category`` members indexed by value, for int -> enum conversion.
 _CATEGORIES = tuple(Category)
+
+#: Accesses pending in the recorder before an op hook converts them.
+BLOCK_ACCESSES = 1 << 13
+
+#: Fields of one pending access: ``(obj_id, offset, size, is_store,
+#: category)``, the tuple :meth:`TraceRecorder.access_writer` receives.
+_ACCESS_FIELDS = 5
+
+_BLOCK_ITEMS = BLOCK_ACCESSES * _ACCESS_FIELDS
+
+#: ``array`` type codes of the access columns, in ``columns()`` order.
+_COLUMN_CODES = ("i", "q", "i", "b", "b")
+
+#: The access field each column takes, in ``columns()`` order.
+_COLUMN_FIELDS = (0, 1, 2, 4, 3)
 
 # Lifetime-op tags recorded by TraceRecorder.
 _OP_OBJECT = 0
@@ -111,18 +136,19 @@ class TraceRecorder(TraceSink):
     """Record one workload run as SoA access columns plus lifetime ops.
 
     The access stream lives in five flat columns rather than per-event
-    Python objects, and the much rarer lifetime events (object declarations, allocs, frees, stack
-    growth, compute batches) are kept as a positioned op list so exact
-    interleaving can be reproduced.
+    Python objects, and the much rarer lifetime events (object
+    declarations, allocs, frees, stack growth, compute batches) are kept
+    as a positioned op list so exact interleaving can be reproduced.
+    Accesses arrive as flat fields in a pending list and are converted
+    into the columns a block at a time (see the module docstring).
     """
 
     def __init__(self) -> None:
         self._storage: plane.MmapStorage | None = None
-        self._obj = array("i")
-        self._offset = array("q")
-        self._size = array("i")
-        self._cat = array("b")
-        self._store = array("b")
+        #: The typed access columns, in :meth:`columns` order.
+        self._arrays = tuple(array(code) for code in _COLUMN_CODES)
+        #: Accesses not yet converted, five flat fields each.
+        self._pending: list = []
         #: (position-in-access-stream, op-kind, payload) in trace order.
         self.ops: list[tuple[int, int, object]] = []
         self.compute_instructions = 0
@@ -130,22 +156,6 @@ class TraceRecorder(TraceSink):
         self.ended = False
         self._columns: tuple[np.ndarray, ...] | None = None
         self._lifetime_ops: list[tuple[int, int, object]] | None = None
-        # The access hook is the per-event hot path of trace recording;
-        # a closure over the column appends skips all self lookups.
-        obj_append = self._obj.append
-        offset_append = self._offset.append
-        size_append = self._size.append
-        cat_append = self._cat.append
-        store_append = self._store.append
-
-        def on_access(obj_id, offset, size, is_store, category) -> None:
-            obj_append(obj_id)
-            offset_append(offset)
-            size_append(size)
-            cat_append(category)
-            store_append(is_store)
-
-        self.on_access = on_access
 
     @classmethod
     def from_storage(
@@ -185,26 +195,71 @@ class TraceRecorder(TraceSink):
 
     # -- sink hooks ---------------------------------------------------------
 
+    def access_writer(self) -> Callable[[tuple], None]:
+        """The pending list's ``extend``: one call records one access."""
+        return self._pending.extend
+
+    def on_access(self, obj_id, offset, size, is_store, category) -> None:
+        self._pending.extend((obj_id, offset, size, is_store, category))
+
+    def _position(self) -> int:
+        """The next access's position; converts a full pending block first."""
+        if len(self._pending) >= _BLOCK_ITEMS:
+            self._flush()
+        return len(self._arrays[0]) + len(self._pending) // _ACCESS_FIELDS
+
     def on_object(self, info: ObjectInfo) -> None:
-        self.ops.append((len(self._obj), _OP_OBJECT, info))
+        self.ops.append((self._position(), _OP_OBJECT, info))
 
     def on_alloc(self, info: ObjectInfo, return_addresses) -> None:
-        self.ops.append((len(self._obj), _OP_ALLOC, (info, tuple(return_addresses))))
+        self.ops.append(
+            (self._position(), _OP_ALLOC, (info, tuple(return_addresses)))
+        )
 
     def on_free(self, obj_id: int) -> None:
-        self.ops.append((len(self._obj), _OP_FREE, obj_id))
+        self.ops.append((self._position(), _OP_FREE, obj_id))
 
     def on_compute(self, instructions: int) -> None:
+        # The most frequent op: ``_position`` inlined.
         self.compute_instructions += instructions
-        self.ops.append((len(self._obj), _OP_COMPUTE, instructions))
+        pending = self._pending
+        if len(pending) >= _BLOCK_ITEMS:
+            self._flush()
+        position = len(self._arrays[0]) + len(pending) // _ACCESS_FIELDS
+        self.ops.append((position, _OP_COMPUTE, instructions))
 
     def on_stack_depth(self, depth: int) -> None:
         if depth > self.max_stack_depth:
             self.max_stack_depth = depth
-            self.ops.append((len(self._obj), _OP_STACK_DEPTH, depth))
+            self.ops.append((self._position(), _OP_STACK_DEPTH, depth))
 
     def on_end(self) -> None:
+        self._flush()
         self.ended = True
+
+    def _flush(self) -> None:
+        """Append the pending accesses to the typed columns.
+
+        Raises :class:`OverflowError` when a field does not fit its
+        column, as appending it to the ``array`` would.
+        """
+        pending = self._pending
+        if not pending:
+            return
+        # Views of the columns pin their buffers; a column cannot grow
+        # while one is exported.
+        self._columns = None
+        block = np.frombuffer(
+            struct.pack(f"{len(pending)}q", *pending), dtype=np.int64
+        ).reshape(-1, _ACCESS_FIELDS)
+        for column, field in zip(self._arrays, _COLUMN_FIELDS):
+            values = block[:, field]
+            typed = values.astype(column.typecode)
+            if not np.array_equal(typed, values):
+                bad = int(values[np.argmax(typed != values)])
+                raise OverflowError(f"access value {bad} overflows {typed.dtype}")
+            column.frombytes(typed.tobytes())
+        pending.clear()
 
     # -- access columns -----------------------------------------------------
 
@@ -216,7 +271,8 @@ class TraceRecorder(TraceSink):
         """Number of recorded memory references."""
         if self._storage is not None:
             return self._storage.events
-        return len(self._obj)
+        self._flush()
+        return len(self._arrays[0])
 
     def columns(
         self,
@@ -224,25 +280,22 @@ class TraceRecorder(TraceSink):
         """Numpy views of (obj_id, offset, size, category, is_store).
 
         Attached recordings view the mapped file zero-copy; in-process
-        ones view the column buffers as recorded so far.
+        ones view the column buffers as recorded so far, pending
+        accesses included.
         """
         if self._storage is not None:
             if self._columns is None:
                 self._columns = self._storage.columns()
             return self._columns
-        if self._columns is None or len(self._columns[0]) != len(self._obj):
+        events = self.events
+        if self._columns is None or len(self._columns[0]) != events:
             self._columns = self._recorded_columns()
         return self._columns
 
     def _recorded_columns(self) -> tuple[np.ndarray, ...]:
-        if not self._obj:
-            return tuple(np.empty(0, d) for d in plane.TRACE_COLUMN_DTYPES)
-        return (
-            np.frombuffer(self._obj, dtype=np.int32),
-            np.frombuffer(self._offset, dtype=np.int64),
-            np.frombuffer(self._size, dtype=np.int32),
-            np.frombuffer(self._cat, dtype=np.int8),
-            np.frombuffer(self._store, dtype=np.int8),
+        return tuple(
+            np.frombuffer(column, dtype=dtype) if column else np.empty(0, dtype)
+            for column, dtype in zip(self._arrays, plane.TRACE_COLUMN_DTYPES)
         )
 
     @property
@@ -272,10 +325,8 @@ class TraceRecorder(TraceSink):
         """Approximate memory/storage footprint of the access columns."""
         if self._storage is not None:
             return self._storage.nbytes
-        return sum(
-            col.itemsize * len(col)
-            for col in (self._obj, self._offset, self._size, self._cat, self._store)
-        )
+        self._flush()
+        return sum(column.itemsize * len(column) for column in self._arrays)
 
     # -- consumers ----------------------------------------------------------
 

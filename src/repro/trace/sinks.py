@@ -9,12 +9,18 @@ stream (:class:`~repro.trace.validate.ValidatingSink`); a recorded
 trace replays into any of them.
 
 The sink protocol is deliberately a set of plain methods rather than a
-single ``handle(event)`` dispatcher: the access path is the hot loop of
-recording, and avoiding per-event object construction and dispatch
-keeps multi-hundred-thousand-reference traces tractable in pure Python.
+single ``handle(event)`` dispatcher.  The access path, the hot loop of
+recording, goes one step further: :class:`~repro.vm.program.Program`
+asks its sink once for an :meth:`TraceSink.access_writer` and hands it
+each access as one ``(obj_id, offset, size, is_store, category)``
+tuple.  The recorder's writer is its pending list's ``extend``, so a
+recorded access runs no Python frame of the sink at all; any other
+sink gets a wrapper that calls :meth:`TraceSink.on_access`.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .events import Category, ObjectInfo
 
@@ -27,7 +33,8 @@ class TraceSink:
     Hooks:
         * :meth:`on_object` — a static object (global/constant/stack) was
           declared before the run started.
-        * :meth:`on_access` — a load or store executed.
+        * :meth:`on_access` — a load or store executed; a run reaches
+          it through :meth:`access_writer`.
         * :meth:`on_alloc` / :meth:`on_free` — heap lifetime events.
         * :meth:`on_compute` — ``n`` non-memory instructions executed
           (used only for instruction accounting, Table 1).
@@ -47,6 +54,20 @@ class TraceSink:
         category: Category,
     ) -> None:
         """Observe one load (``is_store=False``) or store (``is_store=True``)."""
+
+    def access_writer(self) -> Callable[[tuple], None]:
+        """The callable a run hands each access to.
+
+        An access is one ``(obj_id, offset, size, is_store, category)``
+        tuple; this writer unpacks it into :meth:`on_access`.  A writer
+        must not refer to the run that calls it.
+        """
+        on_access = self.on_access
+
+        def write(access: tuple) -> None:
+            on_access(*access)
+
+        return write
 
     def on_alloc(self, info: ObjectInfo, return_addresses: tuple[int, ...]) -> None:
         """Observe a heap allocation."""

@@ -6,7 +6,14 @@ synthetic return addresses, which feed the XOR heap-naming scheme), opens
 stack frames, loads and stores objects at byte offsets, and allocates and
 frees heap objects.  Every action is forwarded to a
 :class:`~repro.trace.sinks.TraceSink`, so the same deterministic workload
-can drive the profiler, the placement replayer, or a statistics collector.
+can drive the trace recorder or any other sink.
+
+An access is the hot path of a run: each of :meth:`Program.load`,
+:meth:`~Program.store`, :meth:`~Program.load_local` and
+:meth:`~Program.store_local` validates inline and hands one
+``(obj_id, offset, size, is_store, category)`` tuple to the writer its
+sink returned from :meth:`~repro.trace.sinks.TraceSink.access_writer`,
+so a recorded access costs one Python call and one ``list.extend``.
 
 This plays the role ATOM played for the paper's authors: it turns a
 program execution into an object-level reference trace.
@@ -14,11 +21,32 @@ program execution into an object-level reference trace.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from ..memory.layout import WORD_SIZE
 from ..trace.events import Category, ObjectInfo, STACK_OBJECT_ID, TraceError
 from ..trace.sinks import TraceSink
+
+_STACK = Category.STACK
+
+
+def _reject(ref: "Ref", offset: int, size: int) -> None:
+    """Raise the :class:`TraceError` for an invalid access to ``ref``."""
+    if not ref.alive:
+        raise TraceError(f"access to freed object {ref.obj_id}")
+    if size < 1:
+        raise TraceError(f"access of {size} bytes to object {ref.obj_id}")
+    raise TraceError(
+        f"access [{offset},{offset + size}) outside object "
+        f"{ref.obj_id} of size {ref.size}"
+    )
+
+
+def _reject_local(frames: list[int], frame_offset: int, size: int) -> None:
+    """Raise the :class:`TraceError` for an invalid stack access."""
+    if not frames:
+        raise TraceError("stack access with no open frame")
+    if size < 1:
+        raise TraceError(f"stack access of {size} bytes")
+    raise TraceError(f"stack access at frame offset {frame_offset} exceeds frame")
 
 
 class Ref:
@@ -34,6 +62,39 @@ class Ref:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Ref(obj_id={self.obj_id}, size={self.size}, {self.category.name})"
+
+
+class _ReturnAddresses(dict):
+    """Call site -> mixed return address, mixed once per site."""
+
+    __slots__ = ()
+
+    def __missing__(self, site: int) -> int:
+        address = self[site] = Program._mix(site)
+        return address
+
+
+class _Function:
+    """The context manager :meth:`Program.function` returns: call + frame."""
+
+    __slots__ = ("_program", "_address", "_frame_bytes")
+
+    def __init__(self, program: "Program", site: int, frame_bytes: int):
+        self._program = program
+        self._address = program._addresses[site]
+        self._frame_bytes = frame_bytes
+
+    def __enter__(self) -> None:
+        program = self._program
+        program._return_stack.append(self._address)
+        if self._frame_bytes:
+            program.push_frame(self._frame_bytes)
+
+    def __exit__(self, *exc_info) -> None:
+        program = self._program
+        if self._frame_bytes:
+            program.pop_frame()
+        program.ret()
 
 
 class Program:
@@ -52,9 +113,13 @@ class Program:
         program.finish()
     """
 
-    def __init__(self, sink: TraceSink, validate: bool = True):
+    def __init__(self, sink: TraceSink):
         self.sink = sink
-        self.validate = validate
+        # Bound once: the sink's access writer must not refer back to
+        # this Program, or every finished run would wait for a full
+        # garbage collection to be freed.
+        self._write = sink.access_writer()
+        self._addresses = _ReturnAddresses()
         self._next_obj_id = STACK_OBJECT_ID + 1
         self._decl_index = 0
         self._started = False
@@ -132,7 +197,7 @@ class Program:
 
     def call(self, site: int) -> None:
         """Enter a function: push the call site's synthetic return address."""
-        self._return_stack.append(self._mix(site))
+        self._return_stack.append(self._addresses[site])
 
     def ret(self) -> None:
         """Leave the current function."""
@@ -154,18 +219,9 @@ class Program:
             raise TraceError("pop_frame() with no open frame")
         self._sp = self._frame_bases.pop()
 
-    @contextmanager
-    def function(self, site: int, frame_bytes: int = 0):
+    def function(self, site: int, frame_bytes: int = 0) -> _Function:
         """Combined call + frame as a context manager."""
-        self.call(site)
-        if frame_bytes:
-            self.push_frame(frame_bytes)
-        try:
-            yield
-        finally:
-            if frame_bytes:
-                self.pop_frame()
-            self.ret()
+        return _Function(self, site, frame_bytes)
 
     @property
     def return_addresses(self) -> tuple[int, ...]:
@@ -176,41 +232,39 @@ class Program:
 
     def load(self, ref: Ref, offset: int, size: int = WORD_SIZE) -> None:
         """Emit a load of ``size`` bytes at ``offset`` within ``ref``."""
-        self._access(ref, offset, size, is_store=False)
+        if not ref.alive or offset < 0 or size < 1 or offset + size > ref.size:
+            _reject(ref, offset, size)
+        self._write((ref.obj_id, offset, size, False, ref.category))
 
     def store(self, ref: Ref, offset: int, size: int = WORD_SIZE) -> None:
         """Emit a store of ``size`` bytes at ``offset`` within ``ref``."""
-        self._access(ref, offset, size, is_store=True)
-
-    def _access(self, ref: Ref, offset: int, size: int, is_store: bool) -> None:
-        if self.validate:
-            if not ref.alive:
-                raise TraceError(f"access to freed object {ref.obj_id}")
-            if offset < 0 or offset + size > ref.size:
-                raise TraceError(
-                    f"access [{offset},{offset + size}) outside object "
-                    f"{ref.obj_id} of size {ref.size}"
-                )
-        self.sink.on_access(ref.obj_id, offset, size, is_store, ref.category)
+        if not ref.alive or offset < 0 or size < 1 or offset + size > ref.size:
+            _reject(ref, offset, size)
+        self._write((ref.obj_id, offset, size, True, ref.category))
 
     def load_local(self, frame_offset: int, size: int = WORD_SIZE) -> None:
         """Load a local variable of the current frame (a stack reference)."""
-        self._stack_access(frame_offset, size, is_store=False)
+        frames = self._frame_bases
+        if (
+            not frames
+            or frame_offset < 0
+            or size < 1
+            or (offset := frames[-1] + frame_offset) + size > self._sp
+        ):
+            _reject_local(frames, frame_offset, size)
+        self._write((STACK_OBJECT_ID, offset, size, False, _STACK))
 
     def store_local(self, frame_offset: int, size: int = WORD_SIZE) -> None:
         """Store a local variable of the current frame (a stack reference)."""
-        self._stack_access(frame_offset, size, is_store=True)
-
-    def _stack_access(self, frame_offset: int, size: int, is_store: bool) -> None:
-        if not self._frame_bases:
-            raise TraceError("stack access with no open frame")
-        base = self._frame_bases[-1]
-        offset = base + frame_offset
-        if self.validate and (frame_offset < 0 or offset + size > self._sp):
-            raise TraceError(
-                f"stack access at frame offset {frame_offset} exceeds frame"
-            )
-        self.sink.on_access(STACK_OBJECT_ID, offset, size, is_store, Category.STACK)
+        frames = self._frame_bases
+        if (
+            not frames
+            or frame_offset < 0
+            or size < 1
+            or (offset := frames[-1] + frame_offset) + size > self._sp
+        ):
+            _reject_local(frames, frame_offset, size)
+        self._write((STACK_OBJECT_ID, offset, size, True, _STACK))
 
     def compute(self, instructions: int) -> None:
         """Execute ``instructions`` instructions that touch no memory."""

@@ -117,6 +117,36 @@ class TestTraceFingerprint:
                 "1recog",
                 "416579d308c2f0c5b17402a68b8b395893dfd4ae44858e075eed141b843279ec",
             ),
+            (
+                "espresso",
+                "bca",
+                "b0ae2b2971ebf06e787f93192a865b7e40321bd30c2542003b0e83e9c96a1303",
+            ),
+            (
+                "groff",
+                "man-page",
+                "4424f2973ac791c41619bb8d54dc20001f4e0c0ae224a9ed6dd1bf07deff84f7",
+            ),
+            (
+                "compress",
+                "bigtest-30k",
+                "6dab940c55c662eaf95a99ed6fad668d83dab7e4f1c0e49d9e74cebfacfa48e6",
+            ),
+            (
+                "m88ksim",
+                "ctl-dcrand",
+                "f516deab6d6005da1eb12ed90ba74cd43948c1b5f31c44116a8fb4ab9569abd5",
+            ),
+            (
+                "fpppp",
+                "natoms-4",
+                "a7b8e6e12ba96e9551b8c67ca5e8fd4554c2282b3fb27ec34abced2df0c0b4e3",
+            ),
+            (
+                "mgrid",
+                "grid-32",
+                "f56aaef471e87a983f593a885a9fe2f0fb49b8a8cb667b57197ed7d4797a9725",
+            ),
         ],
     )
     def test_seed0_fingerprints_are_pinned(self, workload, input_name, expected):

@@ -81,6 +81,10 @@ class TestAccesses:
         stores = [e for e in sink.events if e.is_store]
         assert len(loads) == 1 and len(stores) == 1
         assert stores[0].size == 8
+        # A plain sink's on_access sees a bool and a Category member.
+        for event in sink.events:
+            assert type(event.is_store) is bool
+            assert event.category is Category.GLOBAL
 
     def test_out_of_bounds_access_rejected(self, program):
         g = program.add_global("g", 8)
@@ -100,11 +104,29 @@ class TestAccesses:
         with pytest.raises(TraceError):
             program.store(g, -4)
 
-    def test_validation_can_be_disabled(self, sink):
-        program = Program(sink, validate=False)
-        g = program.add_global("g", 8)
+    @pytest.mark.parametrize(
+        "emit, offset, size",
+        [("load", 8, -4), ("store", 16, -100), ("load", 0, 0), ("store", 60, 0)],
+    )
+    def test_access_smaller_than_a_byte_rejected(
+        self, program, sink, emit, offset, size
+    ):
+        g = program.add_global("g", 64)
         program.start()
-        program.load(g, 800)  # no exception
+        with pytest.raises(TraceError, match="bytes"):
+            getattr(program, emit)(g, offset, size=size)
+        assert sink.events == []
+
+    @pytest.mark.parametrize("size", [0, -4])
+    @pytest.mark.parametrize("emit", ["load_local", "store_local"])
+    def test_local_access_smaller_than_a_byte_rejected(
+        self, program, sink, emit, size
+    ):
+        program.start()
+        program.push_frame(64)
+        with pytest.raises(TraceError, match="bytes"):
+            getattr(program, emit)(8, size=size)
+        assert sink.events == []
 
 
 class TestStack:
@@ -121,6 +143,7 @@ class TestStack:
         event = sink.events[-1]
         assert event.obj_id == 0
         assert event.offset == 64 + 8
+        assert event.is_store is True and event.category is Category.STACK
 
     def test_pop_without_frame_rejected(self, program):
         program.start()
