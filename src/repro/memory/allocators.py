@@ -6,8 +6,8 @@ Two allocation disciplines from the paper:
   with an address-ordered first-fit free list (the Grunwald, Zorn &
   Henderson allocator the paper cites as its baseline, Section 5.1).
 
-* :class:`TemporalFitAllocator` — the CCDP heap: free chunks are sorted by
-  the last time they were *touched* (a side allocated, or part of the
+* :class:`TemporalFitAllocator` — the CCDP heap: free chunks are scanned
+  by the last time they were *touched* (a side allocated, or part of the
   chunk deallocated) rather than by address or size, and an allocation may
   request a *preferred cache offset* so that the object's start maps to
   the cache block chosen by the placement algorithm (Section 5.1).
@@ -15,6 +15,11 @@ Two allocation disciplines from the paper:
 :class:`BinnedHeap` composes several temporal-fit arenas, one per
 allocation-bin tag, mirroring the custom malloc's per-tag free lists
 (Section 3.4).
+
+Both scans read the arena's standing orders (:meth:`Arena.by_address`,
+:meth:`Arena.by_recency`), so no allocation sorts the free list.
+``tests/oracles.py`` keeps a temporal fit that sorts the free list on
+every allocation; the allocator fuzz checks these against it.
 """
 
 from __future__ import annotations
@@ -34,14 +39,15 @@ class FirstFitAllocator:
         if size <= 0:
             raise HeapError(f"allocation size must be positive, got {size}")
         size = align_up(size, alignment)
-        for index, block in enumerate(self.arena.free_blocks):
-            addr = align_up(block.addr, alignment)
-            if addr + size <= block.end:
-                self.arena.take_from_block(index, addr, size)
-                self.arena.mark_live(addr, size)
+        arena = self.arena
+        for index, (start, end) in enumerate(arena.by_address()):
+            addr = -(-start // alignment) * alignment
+            if addr + size <= end:
+                arena.take_from_block(index, addr, size)
+                arena.mark_live(addr, size)
                 return addr
-        addr = self.arena.extend(size, alignment)
-        self.arena.mark_live(addr, size)
+        addr = arena.extend(size, alignment)
+        arena.mark_live(addr, size)
         return addr
 
     def free(self, addr: int) -> None:
@@ -56,10 +62,10 @@ class TemporalFitAllocator:
     Temporal-fit scans free chunks from most recently touched to least
     recently touched and takes the first chunk the request fits in
     (paper, Section 5.1).  When the request carries a preferred cache
-    offset, the scan first looks for a chunk that can host the object so
-    its start address maps to that offset; if no chunk can, the allocator
-    falls back to plain temporal-fit, and finally extends the arena —
-    padding the break so the fresh block honours the preferred offset.
+    offset, the scan looks for a chunk that can host the object so its
+    start address maps to that offset; if no chunk can, the allocator
+    extends the arena, padding the break so the fresh block honours the
+    preferred offset.
     """
 
     def __init__(self, base: int, cache_size: int):
@@ -90,51 +96,31 @@ class TemporalFitAllocator:
             raise HeapError(f"allocation size must be positive, got {size}")
         size = align_up(size, alignment)
         arena = self.arena
-        # Most-recent-first; ties scan in address order (ascending index),
-        # like a stable descending sort on last_touch.
-        order = sorted((-b.last_touch, i) for i, b in enumerate(arena.free_blocks))
         if preferred_offset is not None:
-            preferred_offset %= self.cache_size
-            for _neg_touch, index in order:
-                addr = self._fit_at_offset(index, size, preferred_offset, alignment)
-                if addr is not None:
-                    arena.take_from_block(index, addr, size)
+            cache_size = self.cache_size
+            preferred_offset %= cache_size
+            for _neg_touch, start, end in arena.by_recency():
+                # The first aligned address in the chunk at the offset;
+                # cache offsets are pre-aligned (line starts are more
+                # strictly aligned than the allocator minimum).
+                addr = -(-start // alignment) * alignment
+                addr += (preferred_offset - addr) % cache_size
+                if addr + size <= end:
+                    arena.take_from(start, addr, size)
                     arena.mark_live(addr, size)
                     return addr
-            addr = arena.extend_to_cache_offset(
-                size, preferred_offset, self.cache_size
-            )
+            addr = arena.extend_to_cache_offset(size, preferred_offset, cache_size)
             arena.mark_live(addr, size)
             return addr
-        blocks = arena.free_blocks
-        for _neg_touch, index in order:
-            block = blocks[index]
-            addr = align_up(block.addr, alignment)
-            if addr + size <= block.end:
-                arena.take_from_block(index, addr, size)
+        for _neg_touch, start, end in arena.by_recency():
+            addr = -(-start // alignment) * alignment
+            if addr + size <= end:
+                arena.take_from(start, addr, size)
                 arena.mark_live(addr, size)
                 return addr
         addr = arena.extend(size, alignment)
         arena.mark_live(addr, size)
         return addr
-
-    def _fit_at_offset(
-        self, index: int, size: int, offset: int, alignment: int
-    ) -> int | None:
-        """First address in free block ``index`` mapping to ``offset``.
-
-        Returns ``None`` when the block cannot host the request at the
-        preferred cache offset.  ``offset`` is assumed pre-aligned (cache
-        line starts are always more strictly aligned than the allocator
-        minimum, so no extra alignment adjustment is needed).
-        """
-        block = self.arena.free_blocks[index]
-        start = align_up(block.addr, alignment)
-        delta = (offset - start) % self.cache_size
-        addr = start + delta
-        if addr + size <= block.end:
-            return addr
-        return None
 
     def free(self, addr: int) -> None:
         """Release a previously allocated block."""
@@ -173,7 +159,7 @@ class BinnedHeap:
         preferred_offset: int | None = None,
     ) -> int:
         """Allocate from the bin for ``tag`` at the preferred cache offset."""
-        allocator = self._bin_for(tag)
+        allocator = self._bins.get(tag) or self._bin_for(tag)
         addr = allocator.allocate(size, preferred_offset)
         self._addr_bin[addr] = tag
         return addr
@@ -182,8 +168,7 @@ class BinnedHeap:
         """Release an allocation back to the bin it came from."""
         if addr not in self._addr_bin:
             raise HeapError(f"free of unknown heap address 0x{addr:x}")
-        tag = self._addr_bin.pop(addr)
-        self._bin_for(tag).free(addr)
+        self._bins[self._addr_bin.pop(addr)].free(addr)
 
     def bins_in_use(self) -> list[int | None]:
         """The bin tags that have served at least one allocation."""

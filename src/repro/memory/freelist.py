@@ -7,11 +7,22 @@ segment with an explicit free list.  The arena enforces the classic
 allocator invariants — free blocks are disjoint, address-sorted, coalesced,
 and never overlap live allocations — and raises :class:`HeapError` on any
 violation, which the property-based tests lean on heavily.
+
+The free list is held as plain int lists, one entry per block in address
+order (start, end, last touch), beside a *recency index*: one
+``(-last_touch, addr, end)`` tuple per block, kept sorted as blocks come
+and go.  First fit scans the address lists; temporal fit scans the index,
+most recently touched first with ties in address order, so neither sorts
+the free list per allocation.  An arena builds the index on the first
+:meth:`Arena.by_recency` call and keeps it from then on, so a first-fit
+arena never pays for it.  :attr:`Arena.free_blocks` builds
+:class:`FreeBlock` records from the lists when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, insort
+from typing import Iterator
 
 
 class HeapError(Exception):
@@ -23,11 +34,10 @@ DEFAULT_ALIGNMENT = 8
 
 
 class FreeBlock:
-    """One contiguous run of free bytes inside an arena.
+    """One contiguous run of free bytes inside an arena (a read-out record).
 
-    Blocks are immutable once constructed (every free-list mutation
-    replaces blocks wholesale), so ``end`` is precomputed — the allocator
-    scans read it once per candidate block.
+    :attr:`Arena.free_blocks` builds these on read; editing one does not
+    change the arena.
     """
 
     __slots__ = ("addr", "size", "end", "last_touch")
@@ -55,7 +65,6 @@ class FreeBlock:
         )
 
 
-@dataclass
 class Arena:
     """A growable region of heap address space with an explicit free list.
 
@@ -65,14 +74,55 @@ class Arena:
     claimed by :meth:`extend`.
     """
 
-    base: int
-    brk: int = field(init=False)
-    free_blocks: list[FreeBlock] = field(init=False, default_factory=list)
-    live: dict[int, int] = field(init=False, default_factory=dict)
-    clock: int = field(init=False, default=0)
+    def __init__(self, base: int):
+        self.base = base
+        self.brk = base
+        self.live: dict[int, int] = {}
+        self.clock = 0
+        # The free list in address order: start, end and last touch.
+        self._addrs: list[int] = []
+        self._ends: list[int] = []
+        self._touches: list[int] = []
+        # (-last_touch, addr, end) per block, sorted: most recent first;
+        # None until by_recency() first asks for it.
+        self._recency: list[tuple[int, int, int]] | None = None
 
-    def __post_init__(self) -> None:
-        self.brk = self.base
+    def __repr__(self) -> str:
+        return (
+            f"Arena(base={self.base:#x}, brk={self.brk:#x}, "
+            f"free={len(self._addrs)}, live={len(self.live)})"
+        )
+
+    @property
+    def free_blocks(self) -> list[FreeBlock]:
+        """The free list in address order, built on read."""
+        return [
+            FreeBlock(addr, end - addr, touch)
+            for addr, end, touch in zip(self._addrs, self._ends, self._touches)
+        ]
+
+    def by_address(self) -> Iterator[tuple[int, int]]:
+        """``(addr, end)`` of every free block, lowest address first.
+
+        Iterates the arena's own lists: stop before changing the arena.
+        """
+        return zip(self._addrs, self._ends)
+
+    def by_recency(self) -> list[tuple[int, int, int]]:
+        """``(-last_touch, addr, end)`` of every free block, most recent first.
+
+        Ties scan in address order, like a stable descending sort on
+        ``last_touch``.  The arena's own index: read it, do not edit it.
+        """
+        if self._recency is None:
+            self._recency = self._recency_order()
+        return self._recency
+
+    def _recency_order(self) -> list[tuple[int, int, int]]:
+        return sorted(
+            (-touch, addr, end)
+            for addr, end, touch in zip(self._addrs, self._ends, self._touches)
+        )
 
     # -- growth ----------------------------------------------------------
 
@@ -84,7 +134,7 @@ class Arena:
         """
         addr = -(-self.brk // align_to) * align_to
         if addr > self.brk:
-            self._insert_free(FreeBlock(self.brk, addr - self.brk, self.clock))
+            self._insert_free(self.brk, addr)
         self.brk = addr + size
         return addr
 
@@ -102,7 +152,7 @@ class Arena:
         delta = (cache_offset - addr) % cache_size
         addr += delta
         if addr > self.brk:
-            self._insert_free(FreeBlock(self.brk, addr - self.brk, self.clock))
+            self._insert_free(self.brk, addr)
         self.brk = addr + size
         return addr
 
@@ -126,26 +176,51 @@ class Arena:
     # -- free-list operations --------------------------------------------
 
     def take_from_block(self, index: int, addr: int, size: int) -> None:
-        """Carve ``[addr, addr+size)`` out of ``free_blocks[index]``.
+        """Carve ``[addr, addr+size)`` out of free block ``index``.
 
-        Splits the block into up to two remainders.  Each remainder is
-        stamped with the current clock, implementing the temporal-fit rule
-        that a free chunk is "touched" when one of its sides is allocated.
+        ``index`` counts blocks in address order.  Splits the block into
+        up to two remainders.  Each remainder is stamped with the current
+        clock, implementing the temporal-fit rule that a free chunk is
+        "touched" when one of its sides is allocated.
         """
-        block = self.free_blocks[index]
-        if addr < block.addr or addr + size > block.end:
+        addrs = self._addrs
+        ends = self._ends
+        touches = self._touches
+        start = addrs[index]
+        end = ends[index]
+        stop = addr + size
+        if addr < start or stop > end:
             raise HeapError(
-                f"carve [{addr:#x},{addr + size:#x}) outside free block "
-                f"[{block.addr:#x},{block.end:#x})"
+                f"carve [{addr:#x},{stop:#x}) outside free block "
+                f"[{start:#x},{end:#x})"
             )
-        replacements = []
-        if addr > block.addr:
-            replacements.append(FreeBlock(block.addr, addr - block.addr, self.clock))
-        if addr + size < block.end:
-            replacements.append(
-                FreeBlock(addr + size, block.end - (addr + size), self.clock)
-            )
-        self.free_blocks[index : index + 1] = replacements
+        clock = self.clock
+        recency = self._recency
+        if recency is not None:
+            del recency[bisect_left(recency, (-touches[index], start))]
+        if addr > start:
+            if stop < end:
+                addrs[index : index + 1] = (start, stop)
+                ends[index : index + 1] = (addr, end)
+                touches[index : index + 1] = (clock, clock)
+            else:
+                ends[index] = addr
+                touches[index] = clock
+            if recency is not None:
+                insort(recency, (-clock, start, addr))
+                if stop < end:
+                    insort(recency, (-clock, stop, end))
+        elif stop < end:
+            addrs[index] = stop
+            touches[index] = clock
+            if recency is not None:
+                insort(recency, (-clock, stop, end))
+        else:
+            del addrs[index], ends[index], touches[index]
+
+    def take_from(self, block_addr: int, addr: int, size: int) -> None:
+        """:meth:`take_from_block` for the free block starting at ``block_addr``."""
+        self.take_from_block(bisect_left(self._addrs, block_addr), addr, size)
 
     def add_free(self, addr: int, size: int) -> None:
         """Return ``[addr, addr+size)`` to the free list, coalescing.
@@ -156,44 +231,49 @@ class Arena:
         """
         if size <= 0:
             return
-        self._insert_free(FreeBlock(addr, size, self.clock))
+        self._insert_free(addr, addr + size)
 
-    def _insert_free(self, block: FreeBlock) -> None:
-        blocks = self.free_blocks
-        lo, hi = 0, len(blocks)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if blocks[mid].addr < block.addr:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo > 0 and blocks[lo - 1].end > block.addr:
+    def _insert_free(self, addr: int, end: int) -> None:
+        addrs = self._addrs
+        ends = self._ends
+        touches = self._touches
+        lo = bisect_left(addrs, addr)
+        if lo > 0 and ends[lo - 1] > addr:
             raise HeapError(
-                f"free block [{block.addr:#x},{block.end:#x}) overlaps "
-                f"predecessor ending at {blocks[lo - 1].end:#x}"
+                f"free block [{addr:#x},{end:#x}) overlaps "
+                f"predecessor ending at {ends[lo - 1]:#x}"
             )
-        if lo < len(blocks) and block.end > blocks[lo].addr:
+        if lo < len(addrs) and end > addrs[lo]:
             raise HeapError(
-                f"free block [{block.addr:#x},{block.end:#x}) overlaps "
-                f"successor at {blocks[lo].addr:#x}"
+                f"free block [{addr:#x},{end:#x}) overlaps "
+                f"successor at {addrs[lo]:#x}"
             )
-        # Coalesce with predecessor and/or successor.
-        if lo > 0 and blocks[lo - 1].end == block.addr:
-            prev = blocks[lo - 1]
-            block = FreeBlock(prev.addr, prev.size + block.size, self.clock)
+        recency = self._recency
+        # Coalesce with predecessor and/or successor, re-stamped.
+        if lo < len(addrs) and addrs[lo] == end:
+            if recency is not None:
+                del recency[bisect_left(recency, (-touches[lo], end))]
+            end = ends[lo]
+            del addrs[lo], ends[lo], touches[lo]
+        if lo > 0 and ends[lo - 1] == addr:
             lo -= 1
-            blocks.pop(lo)
-        if lo < len(blocks) and blocks[lo].addr == block.end:
-            nxt = blocks[lo]
-            block = FreeBlock(block.addr, block.size + nxt.size, self.clock)
-            blocks.pop(lo)
-        blocks.insert(lo, block)
+            addr = addrs[lo]
+            if recency is not None:
+                del recency[bisect_left(recency, (-touches[lo], addr))]
+            ends[lo] = end
+            touches[lo] = self.clock
+        else:
+            addrs.insert(lo, addr)
+            ends.insert(lo, end)
+            touches.insert(lo, self.clock)
+        if recency is not None:
+            insort(recency, (-self.clock, addr, end))
 
     # -- introspection ----------------------------------------------------
 
     def total_free_bytes(self) -> int:
         """Bytes currently on the free list."""
-        return sum(b.size for b in self.free_blocks)
+        return sum(self._ends) - sum(self._addrs)
 
     def total_live_bytes(self) -> int:
         """Bytes currently allocated."""
@@ -201,8 +281,9 @@ class Arena:
 
     def check_invariants(self) -> None:
         """Raise :class:`HeapError` if the arena state is inconsistent."""
+        blocks = self.free_blocks
         prev_end = self.base - 1
-        for block in self.free_blocks:
+        for block in blocks:
             if block.size <= 0:
                 raise HeapError(f"empty free block at {block.addr:#x}")
             if block.addr <= prev_end and prev_end >= self.base:
@@ -210,12 +291,14 @@ class Arena:
             if block.addr < self.base or block.end > self.brk:
                 raise HeapError("free block outside arena bounds")
             prev_end = block.end
+        if self._recency is not None and self._recency != self._recency_order():
+            raise HeapError("recency index out of step with the free list")
         spans = sorted(self.live.items())
         for (a1, s1), (a2, _s2) in zip(spans, spans[1:]):
             if a1 + s1 > a2:
                 raise HeapError(f"live allocations overlap at {a2:#x}")
         for addr, size in spans:
-            for block in self.free_blocks:
+            for block in blocks:
                 if addr < block.end and block.addr < addr + size:
                     raise HeapError(
                         f"live allocation [{addr:#x},{addr + size:#x}) overlaps "

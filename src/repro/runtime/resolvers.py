@@ -1,8 +1,10 @@
 """Address resolvers: how each placement policy assigns addresses.
 
-A resolver is the run-time half of a placement policy.  It watches the
-trace's declaration/allocation events and hands every data object a
-concrete virtual address:
+A resolver is the run-time half of a placement policy.  It takes a
+recording's :class:`~repro.trace.buffer.LifetimeWalk` (every object's
+live interval, the statics in op order and the heap stream of
+allocations and frees) and, in one :meth:`AddressResolver.resolve` call,
+hands every data object a concrete virtual address:
 
 * :class:`NaturalResolver` — the *original placement*: globals in
   declaration order in the data segment (what a standard linker emits),
@@ -16,99 +18,105 @@ concrete virtual address:
   and the custom malloc — XOR name lookup into the allocation table,
   allocation-bin free lists, temporal-fit with preferred cache offsets.
 
-Resolvers are single-use: construct a fresh one per measured run.
+Constants keep their text-segment addresses under every policy.  Static
+layouts are cumulative sums over the walk's size columns; the heap runs
+the walk's heap stream through a :mod:`repro.memory` allocator.  A
+resolver holds only its policy's parameters, so one instance may resolve
+any number of recordings.  ``tests/oracles.py`` keeps per-op twins (one
+resolver call per lifetime op) as the reference.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from ..core.placement_map import PlacementMap
 from ..memory.allocators import BinnedHeap, FirstFitAllocator
-from ..memory.layout import (
-    DATA_BASE,
-    HEAP_BASE,
-    STACK_BASE,
-    TEXT_BASE,
-    align_up,
-)
 from ..memory.freelist import DEFAULT_ALIGNMENT
-from ..naming.xor import xor_fold
-from ..trace.events import Category, ObjectInfo, STACK_OBJECT_ID
+from ..memory.layout import DATA_BASE, HEAP_BASE, STACK_BASE, TEXT_BASE, align_up
+from ..trace.buffer import ALLOC, CONST, GLOBAL, LifetimeWalk, ResolvedBases
+from ..trace.events import STACK_OBJECT_ID
+
+#: Gap between the placed globals and the globals a placement never saw.
+FALLBACK_GAP = 65536
 
 
 class AddressResolver:
-    """Base resolver: tracks object base addresses across the run."""
+    """Base resolver: one placement policy's addresses for a lifetime walk."""
 
-    def __init__(self) -> None:
-        self.base_of: dict[int, int] = {STACK_OBJECT_ID: self.stack_base()}
-        self._text_cursor = TEXT_BASE
-
-    # -- overridables ------------------------------------------------------
-
-    def stack_base(self) -> int:
-        """Start address of the stack object."""
-        return STACK_BASE
-
-    def place_global(self, info: ObjectInfo) -> int:
-        """Address for a declared global."""
+    def resolve(self, walk: LifetimeWalk) -> ResolvedBases:
+        """Every object's base address under this policy."""
         raise NotImplementedError
 
-    def place_heap(self, info: ObjectInfo, return_addresses: tuple[int, ...]) -> int:
-        """Address for a heap allocation."""
-        raise NotImplementedError
 
-    def free_heap(self, obj_id: int, addr: int) -> None:
-        """Release a heap allocation."""
+def _sequential(sizes: np.ndarray, base: int) -> np.ndarray:
+    """Starts of objects laid back to back from ``base``, each aligned.
 
-    # -- shared machinery ----------------------------------------------------
+    What a cursor does that aligns itself up before each object and then
+    advances by the object's size.
+    """
+    aligned = -(-sizes // DEFAULT_ALIGNMENT) * DEFAULT_ALIGNMENT
+    starts = np.empty(len(sizes), dtype=np.int64)
+    starts[:1] = 0
+    np.cumsum(aligned[:-1], out=starts[1:])
+    return align_up(base, DEFAULT_ALIGNMENT) + starts
 
-    def place_constant(self, info: ObjectInfo) -> int:
-        """Constants keep their text-segment addresses under every policy."""
-        addr = align_up(self._text_cursor, DEFAULT_ALIGNMENT)
-        self._text_cursor = addr + info.size
-        return addr
 
-    def on_object(self, info: ObjectInfo) -> None:
-        """Assign an address to a statically declared object."""
-        if info.category is Category.CONST:
-            self.base_of[info.obj_id] = self.place_constant(info)
+def _compose(
+    walk: LifetimeWalk, stack_base: int, global_bases: np.ndarray, alloc_bases
+) -> ResolvedBases:
+    """Each object's base from one address per global and per allocation.
+
+    Constants keep their text-segment addresses under every policy.
+    """
+    bases = np.zeros(len(walk.born), dtype=np.int64)
+    bases[STACK_OBJECT_ID] = stack_base
+    for kind, column in (
+        (CONST, _sequential(walk.const_sizes, TEXT_BASE)),
+        (GLOBAL, global_bases),
+        (ALLOC, alloc_bases),
+    ):
+        ids, entries = walk.final[kind]
+        bases[ids] = np.asarray(column, dtype=np.int64)[entries]
+    return ResolvedBases(bases, walk.born, walk.died)
+
+
+def _heap_bases(walk: LifetimeWalk, allocate, free, requests) -> list[int]:
+    """Run the walk's heap stream through an allocator.
+
+    ``requests`` holds the argument tuple of each allocation's
+    ``allocate`` call; returns each allocation's address.
+    """
+    addresses: list[int] = []
+    append = addresses.append
+    pending = iter(requests)
+    for event in walk.heap_stream.tolist():
+        if event < 0:
+            append(allocate(*next(pending)))
         else:
-            self.base_of[info.obj_id] = self.place_global(info)
+            free(addresses[event])
+    return addresses
 
-    def on_alloc(self, info: ObjectInfo, return_addresses: tuple[int, ...]) -> None:
-        """Assign an address to a fresh heap object."""
-        self.base_of[info.obj_id] = self.place_heap(info, return_addresses)
 
-    def on_free(self, obj_id: int) -> None:
-        """Drop a heap object."""
-        addr = self.base_of.pop(obj_id, None)
-        if addr is not None:
-            self.free_heap(obj_id, addr)
-
-    def address_of(self, obj_id: int) -> int:
-        """Current base address of a live object."""
-        return self.base_of[obj_id]
+def _first_fit_bases(walk: LifetimeWalk) -> list[int]:
+    """Every allocation from one address-ordered first-fit heap."""
+    heap = FirstFitAllocator(HEAP_BASE)
+    requests = [(size,) for size in walk.alloc_sizes.tolist()]
+    return _heap_bases(walk, heap.allocate, heap.free, requests)
 
 
 class NaturalResolver(AddressResolver):
     """Original placement: declaration order + first-fit heap."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._data_cursor = DATA_BASE
-        self._heap = FirstFitAllocator(HEAP_BASE)
-
-    def place_global(self, info: ObjectInfo) -> int:
-        addr = align_up(self._data_cursor, DEFAULT_ALIGNMENT)
-        self._data_cursor = addr + info.size
-        return addr
-
-    def place_heap(self, info: ObjectInfo, return_addresses) -> int:
-        return self._heap.allocate(info.size)
-
-    def free_heap(self, obj_id: int, addr: int) -> None:
-        self._heap.free(addr)
+    def resolve(self, walk: LifetimeWalk) -> ResolvedBases:
+        return _compose(
+            walk,
+            STACK_BASE,
+            _sequential(walk.global_sizes, DATA_BASE),
+            _first_fit_bases(walk),
+        )
 
 
 class RandomResolver(AddressResolver):
@@ -117,9 +125,11 @@ class RandomResolver(AddressResolver):
     Globals receive a random padding gap before each assignment so their
     cache offsets are arbitrary (equivalent, modulo the cache size, to
     laying the globals out in a shuffled order); heap allocations get a
-    random pad from a bump pointer for the same effect.  The stack keeps
-    its natural start — the paper randomizes "global and heap objects"
-    only.  Deterministic given ``seed``.
+    random pad from a bump pointer for the same effect.  The pads are
+    drawn in op order, globals and allocations interleaved, from
+    ``random.Random(seed)``.  The stack keeps its natural start — the
+    paper randomizes "global and heap objects" only.  Deterministic
+    given ``seed``.
     """
 
     def __init__(self, seed: int = 0, max_pad: int = 8192):
@@ -127,27 +137,32 @@ class RandomResolver(AddressResolver):
         # measurements by (seed, max_pad).
         self.seed = seed
         self.max_pad = max_pad
-        self._rng = random.Random(seed)
-        self._max_pad = max_pad
-        super().__init__()
-        self._data_cursor = DATA_BASE
-        self._heap_cursor = HEAP_BASE
 
-    def place_global(self, info: ObjectInfo) -> int:
-        pad = self._rng.randrange(0, self._max_pad, DEFAULT_ALIGNMENT)
-        addr = align_up(self._data_cursor + pad, DEFAULT_ALIGNMENT)
-        self._data_cursor = addr + info.size
-        return addr
-
-    def place_heap(self, info: ObjectInfo, return_addresses) -> int:
-        pad = self._rng.randrange(0, self._max_pad, DEFAULT_ALIGNMENT)
-        addr = align_up(self._heap_cursor + pad, DEFAULT_ALIGNMENT)
-        self._heap_cursor = addr + info.size
-        return addr
+    def resolve(self, walk: LifetimeWalk) -> ResolvedBases:
+        draw = random.Random(self.seed).randrange
+        heap = walk.pad_is_heap
+        pads = np.array(
+            [draw(0, self.max_pad, DEFAULT_ALIGNMENT) for _ in range(len(heap))],
+            dtype=np.int64,
+        )
+        # Pads are multiples of the alignment, so each start is the
+        # natural one shifted by every pad drawn for its kind up to it.
+        global_shift = np.cumsum(pads[~heap])
+        alloc_shift = np.cumsum(pads[heap])
+        return _compose(
+            walk,
+            STACK_BASE,
+            _sequential(walk.global_sizes, DATA_BASE) + global_shift,
+            _sequential(walk.alloc_sizes, HEAP_BASE) + alloc_shift,
+        )
 
 
 class CCDPResolver(AddressResolver):
     """Apply a CCDP placement map: modified linker + custom malloc.
+
+    Globals the training run never saw go after the placed set, in
+    declaration order, starting :data:`FALLBACK_GAP` bytes past the end
+    of the placed globals the recording declares.
 
     Args:
         placement: The computed placement map.
@@ -162,39 +177,42 @@ class CCDPResolver(AddressResolver):
     def __init__(self, placement: PlacementMap, compact_heap: bool = False):
         self.placement = placement
         self.compact_heap = compact_heap
-        super().__init__()
-        size = max(placement.global_offsets.values(), default=0)
-        # Globals the training run never saw fall back past the placed set.
-        self._fallback_cursor = placement.data_base + size + 65536
-        self._heap = BinnedHeap(placement.cache_config.size, HEAP_BASE)
-        self._compact = FirstFitAllocator(HEAP_BASE) if compact_heap else None
 
-    def stack_base(self) -> int:
-        return self.placement.stack_base
-
-    def place_global(self, info: ObjectInfo) -> int:
-        offset = self.placement.global_offsets.get(info.symbol)
-        if offset is None:
-            addr = align_up(self._fallback_cursor, DEFAULT_ALIGNMENT)
-            self._fallback_cursor = addr + info.size
-            return addr
-        return self.placement.data_base + offset
-
-    def place_heap(self, info: ObjectInfo, return_addresses) -> int:
-        if self._compact is not None:
-            return self._compact.allocate(info.size)
-        name = xor_fold(return_addresses, self.placement.name_depth)
-        decision = self.placement.heap_decision(name)
-        if decision is None:
-            return self._heap.allocate(info.size)
-        return self._heap.allocate(
-            info.size,
-            tag=decision.bin_tag,
-            preferred_offset=decision.preferred_offset,
+    def resolve(self, walk: LifetimeWalk) -> ResolvedBases:
+        if self.compact_heap:
+            alloc_bases = _first_fit_bases(walk)
+        else:
+            alloc_bases = self._custom_malloc_bases(walk)
+        return _compose(
+            walk, self.placement.stack_base, self._global_bases(walk), alloc_bases
         )
 
-    def free_heap(self, obj_id: int, addr: int) -> None:
-        if self._compact is not None:
-            self._compact.free(addr)
-        else:
-            self._heap.free(addr)
+    def _global_bases(self, walk: LifetimeWalk) -> np.ndarray:
+        placement = self.placement
+        found = [placement.global_offsets.get(s) for s in walk.global_symbols]
+        placed = np.array([offset is not None for offset in found], dtype=bool)
+        bases = np.empty(len(found), dtype=np.int64)
+        bases[placed] = placement.data_base + np.array(
+            [offset for offset in found if offset is not None], dtype=np.int64
+        )
+        if not placed.all():
+            sizes = walk.global_sizes
+            ends = bases[placed] + sizes[placed]
+            end = int(ends.max(initial=placement.data_base))
+            bases[~placed] = _sequential(sizes[~placed], end + FALLBACK_GAP)
+        return bases
+
+    def _custom_malloc_bases(self, walk: LifetimeWalk) -> list[int]:
+        placement = self.placement
+        table = placement.heap_table
+        heap = BinnedHeap(placement.cache_config.size, HEAP_BASE)
+        requests = []
+        for size, name in zip(
+            walk.alloc_sizes.tolist(), walk.heap_names(placement.name_depth)
+        ):
+            decision = table.get(name)
+            if decision is None:
+                requests.append((size, None, None))
+            else:
+                requests.append((size, decision.bin_tag, decision.preferred_offset))
+        return _heap_bases(walk, heap.allocate, heap.free, requests)

@@ -23,9 +23,14 @@ position counts the accesses still pending.
 
 Because object ids are run-unique (never reused), a recorded trace can
 be re-simulated under any placement policy without re-running the
-workload: lifetime events are replayed through a resolver once, and
-addresses are then computed in vectorized chunk-wise gathers
-(:meth:`TraceRecorder.iter_resolved` / :meth:`TraceRecorder.resolve`).
+workload.  A finished recording walks its lifetime ops once
+(:attr:`TraceRecorder.lifetime_walk`, a :class:`LifetimeWalk` of int
+columns kept with the recording): every object's live interval, the
+statics in op order and the heap stream of allocations and frees.  A
+resolver turns that walk into each object's base address in one call
+(:meth:`TraceRecorder.resolve_bases`), and addresses are then computed
+in vectorized chunk-wise gathers (:meth:`TraceRecorder.iter_resolved` /
+:meth:`TraceRecorder.resolve`).
 
 A finished recording keeps its columns in-process, or reads them
 zero-copy from one memory-mapped file when it was attached from a store
@@ -41,6 +46,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from ..naming.xor import xor_fold
 from . import plane
 from .events import Category, ObjectInfo, STACK_OBJECT_ID, TraceError
 from .sinks import TraceSink
@@ -67,6 +73,11 @@ _COLUMN_CODES = ("i", "q", "i", "b", "b")
 #: The access field each column takes, in ``columns()`` order.
 _COLUMN_FIELDS = (0, 1, 2, 4, 3)
 
+# Binding kinds of a LifetimeWalk: which column an id's base comes from.
+CONST = 0
+GLOBAL = 1
+ALLOC = 2
+
 # Lifetime-op tags recorded by TraceRecorder.
 _OP_OBJECT = 0
 _OP_ALLOC = 1
@@ -81,8 +92,9 @@ _NEVER = np.iinfo(np.int64).max
 class ResolvedBases:
     """Each object id's placed base address and live interval.
 
-    Built by :meth:`TraceRecorder.resolve_bases` from one replay of the
-    lifetime ops.  An op recorded at position ``p`` fires before access
+    Built by :meth:`TraceRecorder.resolve_bases` from the recording's
+    :class:`LifetimeWalk`, whose ``born`` and ``died`` columns it shares
+    (read-only).  An op recorded at position ``p`` fires before access
     ``p``, so object ``i`` is live at the access positions
     ``born[i] <= p < died[i]``; an id no op declared is never live.
     :meth:`check` is where every batched consumer rejects an access
@@ -114,6 +126,124 @@ class ResolvedBases:
                 "(never declared or allocated)"
             )
         check_offsets(start, obj, offset)
+
+
+class LifetimeWalk:
+    """One pass over a recording's lifetime ops: what every placement shares.
+
+    Object ids index ``born`` and ``died``, int64 columns sized by the
+    largest declared id.  An object declaration or allocation at
+    position ``p`` sets ``born`` to ``p`` (the last one wins); a free at
+    ``p`` sets ``died`` to ``p`` only while the object is live
+    (``born <= p < died``), so a repeated or stray free changes nothing.
+    The stack object is live from position 0.
+
+    The rest is what a resolver places, each in op order:
+
+    * ``const_sizes``: one entry per declared constant;
+    * ``global_sizes`` and ``global_symbols``: one entry per other
+      declaration, all placed as globals;
+    * ``alloc_sizes``: one entry per allocation, whose XOR names
+      :meth:`heap_names` folds per name depth;
+    * ``heap_stream``: the allocator's calls, ``-1`` for the next
+      allocation and ``k >= 0`` for the free of allocation ``k``.  A free
+      releases the id's latest allocation unless the id was freed since;
+      a free of an id with no address is dropped;
+    * ``pad_is_heap``: the globals and allocations as False and True,
+      the order in which a random placement draws its pads.
+
+    An id's base is the one its last declaration or allocation got:
+    ``final[kind]`` holds the ids whose last binding was of ``kind``
+    (:data:`CONST`, :data:`GLOBAL` or :data:`ALLOC`) and the entry of
+    that kind's column each takes.
+
+    Raises :class:`TraceError` when an op frees a declared static or the
+    stack: only heap objects are ever freed.
+    """
+
+    def __init__(self, lifetime_ops: list[tuple[int, int, object]]):
+        max_obj = STACK_OBJECT_ID
+        for _position, kind, payload in lifetime_ops:
+            if kind == _OP_OBJECT:
+                max_obj = max(max_obj, payload.obj_id)
+            elif kind == _OP_ALLOC:
+                max_obj = max(max_obj, payload[0].obj_id)
+        born = [_NEVER] * (max_obj + 1)
+        died = [_NEVER] * (max_obj + 1)
+        born[STACK_OBJECT_ID] = 0
+        sizes: tuple[list[int], ...] = ([], [], [])
+        global_symbols: list[str] = []
+        return_addresses: list[tuple[int, ...]] = []
+        heap_stream: list[int] = []
+        pad_is_heap: list[bool] = []
+        # Each id's last binding: (kind, entry in that kind's column).
+        final: dict[int, tuple[int, int]] = {}
+        # Ids holding an address: their allocation, or -1 for a static.
+        bound = {STACK_OBJECT_ID: -1}
+        for position, kind, payload in lifetime_ops:
+            if kind == _OP_OBJECT:
+                obj_id = payload.obj_id
+                bound[obj_id] = -1
+                born[obj_id] = position
+                if payload.category is Category.CONST:
+                    final[obj_id] = (CONST, len(sizes[CONST]))
+                    sizes[CONST].append(payload.size)
+                else:
+                    final[obj_id] = (GLOBAL, len(sizes[GLOBAL]))
+                    sizes[GLOBAL].append(payload.size)
+                    global_symbols.append(payload.symbol)
+                    pad_is_heap.append(False)
+            elif kind == _OP_ALLOC:
+                info, addresses = payload
+                obj_id = info.obj_id
+                index = len(sizes[ALLOC])
+                final[obj_id] = (ALLOC, index)
+                bound[obj_id] = index
+                born[obj_id] = position
+                sizes[ALLOC].append(info.size)
+                return_addresses.append(addresses)
+                heap_stream.append(-1)
+                pad_is_heap.append(True)
+            elif kind == _OP_FREE:
+                index = bound.pop(payload, None)
+                if index is not None:
+                    if index < 0:
+                        raise TraceError(
+                            f"corrupt trace: free of non-heap object id {payload} "
+                            f"at position {position}"
+                        )
+                    heap_stream.append(index)
+                if 0 <= payload <= max_obj:
+                    if born[payload] <= position < died[payload]:
+                        died[payload] = position
+        self.born = _frozen(born)
+        self.died = _frozen(died)
+        self.const_sizes, self.global_sizes, self.alloc_sizes = map(_frozen, sizes)
+        self.global_symbols = global_symbols
+        self.heap_stream = _frozen(heap_stream)
+        self.pad_is_heap = np.array(pad_is_heap, dtype=bool)
+        split: list[tuple[list[int], list[int]]] = [([], []) for _ in sizes]
+        for obj_id, (kind, index) in final.items():
+            split[kind][0].append(obj_id)
+            split[kind][1].append(index)
+        self.final = tuple((_frozen(ids), _frozen(entries)) for ids, entries in split)
+        self._return_addresses = return_addresses
+        self._names: dict[int, list[int]] = {}
+
+    def heap_names(self, depth: int) -> list[int]:
+        """Each allocation's XOR name at fold ``depth``, memoized per depth."""
+        names = self._names.get(depth)
+        if names is None:
+            names = [xor_fold(addresses, depth) for addresses in self._return_addresses]
+            self._names[depth] = names
+        return names
+
+
+def _frozen(values: list[int]) -> np.ndarray:
+    """A read-only int64 column: a walk is shared by every resolution."""
+    column = np.array(values, dtype=np.int64)
+    column.flags.writeable = False
+    return column
 
 
 def check_offsets(start: int, obj: np.ndarray, offset: np.ndarray) -> None:
@@ -156,6 +286,7 @@ class TraceRecorder(TraceSink):
         self.ended = False
         self._columns: tuple[np.ndarray, ...] | None = None
         self._lifetime_ops: list[tuple[int, int, object]] | None = None
+        self._walk: LifetimeWalk | None = None
 
     @classmethod
     def from_storage(
@@ -313,6 +444,20 @@ class TraceRecorder(TraceSink):
             ]
         return self._lifetime_ops
 
+    @property
+    def lifetime_walk(self) -> LifetimeWalk:
+        """The one walk of :attr:`lifetime_ops` every resolution shares.
+
+        Kept with a finished recording, built afresh while recording.
+        Raises :class:`TraceError` when an op frees a non-heap object.
+        """
+        if self._walk is not None:
+            return self._walk
+        walk = LifetimeWalk(self.lifetime_ops)
+        if self.ended:
+            self._walk = walk
+        return walk
+
     def require_ended(self) -> None:
         """Raise :class:`TraceError` unless the recording saw ``on_end``."""
         if not self.ended:
@@ -383,57 +528,31 @@ class TraceRecorder(TraceSink):
             sink.on_compute(payload)
 
     def resolve_bases(self, resolver) -> ResolvedBases:
-        """Replay lifetime ops through ``resolver`` once; see :class:`ResolvedBases`.
+        """Each object's base address under ``resolver`` and its live interval.
 
-        The arrays are sized by the largest *declared* object id, so no
-        full column scan is needed — out-of-range ids in the access
-        stream are caught per chunk by :meth:`ResolvedBases.check`.
+        One call of ``resolver.resolve`` on :attr:`lifetime_walk`.  The
+        arrays are sized by the largest *declared* object id, so no full
+        column scan is needed — out-of-range ids in the access stream are
+        caught per chunk by :meth:`ResolvedBases.check`.
         """
-        max_obj = STACK_OBJECT_ID
-        for _position, kind, payload in self.lifetime_ops:
-            if kind == _OP_OBJECT:
-                max_obj = max(max_obj, payload.obj_id)
-            elif kind == _OP_ALLOC:
-                max_obj = max(max_obj, payload[0].obj_id)
-        bases = np.zeros(max_obj + 1, dtype=np.int64)
-        born = np.full(max_obj + 1, _NEVER, dtype=np.int64)
-        died = np.full(max_obj + 1, _NEVER, dtype=np.int64)
-        base_of = resolver.base_of
-        bases[STACK_OBJECT_ID] = base_of[STACK_OBJECT_ID]
-        born[STACK_OBJECT_ID] = 0
-        for position, kind, payload in self.lifetime_ops:
-            if kind == _OP_OBJECT:
-                resolver.on_object(payload)
-                bases[payload.obj_id] = base_of[payload.obj_id]
-                born[payload.obj_id] = position
-            elif kind == _OP_ALLOC:
-                info, return_addresses = payload
-                resolver.on_alloc(info, return_addresses)
-                bases[info.obj_id] = base_of[info.obj_id]
-                born[info.obj_id] = position
-            elif kind == _OP_FREE:
-                resolver.on_free(payload)
-                # Only a free of a live object ends a life, as in the
-                # resolver; a stray or repeated free changes nothing.
-                if 0 <= payload <= max_obj and born[payload] <= position < died[payload]:
-                    died[payload] = position
-        return ResolvedBases(bases, born, died)
+        return resolver.resolve(self.lifetime_walk)
 
     def iter_resolved(
         self, resolver, chunk_events: int = DEFAULT_CHUNK_EVENTS
     ) -> Iterator[tuple[int, int, np.ndarray]]:
         """Yield ``(start, end, addresses)`` chunks of the resolved stream.
 
-        Lifetime ops are replayed through ``resolver`` once, then each
+        Bases are resolved once (:meth:`resolve_bases`), then each
         chunk's addresses are gathered as ``bases[obj] + offset`` — no
         whole-trace temporary is ever materialized, so a memmapped trace
         far larger than RAM streams at one-chunk working set (pair with
         :meth:`advise_done` to also drop the consumed column pages).
 
         Raises :class:`~repro.trace.events.TraceError` when the recording
-        is truncated (no ``on_end`` marker) or an access touches an
-        object outside its lifetime (never declared, not yet allocated,
-        or already freed) or at a negative offset.
+        is truncated (no ``on_end`` marker), an op frees a non-heap
+        object, or an access touches an object outside its lifetime
+        (never declared, not yet allocated, or already freed) or at a
+        negative offset.
         """
         self.require_ended()
         obj, offset, _size, _cat, _store = self.columns()
@@ -447,9 +566,9 @@ class TraceRecorder(TraceSink):
             yield start, end, resolved.bases[obj_chunk] + offset_chunk
 
     def resolve(self, resolver) -> np.ndarray:
-        """Replay lifetime ops through ``resolver`` and resolve all addresses.
+        """Resolve every recorded access's address under ``resolver``.
 
-        Returns the int64 address column ``base_of[obj_id] + offset`` for
+        Returns the int64 address column ``bases[obj_id] + offset`` for
         every recorded access.  Correct because object ids are run-unique:
         an object's base address never changes between its allocation and
         its free, so the interleaving of accesses with lifetime events

@@ -4,7 +4,8 @@ The product records every run into a
 :class:`~repro.trace.buffer.TraceRecorder` and computes from its
 columns with vectorized kernels only: :func:`repro.runtime.driver.measure`,
 the two-level hierarchy and the conflict debugger simulate the trace with
-:class:`~repro.cache.batch.BatchCacheSimulator`,
+:class:`~repro.cache.batch.BatchCacheSimulator` at addresses each
+resolver computes from the recording's lifetime walk in one call,
 profiles come from :func:`~repro.profiling.batch.profile_trace` (sampled
 ones from :func:`~repro.profiling.sampling.sampled_profile`), Table 1
 statistics from :meth:`~repro.trace.buffer.TraceRecorder.stats`, and
@@ -24,9 +25,18 @@ keeps the per-event twins those kernels must equal bit for bit:
   a time), :class:`ScalarTwoLevelCache` (an L1/L2 pair of them, the twin
   of :class:`~repro.cache.hierarchy.TwoLevelCache`), :class:`ScalarPageTracker`
   (pages one reference at a time) and :class:`ReplaySink`, which drives
-  them from a live run under a resolver; :class:`OneReferenceChunks`
+  them from a live run under a per-op resolver; :class:`OneReferenceChunks`
   feeds the product simulators one reference per chunk so unit cases run
   against both;
+* the per-op address resolvers: :class:`ScalarNaturalResolver`,
+  :class:`ScalarRandomResolver` and :class:`ScalarCCDPResolver` (one
+  resolver call per lifetime op, the twins of the product resolvers,
+  built from a product resolver by :func:`scalar_resolver` and replayed
+  over a recording by :func:`scalar_resolve_bases`), over the
+  sort-based heaps :class:`ScalarFirstFitAllocator`,
+  :class:`SortedTemporalFitAllocator` and :class:`ScalarBinnedHeap`
+  (one :class:`FreeBlock` list per :class:`ScalarArena`, sorted by last
+  touch on every temporal-fit allocation);
 * :func:`scalar_measure` — the live run through :class:`ReplaySink` into
   the per-event :class:`CacheSimulator` (and :class:`ScalarPageTracker`);
 * :func:`scalar_profile` — the live run through :class:`ProfilerSink`;
@@ -57,6 +67,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+import random
+
 import numpy as np
 
 from repro.analysis.paging import PageTracker, PagingSummary
@@ -73,17 +85,38 @@ from repro.core.cache_struct import (
 )
 from repro.core.compound import CompoundMerger, CompoundNode
 from repro.core.placement_engine import FIXED, ArrayPlacementEngine
-from repro.memory.layout import TEXT_BASE
+from repro.core.placement_map import PlacementMap
+from repro.memory.freelist import DEFAULT_ALIGNMENT, FreeBlock, HeapError
+from repro.memory.layout import (
+    DATA_BASE,
+    HEAP_BASE,
+    HEAP_BIN_STRIDE,
+    STACK_BASE,
+    TEXT_BASE,
+    align_up,
+)
 from repro.memory.static_layout import layout_sequential
-from repro.naming.xor import DEFAULT_NAME_DEPTH
+from repro.naming.xor import DEFAULT_NAME_DEPTH, xor_fold
 from repro.obs import telemetry as obs
 from repro.profiling.profile_data import STACK_ENTITY_ID, Profile
 from repro.profiling.profiler import EntityNamer
 from repro.profiling.sampling import DEFAULT_PERIOD, DEFAULT_WINDOW
 from repro.profiling.trg import DEFAULT_CHUNK_SIZE, EdgeKey, PairKey, entity_affinity
 from repro.runtime.driver import MeasureResult
-from repro.runtime.resolvers import AddressResolver
-from repro.trace.buffer import TraceRecorder
+from repro.runtime.resolvers import (
+    FALLBACK_GAP,
+    CCDPResolver,
+    NaturalResolver,
+    RandomResolver,
+)
+from repro.trace.buffer import (
+    _NEVER,
+    _OP_ALLOC,
+    _OP_FREE,
+    _OP_OBJECT,
+    ResolvedBases,
+    TraceRecorder,
+)
 from repro.trace.events import Category, ObjectInfo, STACK_OBJECT_ID, TraceError
 from repro.trace.sinks import TraceSink
 from repro.trace.stats import WorkloadStats
@@ -405,6 +438,396 @@ class RecordingSink(TraceSink):
         sink.on_end()
 
 
+# -- the per-op address resolvers ----------------------------------------------
+
+
+class ScalarArena:
+    """The free list as one :class:`FreeBlock` list, sorted by address.
+
+    The reference for :class:`repro.memory.freelist.Arena`: the same
+    coalescing, clock stamps and errors, with blocks replaced wholesale.
+    """
+
+    def __init__(self, base: int):
+        self.base = base
+        self.brk = base
+        self.free_blocks: list[FreeBlock] = []
+        self.live: dict[int, int] = {}
+        self.clock = 0
+
+    def extend(self, size: int, align_to: int = DEFAULT_ALIGNMENT) -> int:
+        addr = -(-self.brk // align_to) * align_to
+        if addr > self.brk:
+            self._insert_free(FreeBlock(self.brk, addr - self.brk, self.clock))
+        self.brk = addr + size
+        return addr
+
+    def extend_to_cache_offset(
+        self, size: int, cache_offset: int, cache_size: int
+    ) -> int:
+        addr = -(-self.brk // DEFAULT_ALIGNMENT) * DEFAULT_ALIGNMENT
+        addr += (cache_offset - addr) % cache_size
+        if addr > self.brk:
+            self._insert_free(FreeBlock(self.brk, addr - self.brk, self.clock))
+        self.brk = addr + size
+        return addr
+
+    def mark_live(self, addr: int, size: int) -> None:
+        if addr in self.live:
+            raise HeapError(f"allocation at 0x{addr:x} already live")
+        self.live[addr] = size
+        self.clock += 1
+
+    def release(self, addr: int) -> int:
+        size = self.live.pop(addr, None)
+        if size is None:
+            raise HeapError(f"free of unallocated address 0x{addr:x}")
+        self.clock += 1
+        return size
+
+    def take_from_block(self, index: int, addr: int, size: int) -> None:
+        block = self.free_blocks[index]
+        if addr < block.addr or addr + size > block.end:
+            raise HeapError(
+                f"carve [{addr:#x},{addr + size:#x}) outside free block "
+                f"[{block.addr:#x},{block.end:#x})"
+            )
+        replacements = []
+        if addr > block.addr:
+            replacements.append(FreeBlock(block.addr, addr - block.addr, self.clock))
+        if addr + size < block.end:
+            replacements.append(
+                FreeBlock(addr + size, block.end - (addr + size), self.clock)
+            )
+        self.free_blocks[index : index + 1] = replacements
+
+    def add_free(self, addr: int, size: int) -> None:
+        if size <= 0:
+            return
+        self._insert_free(FreeBlock(addr, size, self.clock))
+
+    def _insert_free(self, block: FreeBlock) -> None:
+        blocks = self.free_blocks
+        lo = 0
+        while lo < len(blocks) and blocks[lo].addr < block.addr:
+            lo += 1
+        if lo > 0 and blocks[lo - 1].end > block.addr:
+            raise HeapError(
+                f"free block [{block.addr:#x},{block.end:#x}) overlaps "
+                f"predecessor ending at {blocks[lo - 1].end:#x}"
+            )
+        if lo < len(blocks) and block.end > blocks[lo].addr:
+            raise HeapError(
+                f"free block [{block.addr:#x},{block.end:#x}) overlaps "
+                f"successor at {blocks[lo].addr:#x}"
+            )
+        if lo > 0 and blocks[lo - 1].end == block.addr:
+            prev = blocks.pop(lo - 1)
+            block = FreeBlock(prev.addr, prev.size + block.size, self.clock)
+            lo -= 1
+        if lo < len(blocks) and blocks[lo].addr == block.end:
+            nxt = blocks.pop(lo)
+            block = FreeBlock(block.addr, block.size + nxt.size, self.clock)
+        blocks.insert(lo, block)
+
+
+class ScalarFirstFitAllocator:
+    """Address-ordered first fit over a :class:`ScalarArena`."""
+
+    def __init__(self, base: int = HEAP_BASE):
+        self.arena = ScalarArena(base)
+
+    def allocate(self, size: int, alignment: int = DEFAULT_ALIGNMENT) -> int:
+        if size <= 0:
+            raise HeapError(f"allocation size must be positive, got {size}")
+        size = align_up(size, alignment)
+        for index, block in enumerate(self.arena.free_blocks):
+            addr = align_up(block.addr, alignment)
+            if addr + size <= block.end:
+                self.arena.take_from_block(index, addr, size)
+                self.arena.mark_live(addr, size)
+                return addr
+        addr = self.arena.extend(size, alignment)
+        self.arena.mark_live(addr, size)
+        return addr
+
+    def free(self, addr: int) -> None:
+        self.arena.add_free(addr, self.arena.release(addr))
+
+
+class SortedTemporalFitAllocator:
+    """Temporal fit that sorts the free list by last touch per allocation.
+
+    The reference for :class:`repro.memory.allocators.TemporalFitAllocator`,
+    whose arena keeps that order standing instead.
+    """
+
+    def __init__(self, base: int, cache_size: int):
+        if cache_size <= 0:
+            raise HeapError(f"cache size must be positive, got {cache_size}")
+        self.arena = ScalarArena(base)
+        self.cache_size = cache_size
+
+    def allocate(
+        self,
+        size: int,
+        preferred_offset: int | None = None,
+        alignment: int = DEFAULT_ALIGNMENT,
+    ) -> int:
+        if size <= 0:
+            raise HeapError(f"allocation size must be positive, got {size}")
+        size = align_up(size, alignment)
+        arena = self.arena
+        blocks = arena.free_blocks
+        # Most-recent-first; ties scan in address order (ascending index).
+        order = sorted((-b.last_touch, i) for i, b in enumerate(blocks))
+        if preferred_offset is not None:
+            preferred_offset %= self.cache_size
+            for _neg_touch, index in order:
+                start = align_up(blocks[index].addr, alignment)
+                addr = start + (preferred_offset - start) % self.cache_size
+                if addr + size <= blocks[index].end:
+                    arena.take_from_block(index, addr, size)
+                    arena.mark_live(addr, size)
+                    return addr
+            addr = arena.extend_to_cache_offset(
+                size, preferred_offset, self.cache_size
+            )
+            arena.mark_live(addr, size)
+            return addr
+        for _neg_touch, index in order:
+            addr = align_up(blocks[index].addr, alignment)
+            if addr + size <= blocks[index].end:
+                arena.take_from_block(index, addr, size)
+                arena.mark_live(addr, size)
+                return addr
+        addr = arena.extend(size, alignment)
+        arena.mark_live(addr, size)
+        return addr
+
+    def free(self, addr: int) -> None:
+        self.arena.add_free(addr, self.arena.release(addr))
+
+
+class ScalarBinnedHeap:
+    """One :class:`SortedTemporalFitAllocator` per allocation-bin tag."""
+
+    def __init__(self, cache_size: int, base: int = HEAP_BASE):
+        self.cache_size = cache_size
+        self.base = base
+        self._bins: dict[int | None, SortedTemporalFitAllocator] = {}
+        self._addr_bin: dict[int, int | None] = {}
+
+    def _bin_for(self, tag: int | None) -> SortedTemporalFitAllocator:
+        if tag not in self._bins:
+            slot = 0 if tag is None else tag + 1
+            self._bins[tag] = SortedTemporalFitAllocator(
+                self.base + slot * HEAP_BIN_STRIDE, self.cache_size
+            )
+        return self._bins[tag]
+
+    def allocate(self, size, tag=None, preferred_offset=None) -> int:
+        addr = self._bin_for(tag).allocate(size, preferred_offset)
+        self._addr_bin[addr] = tag
+        return addr
+
+    def free(self, addr: int) -> None:
+        if addr not in self._addr_bin:
+            raise HeapError(f"free of unknown heap address 0x{addr:x}")
+        self._bin_for(self._addr_bin.pop(addr)).free(addr)
+
+
+class ScalarAddressResolver:
+    """A placement policy applied one lifetime op at a time.
+
+    The twin of :class:`~repro.runtime.resolvers.AddressResolver`:
+    ``on_object``/``on_alloc``/``on_free`` place and release objects as
+    the ops arrive and ``base_of`` holds every object with an address.
+    A free of a declared static or the stack goes to the policy's heap
+    like any other (the product rejects it as a corrupt trace).
+    """
+
+    def __init__(self) -> None:
+        self.base_of: dict[int, int] = {STACK_OBJECT_ID: self.stack_base()}
+        self._text_cursor = TEXT_BASE
+
+    def stack_base(self) -> int:
+        return STACK_BASE
+
+    def place_global(self, info: ObjectInfo) -> int:
+        raise NotImplementedError
+
+    def place_heap(self, info: ObjectInfo, return_addresses: tuple[int, ...]) -> int:
+        raise NotImplementedError
+
+    def free_heap(self, obj_id: int, addr: int) -> None:
+        """Release a heap allocation."""
+
+    def place_constant(self, info: ObjectInfo) -> int:
+        addr = align_up(self._text_cursor, DEFAULT_ALIGNMENT)
+        self._text_cursor = addr + info.size
+        return addr
+
+    def on_object(self, info: ObjectInfo) -> None:
+        if info.category is Category.CONST:
+            self.base_of[info.obj_id] = self.place_constant(info)
+        else:
+            self.base_of[info.obj_id] = self.place_global(info)
+
+    def on_alloc(self, info: ObjectInfo, return_addresses: tuple[int, ...]) -> None:
+        self.base_of[info.obj_id] = self.place_heap(info, return_addresses)
+
+    def on_free(self, obj_id: int) -> None:
+        addr = self.base_of.pop(obj_id, None)
+        if addr is not None:
+            self.free_heap(obj_id, addr)
+
+    def address_of(self, obj_id: int) -> int:
+        return self.base_of[obj_id]
+
+
+class ScalarNaturalResolver(ScalarAddressResolver):
+    """Declaration order + first-fit heap, per op."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._data_cursor = DATA_BASE
+        self._heap = ScalarFirstFitAllocator(HEAP_BASE)
+
+    def place_global(self, info: ObjectInfo) -> int:
+        addr = align_up(self._data_cursor, DEFAULT_ALIGNMENT)
+        self._data_cursor = addr + info.size
+        return addr
+
+    def place_heap(self, info: ObjectInfo, return_addresses) -> int:
+        return self._heap.allocate(info.size)
+
+    def free_heap(self, obj_id: int, addr: int) -> None:
+        self._heap.free(addr)
+
+
+class ScalarRandomResolver(ScalarAddressResolver):
+    """A random pad before every global and allocation, drawn per op."""
+
+    def __init__(self, seed: int = 0, max_pad: int = 8192):
+        self._rng = random.Random(seed)
+        self._max_pad = max_pad
+        super().__init__()
+        self._data_cursor = DATA_BASE
+        self._heap_cursor = HEAP_BASE
+
+    def place_global(self, info: ObjectInfo) -> int:
+        pad = self._rng.randrange(0, self._max_pad, DEFAULT_ALIGNMENT)
+        addr = align_up(self._data_cursor + pad, DEFAULT_ALIGNMENT)
+        self._data_cursor = addr + info.size
+        return addr
+
+    def place_heap(self, info: ObjectInfo, return_addresses) -> int:
+        pad = self._rng.randrange(0, self._max_pad, DEFAULT_ALIGNMENT)
+        addr = align_up(self._heap_cursor + pad, DEFAULT_ALIGNMENT)
+        self._heap_cursor = addr + info.size
+        return addr
+
+
+class ScalarCCDPResolver(ScalarAddressResolver):
+    """A placement map applied per op: modified linker + custom malloc.
+
+    A per-op resolver cannot see the globals still to come, so a global
+    the placement never saw falls back past the largest placed *offset*
+    (the product starts past the end of the placed globals the recording
+    declares; the two agree whenever every declared global is placed).
+    """
+
+    def __init__(self, placement: PlacementMap, compact_heap: bool = False):
+        self.placement = placement
+        super().__init__()
+        size = max(placement.global_offsets.values(), default=0)
+        self._fallback_cursor = placement.data_base + size + FALLBACK_GAP
+        self._heap = ScalarBinnedHeap(placement.cache_config.size, HEAP_BASE)
+        self._compact = ScalarFirstFitAllocator(HEAP_BASE) if compact_heap else None
+
+    def stack_base(self) -> int:
+        return self.placement.stack_base
+
+    def place_global(self, info: ObjectInfo) -> int:
+        offset = self.placement.global_offsets.get(info.symbol)
+        if offset is None:
+            addr = align_up(self._fallback_cursor, DEFAULT_ALIGNMENT)
+            self._fallback_cursor = addr + info.size
+            return addr
+        return self.placement.data_base + offset
+
+    def place_heap(self, info: ObjectInfo, return_addresses) -> int:
+        if self._compact is not None:
+            return self._compact.allocate(info.size)
+        name = xor_fold(return_addresses, self.placement.name_depth)
+        decision = self.placement.heap_decision(name)
+        if decision is None:
+            return self._heap.allocate(info.size)
+        return self._heap.allocate(
+            info.size, tag=decision.bin_tag, preferred_offset=decision.preferred_offset
+        )
+
+    def free_heap(self, obj_id: int, addr: int) -> None:
+        if self._compact is not None:
+            self._compact.free(addr)
+        else:
+            self._heap.free(addr)
+
+
+def scalar_resolver(resolver) -> ScalarAddressResolver:
+    """The per-op twin of a product resolver, from its constructor arguments.
+
+    A per-op resolver passes through unchanged.
+    """
+    if isinstance(resolver, ScalarAddressResolver):
+        return resolver
+    if type(resolver) is NaturalResolver:
+        return ScalarNaturalResolver()
+    if type(resolver) is RandomResolver:
+        return ScalarRandomResolver(resolver.seed, resolver.max_pad)
+    if type(resolver) is CCDPResolver:
+        return ScalarCCDPResolver(resolver.placement, resolver.compact_heap)
+    raise TypeError(f"no per-op twin for {type(resolver).__name__}")
+
+
+def scalar_resolve_bases(trace: TraceRecorder, resolver) -> ResolvedBases:
+    """Replay the lifetime ops through ``resolver``'s per-op twin.
+
+    The reference for :meth:`TraceRecorder.resolve_bases`: bases, births
+    and deaths by one resolver call per op.
+    """
+    twin = scalar_resolver(resolver)
+    max_obj = STACK_OBJECT_ID
+    for _position, kind, payload in trace.lifetime_ops:
+        if kind == _OP_OBJECT:
+            max_obj = max(max_obj, payload.obj_id)
+        elif kind == _OP_ALLOC:
+            max_obj = max(max_obj, payload[0].obj_id)
+    bases = np.zeros(max_obj + 1, dtype=np.int64)
+    born = np.full(max_obj + 1, _NEVER, dtype=np.int64)
+    died = np.full(max_obj + 1, _NEVER, dtype=np.int64)
+    base_of = twin.base_of
+    bases[STACK_OBJECT_ID] = base_of[STACK_OBJECT_ID]
+    born[STACK_OBJECT_ID] = 0
+    for position, kind, payload in trace.lifetime_ops:
+        if kind == _OP_OBJECT:
+            twin.on_object(payload)
+            bases[payload.obj_id] = base_of[payload.obj_id]
+            born[payload.obj_id] = position
+        elif kind == _OP_ALLOC:
+            info, return_addresses = payload
+            twin.on_alloc(info, return_addresses)
+            bases[info.obj_id] = base_of[info.obj_id]
+            born[info.obj_id] = position
+        elif kind == _OP_FREE:
+            twin.on_free(payload)
+            # Only a free of a live object ends a life.
+            if 0 <= payload <= max_obj and born[payload] <= position < died[payload]:
+                died[payload] = position
+    return ResolvedBases(bases, born, died)
+
+
 # -- the per-access cache simulators ------------------------------------------
 
 
@@ -653,15 +1076,19 @@ class ScalarPageTracker(PageTracker):
 
 
 class ReplaySink(TraceSink):
-    """Drive a cache simulation from a trace under a placement policy."""
+    """Drive a cache simulation from a trace under a placement policy.
+
+    ``resolver`` is a product resolver, replaced by its per-op twin
+    (:func:`scalar_resolver`), or a per-op resolver.
+    """
 
     def __init__(
         self,
-        resolver: AddressResolver,
+        resolver,
         cache: CacheSimulator,
         pages: ScalarPageTracker | None = None,
     ):
-        self.resolver = resolver
+        self.resolver = scalar_resolver(resolver)
         self.cache = cache
         self.pages = pages
 
@@ -746,7 +1173,11 @@ def scalar_measure(
     classify: bool = False,
     track_pages: bool = False,
 ) -> MeasureResult:
-    """Simulate one live run event by event: the reference ``measure``."""
+    """Simulate one live run event by event: the reference ``measure``.
+
+    ``resolver`` is a product resolver; the run places objects with its
+    per-op twin.
+    """
     cache = CacheSimulator(config, classify=classify)
     pages = ScalarPageTracker() if track_pages else None
     workload.run(ReplaySink(resolver, cache, pages), input_name)

@@ -1,10 +1,13 @@
-"""Golden pins for the paper tables on two small workloads.
+"""Golden pins for the paper tables.
 
 Tables 1 and 3 are pure functions of the deterministic workload traces,
 so their numbers should never drift unless the workload generators, the
 statistics collector, or the table experiments deliberately change.
 This suite pins the full row contents for the two fastest benchmarks
-(``go``, ``mgrid``) to JSON fixtures under ``tests/goldens/``.
+(``go``, ``mgrid``) to JSON fixtures under ``tests/goldens/``.  The
+miss-rate results depend on the placement and the address resolvers
+too: Tables 2 and 4 and the random-vs-natural comparison are pinned for
+all nine programs, averages included.
 
 When an intentional change shifts the numbers, regenerate with::
 
@@ -21,7 +24,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import run_table1, run_table3
+from repro.analysis.missrates import MissRateRow
+from repro.experiments import (
+    run_random_vs_natural,
+    run_table1,
+    run_table2,
+    run_table3,
+    run_table4,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -49,6 +59,40 @@ def _table3_snapshot(program: str) -> dict:
         "static_objects": row.static_objects,
         "objects_per_bucket": row.objects_per_bucket,
         "pct_refs_per_bucket": row.pct_refs_per_bucket,
+    }
+
+
+def _miss_rate_row(row: MissRateRow) -> dict:
+    return {**dataclasses.asdict(row), "pct_reduction": row.pct_reduction}
+
+
+def _miss_rate_snapshot(table: int, result) -> dict:
+    return {
+        "table": table,
+        "rows": [_miss_rate_row(row) for row in result.rows],
+        "average": _miss_rate_row(result.average),
+        "average_reduction": result.average_reduction,
+        "skipped": result.skipped,
+    }
+
+
+def _random_vs_natural_snapshot(result) -> dict:
+    return {
+        "rows": [
+            {**dataclasses.asdict(row), "pct_increase": row.pct_increase}
+            for row in result.rows
+        ],
+        "mean_increase": result.mean_increase,
+    }
+
+
+@pytest.fixture(scope="module")
+def miss_rate_results():
+    """Tables 2 and 4 and random vs natural, nine programs, run once."""
+    return {
+        "table2": _miss_rate_snapshot(2, run_table2()),
+        "table4": _miss_rate_snapshot(4, run_table4()),
+        "random_vs_natural": _random_vs_natural_snapshot(run_random_vs_natural()),
     }
 
 
@@ -89,3 +133,15 @@ def test_table1_rows_are_self_consistent(program):
         assert categories == pytest.approx(100.0, abs=0.1)
         assert 0 < row.pct_loads + row.pct_stores <= 100.0
         assert row.instructions > 0
+
+
+@pytest.mark.parametrize("name", ["table2", "table4", "random_vs_natural"])
+def test_miss_rates_match_golden(request, miss_rate_results, name):
+    _check_against_golden(request, name, miss_rate_results[name])
+
+
+def test_random_placement_does_worse_than_natural(miss_rate_results):
+    """Section 5.1: random placement raises most programs' miss rates."""
+    rows = miss_rate_results["random_vs_natural"]["rows"]
+    assert len(rows) == 9
+    assert sum(row["random_miss"] > row["natural_miss"] for row in rows) >= 6

@@ -10,7 +10,11 @@ from repro.runtime.overhead import OverheadReport, estimate_overhead
 from repro.trace.events import Category
 from repro.trace.sinks import TraceSink
 from repro.trace.stats import WorkloadStats
-from tests.oracles import ScalarTwoLevelCache, one_reference_hierarchy
+from tests.oracles import (
+    ScalarTwoLevelCache,
+    one_reference_hierarchy,
+    scalar_resolver,
+)
 
 
 class TestTwoLevelCache:
@@ -152,10 +156,13 @@ class TestMemoryTraffic:
 
 
 class _PerEventHierarchy(TraceSink):
-    """Drive the per-access two-level oracle one live access at a time."""
+    """Drive the per-access two-level oracle one live access at a time.
+
+    Objects are placed by the per-op twin of the product ``resolver``.
+    """
 
     def __init__(self, resolver, hierarchy: ScalarTwoLevelCache):
-        self.resolver = resolver
+        self.resolver = scalar_resolver(resolver)
         self.hierarchy = hierarchy
 
     def on_object(self, info) -> None:

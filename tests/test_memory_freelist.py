@@ -137,8 +137,10 @@ class TestInvariants:
     def test_detects_free_outside_bounds(self):
         arena = Arena(base=0)
         arena.brk = 10
-        arena.free_blocks.append(FreeBlock(50, 10))
-        with pytest.raises(HeapError):
+        # free_blocks is built on read; plant the block in the arena itself.
+        arena.add_free(50, 10)
+        assert arena.free_blocks == [FreeBlock(50, 10)]
+        with pytest.raises(HeapError, match="outside arena bounds"):
             arena.check_invariants()
 
     def test_clean_arena_passes(self):

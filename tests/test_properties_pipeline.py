@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.cache.config import CacheConfig
 from repro.runtime.driver import build_placement, measure, run_experiment
 from repro.runtime.resolvers import CCDPResolver, NaturalResolver
+from repro.trace.buffer import _OP_ALLOC, _OP_FREE, record_trace
 from repro.trace.events import Category
 from repro.workloads.synthetic import SyntheticSpec, SyntheticWorkload
 
@@ -97,6 +98,17 @@ def test_custom_heap_never_overlaps(spec):
     assume(spec.heap_churn or spec.heap_persistent)
     workload = SyntheticWorkload(spec)
     _profile, placement = build_placement(workload, cache_config=CACHE)
-    resolver = CCDPResolver(placement)
-    measure(workload, "test", resolver, CACHE)
-    resolver._heap.check_invariants()
+    trace = record_trace(workload, "test")
+    measure(workload, "test", CCDPResolver(placement), CACHE, trace=trace)
+    bases = trace.resolve_bases(CCDPResolver(placement)).bases
+    # Replay the heap in op order: no allocation overlaps a live one.
+    live: dict[int, tuple[int, int]] = {}
+    for _position, kind, payload in trace.lifetime_ops:
+        if kind == _OP_ALLOC:
+            info = payload[0]
+            start, end = int(bases[info.obj_id]), int(bases[info.obj_id]) + info.size
+            for other_start, other_end in live.values():
+                assert end <= other_start or other_end <= start
+            live[info.obj_id] = (start, end)
+        elif kind == _OP_FREE:
+            live.pop(payload, None)

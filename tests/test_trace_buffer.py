@@ -116,6 +116,7 @@ class TestTraceRecorder:
 class TestResolve:
     def test_resolve_matches_per_event_resolution(self):
         from repro.runtime.resolvers import NaturalResolver
+        from tests.oracles import ScalarNaturalResolver
 
         workload = make_workload("espresso")
         trace = record_trace(workload, workload.train_input)
@@ -123,7 +124,7 @@ class TestResolve:
 
         class _AddressLog(TraceSink):
             def __init__(self):
-                self.resolver = NaturalResolver()
+                self.resolver = ScalarNaturalResolver()
                 self.addresses = []
 
             def on_object(self, info):

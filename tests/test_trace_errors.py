@@ -9,7 +9,9 @@ than silently simulating garbage addresses or counting the access on
 another entity.  For the simulators that includes an access outside its
 object's lifetime: before its allocation or after its free.  A profile
 names objects rather than resolving them, so the profilers accept a use
-after free, as the live :class:`ProfilerSink` does.
+after free, as the live :class:`ProfilerSink` does.  Only heap objects
+are freed: a free of a global, a constant or the stack is a corrupt
+trace under every placement policy.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from repro.adaptive import run_adaptive, window_profile
 from repro.cache.config import CacheConfig
 from repro.profiling.batch import profile_trace
 from repro.runtime.driver import measure_trace
-from repro.runtime.resolvers import NaturalResolver
+from repro.core.placement_map import PlacementMap
+from repro.runtime.resolvers import CCDPResolver, NaturalResolver, RandomResolver
 from repro.trace.buffer import TraceRecorder, record_trace
 from repro.trace.events import Category, ObjectInfo, TraceError
 from repro.trace.sinks import TraceSink
@@ -55,6 +58,19 @@ def use_after_free_trace() -> TraceRecorder:
     recorder.on_access(9, 0, 4, True, Category.HEAP)
     recorder.on_free(9)
     recorder.on_access(9, 8, 4, False, Category.HEAP)
+    recorder.on_end()
+    return recorder
+
+
+def static_free_trace() -> TraceRecorder:
+    """Global 1 is freed at position 2, then touched again."""
+    recorder = TraceRecorder()
+    recorder.on_object(_global_info(1))
+    recorder.on_access(1, 0, 4, False, Category.GLOBAL)
+    recorder.on_alloc(_heap_info(9), (0x2000,))
+    recorder.on_access(9, 0, 4, True, Category.HEAP)
+    recorder.on_free(1)
+    recorder.on_access(1, 8, 4, False, Category.GLOBAL)
     recorder.on_end()
     return recorder
 
@@ -220,6 +236,21 @@ class TestLifetimeErrors:
     def test_measure_trace_rejects_use_after_free(self):
         with pytest.raises(TraceError, match="unknown object id 9"):
             measure_trace(use_after_free_trace(), NaturalResolver(), self.CONFIG)
+
+    @pytest.mark.parametrize("policy", ["natural", "random", "ccdp"])
+    def test_measure_trace_rejects_a_free_of_a_static(self, policy):
+        """Only heap objects are freed: every policy rejects the trace alike."""
+        if policy == "natural":
+            resolver = NaturalResolver()
+        elif policy == "random":
+            resolver = RandomResolver(seed=12345)
+        else:
+            resolver = CCDPResolver(PlacementMap(cache_config=self.CONFIG))
+        with pytest.raises(
+            TraceError,
+            match="corrupt trace: free of non-heap object id 1 at position 2",
+        ):
+            measure_trace(static_free_trace(), resolver, self.CONFIG)
 
     def test_measure_trace_rejects_access_before_alloc(self):
         with pytest.raises(TraceError, match="unknown object id 9"):
